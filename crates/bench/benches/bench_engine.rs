@@ -14,6 +14,12 @@
 //!   throughput of a full-scale fast-protocol instance on
 //!   `cycle(120000)` (CSR decoder). These are exactly the cells where
 //!   sweep campaigns used to fall back to the generic engine.
+//! * **lazy trials with the mid-run hand-off** ([`run_trials_lazy`]):
+//!   identifier trials on `cycle(80000)` shaped like a sweep cell, where
+//!   identifier generation misses the pair cache on almost every step
+//!   and the trial runner hands each trial to the generic engine. The
+//!   row races the trial runner against [`run_trials`] and records the
+//!   lazy executor without the hand-off beside them.
 //! * **scalar dense vs lane-parallel dense** ([`LaneDenseExecutor`]):
 //!   8- and 16-lane packs against a scalar [`DenseExecutor`] over the
 //!   same trial seeds — full token elections on `clique(1000)` (fused
@@ -54,6 +60,7 @@
 use criterion::{black_box, take_measurements, BenchmarkId, Criterion, Measurement};
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, TokenProtocol};
+use popele_engine::monte_carlo::{run_trials, run_trials_lazy, TrialOptions};
 use popele_engine::{
     compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, LaneDenseExecutor,
     LazyDenseExecutor, Protocol,
@@ -64,6 +71,7 @@ use popele_lab::sweep::{
     SweepSpec, TrialRecord,
 };
 use popele_lab::workloads::Family;
+use popele_math::rng::SeedSeq;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -121,6 +129,15 @@ fn lazy_election_graphs() -> Vec<(&'static str, Graph)> {
         ("identifier_torus_1024", families::torus(32, 32)),
     ]
 }
+
+/// The hand-off workload: identifier trials on `cycle(80000)` in the
+/// shape of an agent-grid sweep cell — [`HANDOFF_TRIALS`] trials at a
+/// [`HANDOFF_BUDGET`]-step budget, all of which time out. Each
+/// iteration builds its executors afresh, as every sweep shard does.
+const HANDOFF_WORKLOAD: &str = "identifier_cycle_80000";
+const HANDOFF_NODES: u32 = 80_000;
+const HANDOFF_TRIALS: usize = 2;
+const HANDOFF_BUDGET: u64 = 2_000_000;
 
 /// Each benchmark *iteration* runs one full cycle of elections over a
 /// fixed seed set, so every sample of both engines measures the exact
@@ -214,6 +231,43 @@ fn bench_elections(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// The hand-off race: [`run_trials`] (generic) vs [`run_trials_lazy`]
+/// (lazy, handing each trial to the generic engine once its windows
+/// miss the pair cache) vs the same trials on the lazy executor alone.
+/// All three apply the identical `HANDOFF_TRIALS × HANDOFF_BUDGET`
+/// interactions.
+fn bench_handoff(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine/election");
+    group.sample_size(10);
+    let g = families::cycle(HANDOFF_NODES);
+    let p = IdentifierProtocol::new(identifier_bits(HANDOFF_NODES, false));
+    let opts = TrialOptions {
+        trials: HANDOFF_TRIALS,
+        max_steps: HANDOFF_BUDGET,
+        threads: 1,
+        ..TrialOptions::default()
+    };
+    let name = HANDOFF_WORKLOAD;
+    group.bench_with_input(BenchmarkId::new("generic", name), &g, |b, g| {
+        b.iter(|| black_box(run_trials(g, &p, 1, opts)));
+    });
+    group.bench_with_input(BenchmarkId::new("lazy", name), &g, |b, g| {
+        b.iter(|| black_box(run_trials_lazy(g, &p, 1, opts)));
+    });
+    group.bench_with_input(BenchmarkId::new("no_handoff", name), &g, |b, g| {
+        let seeds = SeedSeq::new(1);
+        b.iter(|| {
+            let mut exec = LazyDenseExecutor::new(g, &p, 0);
+            for trial in 0..HANDOFF_TRIALS as u64 {
+                exec.reset(seeds.child(trial));
+                assert!(exec.run_until_stable(HANDOFF_BUDGET).is_err());
+            }
+            black_box(exec.steps())
+        });
+    });
     group.finish();
 }
 
@@ -607,6 +661,24 @@ fn bench_campaign(c: &mut Criterion) {
     group.finish();
 }
 
+/// The machine the numbers come from: logical CPUs, CPU model and
+/// AVX-512 support (the lane tier's fused kernel needs it), read from
+/// `/proc/cpuinfo` where it exists.
+fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        cpuinfo
+            .lines()
+            .find(|line| line.starts_with(key))
+            .and_then(|line| line.split_once(':'))
+            .map_or("", |(_, value)| value.trim())
+    };
+    let cpu_model = field("model name").replace(['"', '\\'], "");
+    let avx512 = field("flags").split_whitespace().any(|f| f == "avx512f");
+    format!("{{\"nproc\": {nproc}, \"cpu_model\": \"{cpu_model}\", \"avx512\": {avx512}}}")
+}
+
 fn median_of<'a>(ms: &'a [Measurement], id: &str) -> Option<&'a Measurement> {
     ms.iter().find(|m| m.id == id)
 }
@@ -666,6 +738,7 @@ fn render_json(ms: &[Measurement]) -> (String, Vec<String>) {
     let mut out = String::from(
         "{\n  \"benchmark\": \"engine: generic executor vs compiled dense engines\",\n",
     );
+    let _ = writeln!(out, "  \"host\": {},", host_json());
     let _ = writeln!(out, "  \"workloads\": [");
     let mut first = true;
     for (group, name, engine) in json_workloads() {
@@ -686,6 +759,28 @@ fn render_json(ms: &[Measurement]) -> (String, Vec<String>) {
              \"generic_median_ns\": {:.0}, \"{engine}_median_ns\": {:.0}, \"speedup\": {:.2}}}",
             generic.median_ns, fast_path.median_ns, speedup
         );
+    }
+    {
+        let side =
+            |engine: &str| median_of(ms, &format!("engine/election/{engine}/{HANDOFF_WORKLOAD}"));
+        if let (Some(generic), Some(lazy), Some(no_handoff)) =
+            (side("generic"), side("lazy"), side("no_handoff"))
+        {
+            out.push_str(",\n");
+            let _ = write!(
+                out,
+                "    {{\"workload\": \"engine/election/{HANDOFF_WORKLOAD}\", \"engine\": \"lazy\", \
+                 \"generic_median_ns\": {:.0}, \"lazy_median_ns\": {:.0}, \"speedup\": {:.2}, \
+                 \"no_handoff_median_ns\": {:.0}, \"handoff_gain\": {:.2}}}",
+                generic.median_ns,
+                lazy.median_ns,
+                generic.median_ns / lazy.median_ns,
+                no_handoff.median_ns,
+                no_handoff.median_ns / lazy.median_ns
+            );
+        } else {
+            missing.push(format!("engine/election/{HANDOFF_WORKLOAD} (lazy)"));
+        }
     }
     for (name, num_lanes) in lanes_workloads() {
         let dense = median_of(ms, &format!("engine/lanes/dense/{name}"));
@@ -799,6 +894,7 @@ fn main() {
         .measurement_time(Duration::from_secs(8))
         .sample_size(30);
     bench_elections(&mut c);
+    bench_handoff(&mut c);
     bench_fixed_steps(&mut c);
     bench_lanes(&mut c);
     bench_count(&mut c);

@@ -10,7 +10,7 @@
 use super::decoder::{clique_decode, orient, EdgeDecoder, PAIR_BATCH};
 use super::lazy::{LazyId, LazyTable};
 use super::table::{CompiledProtocol, StateId};
-use crate::executor::{NotStabilized, Outcome};
+use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
 use popele_graph::{Graph, NodeId};
@@ -1290,6 +1290,41 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         self.resync_oracle();
     }
 
+    /// Hands the execution to the generic engine mid-run. The generic
+    /// [`Executor`] gets the typed configuration, a clone of the
+    /// scheduler (same RNG position, `steps() == applied`), the typed
+    /// states of the census's seen ids, and an oracle recomputed once,
+    /// so it continues the trace exactly where this executor stands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair buffer still holds drawn-but-unapplied pairs:
+    /// the clone would then start past them. Bounded run calls drain it.
+    pub(crate) fn to_generic(&self) -> Executor<'_, P> {
+        assert_eq!(
+            self.cursor, self.filled,
+            "pair buffer must be drained before a hand-off"
+        );
+        debug_assert_eq!(self.scheduler.steps(), self.applied);
+        let states = self.ids.iter().map(|&id| self.table.state(id).clone());
+        let census = self.census.as_ref().map(|census| {
+            census
+                .seen
+                .iter()
+                .zip(&self.table.states)
+                .filter(|&(&seen, _)| seen)
+                .map(|(_, state)| state.clone())
+                .collect()
+        });
+        Executor::resume(
+            self.graph,
+            &self.table.protocol,
+            self.scheduler.clone(),
+            states.collect(),
+            census,
+        )
+    }
+
     #[cfg(test)]
     pub(crate) fn scheduler_steps(&self) -> u64 {
         self.scheduler.steps()
@@ -1482,6 +1517,32 @@ mod tests {
             .run_until_stable(1 << 20)
             .unwrap();
         assert_eq!(warm_out, cold_out);
+    }
+
+    #[test]
+    fn handoff_to_generic_continues_the_trace() {
+        // Hand a lazy run to the generic engine after a bounded run that
+        // crossed a pair-buffer refill, as the trial runner does: steps,
+        // pairs, configuration, census and outcome must match a generic
+        // run that took every step itself.
+        let g = families::clique(40);
+        let mut generic = Executor::new(&g, &Absorb, 17);
+        generic.enable_state_census();
+        let mut lazy = LazyDenseExecutor::new(&g, &Absorb, 17);
+        lazy.enable_state_census();
+        generic.run_steps(300);
+        lazy.run_steps(300);
+        let mut handed = lazy.to_generic();
+        assert_eq!(handed.steps(), 300);
+        assert_eq!(handed.states(), generic.states());
+        assert_eq!(handed.outcome(), generic.outcome());
+        for _ in 0..50 {
+            assert_eq!(handed.step(), generic.step());
+        }
+        assert_eq!(
+            handed.run_until_stable(1 << 20),
+            generic.run_until_stable(1 << 20)
+        );
     }
 
     #[test]

@@ -64,16 +64,39 @@ impl<'a, P: Protocol> Executor<'a, P> {
     /// Panics if the graph has no edges.
     #[must_use]
     pub fn new(graph: &'a Graph, protocol: &'a P, seed: u64) -> Self {
-        let states: Vec<P::State> = graph.nodes().map(|v| protocol.initial_state(v)).collect();
+        let states = graph.nodes().map(|v| protocol.initial_state(v)).collect();
+        Self::resume(
+            graph,
+            protocol,
+            EdgeScheduler::new(graph, seed),
+            states,
+            None,
+        )
+    }
+
+    /// Continues an execution another engine started: `states` is its
+    /// configuration, `scheduler` its draw stream positioned after the
+    /// last applied step, and `census` the states it has seen (if the
+    /// census is on). The oracle is recomputed from `states` once, in
+    /// O(n) — every oracle's counters are a function of the
+    /// configuration — so the continuation is trace-identical to a run
+    /// that took every step on this engine.
+    pub(crate) fn resume(
+        graph: &'a Graph,
+        protocol: &'a P,
+        scheduler: EdgeScheduler<'a>,
+        states: Vec<P::State>,
+        census: Option<HashSet<P::State>>,
+    ) -> Self {
         let mut oracle = protocol.oracle();
         oracle.recompute(protocol, &states);
         Self {
             graph,
             protocol,
-            scheduler: EdgeScheduler::new(graph, seed),
+            scheduler,
             states,
             oracle,
-            census: None,
+            census,
         }
     }
 

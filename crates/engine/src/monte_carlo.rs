@@ -11,7 +11,9 @@
 //! * [`run_trials_dense`] — the ahead-of-time compiled engine
 //!   ([`crate::DenseExecutor`]) over a shared [`CompiledProtocol`] table;
 //! * [`run_trials_lazy`] — the lazily-compiling dense engine
-//!   ([`crate::LazyDenseExecutor`]), one warm pair cache per worker;
+//!   ([`crate::LazyDenseExecutor`]), one warm pair cache per worker; a
+//!   trial that keeps missing the cache hands itself to the generic
+//!   engine mid-run;
 //! * [`run_trials_lanes`] — the lane-parallel dense engine
 //!   ([`crate::LaneDenseExecutor`]): 8–16 trials of one compiled cell
 //!   stepped in lockstep per worker, retire-and-refill as trials
@@ -53,7 +55,7 @@ use crate::dense::{
     LaneDenseExecutor, LazyDenseExecutor, COUNT_MIN_AGENTS, DEFAULT_MAX_COMPILED_STATES,
     PROBE_EVAL_BUDGET,
 };
-use crate::executor::Executor;
+use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::faults::{fault_seed, run_with_faults, FaultPlan, Recovery};
 use crate::protocol::Protocol;
 use crate::stabilize::HoldingTime;
@@ -138,10 +140,13 @@ pub struct TrialResult {
     /// `Some` exactly when the trial ran through the
     /// [`crate::stabilize`] entry points.
     pub holding: Option<HoldingTime>,
-    /// Which engine ran the trial. Pure provenance — see [`Engine`] —
-    /// and therefore **not** part of `PartialEq`: results from different
-    /// engines compare equal whenever the observable outcome is equal,
-    /// which is exactly the trace-identity contract.
+    /// The engine tier selected for the trial. Pure provenance — see
+    /// [`Engine`] — and therefore **not** part of `PartialEq`: results
+    /// from different engines compare equal whenever the observable
+    /// outcome is equal, which is exactly the trace-identity contract.
+    /// It names the tier the trial started on: an [`Engine::LazyDense`]
+    /// election trial may finish on the generic engine after a mid-run
+    /// hand-off (see [`run_trials_lazy`]).
     pub engine: Engine,
 }
 
@@ -252,29 +257,38 @@ pub fn run_trials<P: Protocol>(
         if options.census {
             exec.enable_state_census();
         }
-        match exec.run_until_stable(options.max_steps) {
-            Ok(outcome) => TrialResult {
-                trial,
-                stabilization_step: Some(outcome.stabilization_step),
-                leader: outcome.leader,
-                distinct_states: outcome.distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Generic,
-            },
-            Err(_) => TrialResult {
-                trial,
-                stabilization_step: None,
-                leader: None,
-                distinct_states: exec.outcome().distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Generic,
-            },
-        }
+        let result = exec.run_until_stable(options.max_steps);
+        election_result(trial, result, || exec.outcome(), Engine::Generic)
     };
 
     fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
+}
+
+/// Packs an election's result into a [`TrialResult`]. A timed-out
+/// trial still reports its census, read from the executor's `snapshot`.
+fn election_result(
+    trial: usize,
+    result: Result<Outcome, NotStabilized>,
+    snapshot: impl FnOnce() -> Outcome,
+    engine: Engine,
+) -> TrialResult {
+    let (stabilization_step, leader, distinct_states) = match result {
+        Ok(outcome) => (
+            Some(outcome.stabilization_step),
+            outcome.leader,
+            outcome.distinct_states,
+        ),
+        Err(_) => (None, None, snapshot().distinct_states),
+    };
+    TrialResult {
+        trial,
+        stabilization_step,
+        leader,
+        distinct_states,
+        recovery: None,
+        holding: None,
+        engine,
+    }
 }
 
 /// Runs `options.trials` independent executions on the compiled engine,
@@ -330,26 +344,8 @@ pub fn run_trials_dense<P: Protocol>(
     let run_one = |exec: &mut DenseExecutor<'_, P>, trial: usize| -> TrialResult {
         let trial = options.first_trial + trial;
         exec.reset(seq.child(trial as u64));
-        match exec.run_until_stable(options.max_steps) {
-            Ok(outcome) => TrialResult {
-                trial,
-                stabilization_step: Some(outcome.stabilization_step),
-                leader: outcome.leader,
-                distinct_states: outcome.distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Dense,
-            },
-            Err(_) => TrialResult {
-                trial,
-                stabilization_step: None,
-                leader: None,
-                distinct_states: exec.outcome().distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::Dense,
-            },
-        }
+        let result = exec.run_until_stable(options.max_steps);
+        election_result(trial, result, || exec.outcome(), Engine::Dense)
     };
     let fresh_executor = || {
         let mut exec = DenseExecutor::new(graph, compiled, 0);
@@ -373,6 +369,16 @@ pub fn run_trials_dense<P: Protocol>(
 /// trials after a worker's first run against an already-populated cache
 /// (the cache affects speed only, never the trace — results stay
 /// independent of thread count and sharding).
+///
+/// A trial whose pair cache stops paying hands itself to the generic
+/// [`Executor`] mid-run: the lazy executor steps in windows of 2¹⁶
+/// steps, and a window that misses the cache on more than a quarter of
+/// its steps (the identifier protocol while nodes still generate
+/// identifiers, where almost every state is new) moves the rest of the
+/// trial to the generic engine, which carries the same configuration,
+/// scheduler stream and census on. The trace is unchanged, and the next
+/// trial starts lazy again on the warm cache.
+/// [`lazy_handoff_step`] reports where a trial hands off.
 ///
 /// # Examples
 ///
@@ -414,27 +420,7 @@ pub fn run_trials_lazy<P: Protocol + Clone>(
 
     let run_one = |exec: &mut LazyDenseExecutor<'_, P>, trial: usize| -> TrialResult {
         let trial = options.first_trial + trial;
-        exec.reset(seq.child(trial as u64));
-        match exec.run_until_stable(options.max_steps) {
-            Ok(outcome) => TrialResult {
-                trial,
-                stabilization_step: Some(outcome.stabilization_step),
-                leader: outcome.leader,
-                distinct_states: outcome.distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::LazyDense,
-            },
-            Err(_) => TrialResult {
-                trial,
-                stabilization_step: None,
-                leader: None,
-                distinct_states: exec.outcome().distinct_states,
-                recovery: None,
-                holding: None,
-                engine: Engine::LazyDense,
-            },
-        }
+        lazy_election(exec, trial, seq.child(trial as u64), options.max_steps).0
     };
     let fresh_executor = || {
         let mut exec = LazyDenseExecutor::new(graph, protocol, 0);
@@ -445,6 +431,66 @@ pub fn run_trials_lazy<P: Protocol + Clone>(
     };
 
     fan_out(options.trials, threads, fresh_executor, run_one)
+}
+
+/// Steps per window of a lazy election trial; the hand-off rule is
+/// checked at each window edge.
+const HANDOFF_WINDOW: u64 = 1 << 16;
+
+/// A window with more than `HANDOFF_WINDOW / HANDOFF_MISS_DIVISOR`
+/// pair-cache misses hands its trial to the generic engine. Identifier
+/// generation windows miss on 800–1000 of every 1000 steps, fast-protocol
+/// windows on 0–4.
+const HANDOFF_MISS_DIVISOR: u64 = 4;
+
+/// Runs election trial `trial` with scheduler seed `seed` on `exec`,
+/// handing it to the generic engine when a window misses the pair cache
+/// too often (see [`run_trials_lazy`]). Returns the result, tagged
+/// [`Engine::LazyDense`] either way, and the step of the hand-off if
+/// there was one.
+fn lazy_election<P: Protocol>(
+    exec: &mut LazyDenseExecutor<'_, P>,
+    trial: usize,
+    seed: u64,
+    max_steps: u64,
+) -> (TrialResult, Option<u64>) {
+    exec.reset(seed);
+    loop {
+        let cached = exec.table().num_cached_pairs();
+        let end = max_steps.min(exec.steps().saturating_add(HANDOFF_WINDOW));
+        // A bounded run never draws past `end`, so the pair buffer is
+        // drained whenever this returns without stabilizing.
+        let result = exec.run_until_stable(end);
+        if result.is_ok() || end == max_steps {
+            let result = election_result(trial, result, || exec.outcome(), Engine::LazyDense);
+            return (result, None);
+        }
+        let misses = (exec.table().num_cached_pairs() - cached) as u64;
+        if misses > HANDOFF_WINDOW / HANDOFF_MISS_DIVISOR {
+            let handoff = exec.steps();
+            let mut generic = exec.to_generic();
+            let result = generic.run_until_stable(max_steps);
+            let result = election_result(trial, result, || generic.outcome(), Engine::LazyDense);
+            return (result, Some(handoff));
+        }
+    }
+}
+
+/// The step at which a lazy election trial with scheduler seed `seed`
+/// hands itself to the generic engine under [`run_trials_lazy`]'s rule,
+/// or `None` if it finishes (stabilized or out of budget) on the lazy
+/// engine. The trial runs from a cold pair cache, as a worker's first
+/// trial does, and runs to its end. Trial `i` of master seed `s` has
+/// scheduler seed `SeedSeq::new(s).child(i)`.
+#[must_use]
+pub fn lazy_handoff_step<P: Protocol + Clone>(
+    graph: &Graph,
+    protocol: &P,
+    seed: u64,
+    max_steps: u64,
+) -> Option<u64> {
+    let mut exec = LazyDenseExecutor::new(graph, protocol, seed);
+    lazy_election(&mut exec, 0, seed, max_steps).1
 }
 
 /// Runs `options.trials` independent executions on the count-based
@@ -815,9 +861,13 @@ impl<P: Protocol> EngineSelection<P> {
 ///    table;
 /// 2. **lazy-compiled** ([`Engine::LazyDense`]) when it does not but the
 ///    protocol declares a finite [`Protocol::state_space_bound`] — the
-///    per-run visited slice is then small enough to intern profitably
-///    (the identifier protocol at realistic `k`, full-scale fast
-///    instances);
+///    per-run visited slice is then usually small enough to intern
+///    profitably (the identifier protocol at realistic `k`, full-scale
+///    fast instances). Where it is not — identifier generation on large
+///    sparse graphs, where almost every interaction yields a new state
+///    — [`run_trials_lazy`] notices at run time, per trial: a window of
+///    steps that misses the pair cache too often hands the rest of the
+///    trial to the generic engine;
 /// 3. **generic** ([`Engine::Generic`]) otherwise: a protocol that
 ///    cannot even bound its state space may intern without limit, and
 ///    the generic engine caps memory at O(n) states.

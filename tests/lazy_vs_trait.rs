@@ -17,6 +17,10 @@
 //!    engine for each of the workspace's protocols at representative
 //!    sizes, record that choice in `TrialResult::engine`, and reach the
 //!    cap-overflow verdict through the bounded probe (cheap selection).
+//! 4. **Mid-run hand-off**: a lazy trial whose pair cache stops paying
+//!    moves to the generic engine mid-run; the hand-off must fire on the
+//!    miss-bound cells, spare the cache-friendly ones, and leave results
+//!    (census included) equal to the generic engine's.
 
 mod harness;
 
@@ -25,13 +29,14 @@ use popele::engine::dense::PROBE_EVAL_BUDGET;
 use popele::engine::dense::{probe_state_space, SpaceProbe, DEFAULT_MAX_COMPILED_STATES};
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
-    run_trials, run_trials_auto, run_trials_auto_with_faults, run_trials_lazy,
+    lazy_handoff_step, run_trials, run_trials_auto, run_trials_auto_with_faults, run_trials_lazy,
     run_trials_lazy_with_faults, run_trials_with_faults, select_engine, Engine, TrialOptions,
 };
 use popele::engine::{
     CompiledProtocol, Executor, LazyDenseExecutor, LeaderCountOracle, Protocol, Role,
 };
-use popele::graph::families;
+use popele::graph::{families, Graph};
+use popele::math::rng::SeedSeq;
 use popele::protocols::params::{identifier_bits, FastParams};
 use popele::protocols::{
     FastProtocol, IdentifierProtocol, MajorityProtocol, StarProtocol, TokenProtocol,
@@ -395,4 +400,97 @@ fn cap_overflow_verdict_is_reached_within_the_probe_budget() {
         ),
         SpaceProbe::Fits(reachable)
     );
+}
+
+/// Step budget of the CSR-scale hand-off tests: a few windows past the
+/// identifier protocol's first hand-off on `cycle(70000)` and
+/// `torus(270×270)` (at step 196 608 for the seeds below).
+const HANDOFF_BUDGET: u64 = 400_000;
+
+/// The miss-bound cells: identifier generation at CSR scale, where
+/// almost every interaction produces a never-seen state.
+fn csr_identifier_graphs() -> [Graph; 2] {
+    [families::cycle(70_000), families::torus(270, 270)]
+}
+
+#[test]
+fn handoff_fires_on_miss_bound_cells_only() {
+    let seed = SeedSeq::new(0x4A0D).child(0);
+    for g in csr_identifier_graphs() {
+        let p = realistic_identifier(g.num_nodes());
+        assert!(
+            lazy_handoff_step(&g, &p, seed, HANDOFF_BUDGET).is_some(),
+            "identifier on {g} must hand off"
+        );
+    }
+    // Fast at the parameters the sweep derives for clique(4000) (h = 16,
+    // L = 12) is a lazy cell whose cache pays: it must stay lazy.
+    let g = families::clique(4000);
+    let fast = FastProtocol::new(FastParams::new(16, 12, 4));
+    assert_eq!(select_engine(&fast, 4000), Engine::LazyDense);
+    assert_eq!(lazy_handoff_step(&g, &fast, seed, 2_000_000), None);
+    // So must identifier on the star, where the hub's interactions repeat.
+    let g = families::star(70_000);
+    let p = realistic_identifier(70_000);
+    assert_eq!(lazy_handoff_step(&g, &p, seed, 2_000_000), None);
+}
+
+#[test]
+fn handoff_trials_equal_generic_on_csr_families() {
+    let opts = |threads, first_trial, trials, census| TrialOptions {
+        trials,
+        first_trial,
+        max_steps: HANDOFF_BUDGET,
+        census,
+        lanes: false,
+        threads,
+    };
+    for g in csr_identifier_graphs() {
+        let p = realistic_identifier(g.num_nodes());
+        let generic = run_trials(&g, &p, 0x4A0D, opts(1, 0, 3, false));
+        assert_eq!(
+            generic,
+            run_trials_lazy(&g, &p, 0x4A0D, opts(1, 0, 3, false))
+        );
+        assert_eq!(
+            generic,
+            run_trials_lazy(&g, &p, 0x4A0D, opts(2, 0, 3, false))
+        );
+        let shard = run_trials_lazy(&g, &p, 0x4A0D, opts(2, 1, 2, false));
+        assert_eq!(generic[1..], shard[..], "{g} shard from trial 1");
+        // Every trial times out at this budget, so the census — a count
+        // that depends on the whole trace — is what tells the engines'
+        // trajectories apart.
+        let generic = run_trials(&g, &p, 0x4A0D, opts(2, 1, 2, true));
+        let lazy = run_trials_lazy(&g, &p, 0x4A0D, opts(1, 1, 2, true));
+        assert!(generic.iter().all(|r| r.distinct_states.is_some()));
+        assert_eq!(generic, lazy, "{g} with census");
+    }
+}
+
+#[test]
+fn handoff_census_equals_generic() {
+    // torus(63×63) hands off in its first window and elects a few
+    // windows later, so the census the generic engine inherits is
+    // checked through complete elections, leader and step included.
+    let g = families::torus(63, 63);
+    let p = realistic_identifier(g.num_nodes());
+    let seq = SeedSeq::new(7);
+    for trial in 0..3 {
+        assert!(lazy_handoff_step(&g, &p, seq.child(trial), 1 << 26).is_some());
+    }
+    let opts = TrialOptions {
+        trials: 3,
+        max_steps: 1 << 26,
+        census: true,
+        threads: 1,
+        ..TrialOptions::default()
+    };
+    let generic = run_trials(&g, &p, 7, opts);
+    let lazy = run_trials_lazy(&g, &p, 7, opts);
+    assert!(generic
+        .iter()
+        .all(|r| r.stabilization_step.is_some() && r.distinct_states.is_some()));
+    assert_eq!(generic, lazy);
+    assert!(lazy.iter().all(|r| r.engine == Engine::LazyDense));
 }

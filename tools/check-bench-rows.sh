@@ -6,7 +6,12 @@
 # bench source and committed without regenerating the baseline would
 # only surface at the next full bench run — this script makes the gap
 # CI-checkable. The expected list mirrors the bench manifests
-# (`json_workloads` + `count_workloads`); update both together.
+# (`json_workloads`, `HANDOFF_WORKLOAD`, `lanes_workloads`,
+# `count_workloads` and the campaign rows); update both together.
+#
+# BENCH.md's recorded-baseline tables are copied from the JSON by hand,
+# so the script also fails when a copied speedup no longer matches its
+# row.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +22,7 @@ expected=(
   "engine/election/identifier_cycle_1000"
   "engine/election/identifier_star_1000"
   "engine/election/identifier_torus_1024"
+  "engine/election/identifier_cycle_80000"
   "engine/steps/clique_1000"
   "engine/steps/cycle_1000"
   "engine/steps/cycle_120000"
@@ -48,7 +54,17 @@ if [ "$rows" -ne "${#expected[@]}" ]; then
   fail=1
 fi
 
+while IFS= read -r row; do
+  w=$(sed -n 's/.*"workload": "\([^"]*\)".*/\1/p' <<<"$row")
+  speedup=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' <<<"$row")
+  [ -n "$speedup" ] || continue
+  if ! grep -F "| \`$w\`" BENCH.md | grep -qF "**${speedup}×**"; then
+    echo "BENCH.md has no table row for $w with its recorded speedup ${speedup}×" >&2
+    fail=1
+  fi
+done < <(grep '"workload"' "$baseline")
+
 if [ "$fail" -eq 0 ]; then
-  echo "BENCH_engine.json: all ${#expected[@]} workload rows present"
+  echo "BENCH_engine.json: all ${#expected[@]} workload rows present, BENCH.md speedups match"
 fi
 exit "$fail"
