@@ -36,6 +36,11 @@
 //!   `n = 10⁷` has ~5·10¹³ edges, so the graph-backed engines cannot
 //!   even construct the workload. The JSON reports absolute medians and
 //!   interactions/second instead of a speedup.
+//! * **implicit vs materialized clique** (generic [`Executor`]): fixed
+//!   token-protocol steps on `clique(4000)` in its implicit form (the
+//!   scheduler decodes each draw arithmetically) and in the CSR form
+//!   (a gather from the 64 MB edge list) — the per-step price of the
+//!   materialized edge list the implicit clique removes.
 //! * **campaign scheduler** ([`run_campaign`]): end-to-end sweep
 //!   campaigns through the real runner — a 32-shard grid under the
 //!   serial scheduler vs a 4-worker pool (identical outputs by the
@@ -129,6 +134,11 @@ fn lazy_election_graphs() -> Vec<(&'static str, Graph)> {
         ("identifier_torus_1024", families::torus(32, 32)),
     ]
 }
+
+/// The implicit-clique workload: generic fixed steps on `clique(4000)`,
+/// implicit vs materialized.
+const IMPLICIT_CLIQUE_WORKLOAD: &str = "generic_clique_4000";
+const IMPLICIT_CLIQUE_NODES: u32 = 4_000;
 
 /// The hand-off workload: identifier trials on `cycle(80000)` in the
 /// shape of an agent-grid sweep cell — [`HANDOFF_TRIALS`] trials at a
@@ -322,6 +332,37 @@ fn bench_fixed_steps(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("lazy", name), &g, |b, g| {
             let mut exec = LazyDenseExecutor::new(g, &p, 0);
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed = (seed % 16) + 1;
+                exec.reset(seed);
+                exec.run_steps(FIXED_STEPS);
+                black_box(exec.leader_count())
+            });
+        });
+    }
+    group.finish();
+}
+
+/// Generic-engine fixed steps on an implicit `clique(4000)` against the
+/// CSR graph of the same edge list: identical interaction sequences, so
+/// the ratio is the scheduler's arithmetic decode against its gather
+/// from the 64 MB edge list.
+fn bench_implicit_clique(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine/steps");
+    let p = TokenProtocol::all_candidates();
+    let n = IMPLICIT_CLIQUE_NODES;
+    let implicit = families::clique(n);
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let materialized = Graph::from_edges(n, &pairs).expect("K_n is a valid graph");
+    drop(pairs);
+    assert_eq!(implicit, materialized);
+    let name = IMPLICIT_CLIQUE_WORKLOAD;
+    for (form, g) in [("implicit", &implicit), ("materialized", &materialized)] {
+        group.bench_with_input(BenchmarkId::new(form, name), g, |b, g| {
+            let mut exec = Executor::new(g, &p, 0);
             let mut seed = 0u64;
             b.iter(|| {
                 seed = (seed % 16) + 1;
@@ -782,6 +823,30 @@ fn render_json(ms: &[Measurement]) -> (String, Vec<String>) {
             missing.push(format!("engine/election/{HANDOFF_WORKLOAD} (lazy)"));
         }
     }
+    {
+        let form = |form: &str| {
+            median_of(
+                ms,
+                &format!("engine/steps/{form}/{IMPLICIT_CLIQUE_WORKLOAD}"),
+            )
+        };
+        if let (Some(implicit), Some(materialized)) = (form("implicit"), form("materialized")) {
+            out.push_str(",\n");
+            let _ = write!(
+                out,
+                "    {{\"workload\": \"engine/steps/{IMPLICIT_CLIQUE_WORKLOAD}\", \
+                 \"engine\": \"implicit\", \"materialized_median_ns\": {:.0}, \
+                 \"implicit_median_ns\": {:.0}, \"speedup\": {:.2}}}",
+                materialized.median_ns,
+                implicit.median_ns,
+                materialized.median_ns / implicit.median_ns
+            );
+        } else {
+            missing.push(format!(
+                "engine/steps/{IMPLICIT_CLIQUE_WORKLOAD} (implicit)"
+            ));
+        }
+    }
     for (name, num_lanes) in lanes_workloads() {
         let dense = median_of(ms, &format!("engine/lanes/dense/{name}"));
         let lanes = median_of(ms, &format!("engine/lanes/lanes/{name}"));
@@ -896,6 +961,7 @@ fn main() {
     bench_elections(&mut c);
     bench_handoff(&mut c);
     bench_fixed_steps(&mut c);
+    bench_implicit_clique(&mut c);
     bench_lanes(&mut c);
     bench_count(&mut c);
     bench_campaign(&mut c);

@@ -16,7 +16,9 @@
 //! materialize as a real graph.
 
 use crate::scheduler::EdgeScheduler;
+use popele_graph::clique::{clique_decode, CliqueIndex};
 use popele_graph::{Graph, NodeId};
+use std::sync::Arc;
 
 /// Largest node count the `EdgeDecoder::Packed` re-encoding supports:
 /// both endpoints of an edge must fit 16 bits to pack into one `u32`
@@ -79,21 +81,14 @@ impl DecoderKind {
 #[derive(Debug, Clone)]
 pub(crate) enum EdgeDecoder {
     /// Complete graph: the canonical lexicographic edge index inverts
-    /// arithmetically (triangular numbers). Instead of gathering from
-    /// the `n(n−1)/2`-entry edge array — which falls out of cache and
-    /// dominates the hot loop on large cliques — the row is read from a
-    /// small bucket→row hint table (≤ 256 KiB, cache-resident) and
-    /// corrected with exact integer arithmetic.
-    Clique {
-        /// Node count.
-        n: u64,
-        /// Bucket granularity: edges `e` share bucket `e >> shift`.
-        shift: u32,
-        /// Per bucket: `(row, first edge index of that row)` for the
-        /// first edge of the bucket, so the decode needs no
-        /// multiplications — only an add and a rare row advance.
-        row_hint: Box<[(u32, u32)]>,
-    },
+    /// arithmetically (triangular numbers, [`CliqueIndex`]). Instead of
+    /// gathering from the `n(n−1)/2`-entry edge array — which falls out
+    /// of cache and dominates the hot loop on large cliques — the row is
+    /// read from a small bucket→row hint table (≤ 512 KiB,
+    /// cache-resident) and corrected with exact integer arithmetic. An
+    /// implicit clique shares its graph's index; a complete CSR graph
+    /// gets one of its own.
+    Clique(Arc<CliqueIndex>),
     /// Edge list re-encoded as `(u << 16) | v` when every node id fits
     /// 16 bits ([`PACKED_MAX_NODES`]): half the bytes of the scheduler's
     /// `(u32, u32)` list, so the gather covers half the cache footprint.
@@ -127,29 +122,17 @@ pub(crate) enum EdgeDecoder {
 }
 
 impl EdgeDecoder {
+    /// The decoder for `graph`. Only the packed and CSR forms read the
+    /// edge list ([`Graph::edges`]), and they are never chosen for a
+    /// complete graph — so an implicit clique stays unmaterialized.
     pub(crate) fn for_graph(graph: &Graph) -> Self {
         let n = u64::from(graph.num_nodes());
         let m = graph.num_edges() as u64;
         match DecoderKind::select(n, m) {
-            DecoderKind::Clique => {
-                let bits = 64 - m.leading_zeros();
-                let shift = bits.saturating_sub(16);
-                let buckets = (m >> shift) as usize + 1;
-                let mut row_hint = vec![(0u32, 0u32); buckets];
-                let mut u = 0u64;
-                for (b, hint) in row_hint.iter_mut().enumerate() {
-                    let e = (b as u64) << shift;
-                    while u + 1 < n - 1 && clique_row_start(n, u + 1) <= e {
-                        u += 1;
-                    }
-                    *hint = (u as u32, clique_row_start(n, u) as u32);
-                }
-                EdgeDecoder::Clique {
-                    n,
-                    shift,
-                    row_hint: row_hint.into_boxed_slice(),
-                }
-            }
+            DecoderKind::Clique => EdgeDecoder::Clique(match graph.clique_index() {
+                Some(index) => Arc::clone(index),
+                None => Arc::new(CliqueIndex::new(graph.num_nodes())),
+            }),
             DecoderKind::Packed => EdgeDecoder::Packed(
                 graph
                     .edges()
@@ -207,7 +190,7 @@ impl EdgeDecoder {
     #[cfg(test)]
     pub(crate) fn kind(&self) -> DecoderKind {
         match self {
-            EdgeDecoder::Clique { .. } => DecoderKind::Clique,
+            EdgeDecoder::Clique(_) => DecoderKind::Clique,
             EdgeDecoder::Packed(_) => DecoderKind::Packed,
             EdgeDecoder::Csr { .. } => DecoderKind::Csr,
             EdgeDecoder::Scheduler => DecoderKind::Scheduler,
@@ -235,16 +218,16 @@ impl EdgeDecoder {
         raw: &mut [usize],
     ) {
         match self {
-            EdgeDecoder::Clique { n, shift, row_hint } => {
+            EdgeDecoder::Clique(index) => {
                 // One fused loop: the hint table is cache-resident, so
                 // unlike the general gather there is no memory latency
                 // to batch around — and with the RNG state as the only
                 // loop-carried dependency, the decode arithmetic of one
                 // iteration overlaps the RNG chain of the next.
-                let n = *n as u32;
+                let (n, shift, row_hint) = index.parts();
                 scheduler.fill_raw_with(pairs, |r, slot| {
                     let e = (r >> 1) as u32;
-                    let (u, v) = clique_decode(e, n, *shift, row_hint);
+                    let (u, v) = clique_decode(e, n, shift, row_hint);
                     *slot = orient(u, v, r);
                 });
             }
@@ -254,7 +237,7 @@ impl EdgeDecoder {
                 // overlap.
                 let raw = &mut raw[..pairs.len()];
                 scheduler.fill_raw(raw);
-                self.gather(&[], raw, pairs);
+                self.gather(scheduler, raw, pairs);
             }
             EdgeDecoder::Scheduler => scheduler.fill_pairs(pairs),
         }
@@ -265,21 +248,21 @@ impl EdgeDecoder {
     /// raw stream themselves (the lane engine interleaves its draws
     /// across trials before gathering per lane). Produces exactly the
     /// pairs [`EdgeScheduler::next_pair`] would for the same raws.
-    /// `edges` is the graph's canonical edge list, consulted only by the
-    /// [`EdgeDecoder::Scheduler`] fallback (the indexed decoders own
-    /// their tables).
+    /// `scheduler` (one drawing from the same graph) is consulted only
+    /// by the [`EdgeDecoder::Scheduler`] fallback, which resolves
+    /// through it (the indexed decoders own their tables).
     pub(crate) fn gather(
         &self,
-        edges: &[(NodeId, NodeId)],
+        scheduler: &EdgeScheduler<'_>,
         raw: &[usize],
         pairs: &mut [(NodeId, NodeId)],
     ) {
         debug_assert_eq!(raw.len(), pairs.len());
         match self {
-            EdgeDecoder::Clique { n, shift, row_hint } => {
-                let n = *n as u32;
+            EdgeDecoder::Clique(index) => {
+                let (n, shift, row_hint) = index.parts();
                 for (slot, &r) in pairs.iter_mut().zip(raw.iter()) {
-                    let (u, v) = clique_decode((r >> 1) as u32, n, *shift, row_hint);
+                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
                     *slot = orient(u, v, r);
                 }
             }
@@ -306,8 +289,7 @@ impl EdgeDecoder {
             }
             EdgeDecoder::Scheduler => {
                 for (slot, &r) in pairs.iter_mut().zip(raw.iter()) {
-                    let (u, v) = edges[r >> 1];
-                    *slot = orient(u, v, r);
+                    *slot = scheduler.pair_of(r);
                 }
             }
         }
@@ -323,28 +305,6 @@ pub(crate) fn orient(u: u32, v: u32, r: usize) -> (NodeId, NodeId) {
     let mask = (r as u32 & 1).wrapping_neg(); // 0 or all-ones
     let x = u ^ v;
     (u ^ (x & mask), v ^ (x & mask))
-}
-
-/// Arithmetic inverse of the canonical lexicographic clique edge index:
-/// bucket hint plus a (rarely-entered) row advance. Row `u` holds the
-/// edges `start .. start + (n − 1 − u)`.
-#[inline]
-pub(crate) fn clique_decode(e: u32, n: u32, shift: u32, row_hint: &[(u32, u32)]) -> (u32, u32) {
-    let (mut u, mut start) = row_hint[(e as usize) >> shift];
-    // Almost always zero iterations: a bucket rarely crosses a row
-    // boundary.
-    while e - start >= n - 1 - u {
-        start += n - 1 - u;
-        u += 1;
-    }
-    (u, u + 1 + (e - start))
-}
-
-/// Number of canonical lexicographic edges of `K_n` preceding row `u`
-/// (row `u` lists the edges `(u, u+1) … (u, n−1)`).
-#[inline]
-pub(crate) fn clique_row_start(n: u64, u: u64) -> u64 {
-    u * (2 * n - u - 1) / 2
 }
 
 #[cfg(test)]
@@ -418,19 +378,20 @@ mod tests {
     fn clique_decode_inverts_row_starts() {
         for n in [2u32, 3, 5, 37, 256] {
             let g = families::clique(n);
-            let decoder = EdgeDecoder::for_graph(&g);
-            let EdgeDecoder::Clique {
-                shift, row_hint, ..
-            } = &decoder
-            else {
+            let EdgeDecoder::Clique(index) = EdgeDecoder::for_graph(&g) else {
                 panic!("clique graph must select the clique decoder");
             };
-            for (e, &(u, v)) in g.edges().iter().enumerate() {
-                assert_eq!(
-                    clique_decode(e as u32, n, *shift, row_hint),
-                    (u, v),
-                    "clique({n}) edge {e}"
-                );
+            assert!(Arc::ptr_eq(&index, g.clique_index().unwrap()));
+            // A complete CSR graph builds an equal index of its own and
+            // decodes its edge list exactly.
+            let csr = Graph::from_edges(n, g.edges()).unwrap();
+            let EdgeDecoder::Clique(own) = EdgeDecoder::for_graph(&csr) else {
+                panic!("complete CSR graph must select the clique decoder");
+            };
+            assert_eq!(*own, *index);
+            let (n, shift, row_hint) = own.parts();
+            for (e, &pair) in csr.edges().iter().enumerate() {
+                assert_eq!(clique_decode(e as u32, n, shift, row_hint), pair);
             }
         }
     }

@@ -7,12 +7,13 @@
 //! on-demand [`LazyTable`] cache). Differential tests in the workspace
 //! pin both to identical traces with the generic engine.
 
-use super::decoder::{clique_decode, orient, EdgeDecoder, PAIR_BATCH};
+use super::decoder::{orient, EdgeDecoder, PAIR_BATCH};
 use super::lazy::{LazyId, LazyTable};
 use super::table::{CompiledProtocol, StateId};
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
+use popele_graph::clique::clique_decode;
 use popele_graph::{Graph, NodeId};
 
 /// When a batched run loop should stop early (beyond its step budget).
@@ -309,11 +310,10 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
     /// `stop`.
     fn run_fused_clique(&mut self, budget: u64, stop: Stop) {
         debug_assert_eq!(self.cursor, self.filled, "pair buffer must be drained");
-        let EdgeDecoder::Clique { n, shift, row_hint } = &self.decoder else {
+        let EdgeDecoder::Clique(index) = &self.decoder else {
             unreachable!("fused path requires the clique decoder")
         };
-        let n = *n as u32;
-        let shift = *shift;
+        let (n, shift, row_hint) = index.parts();
         let compiled = self.compiled;
         let k = compiled.states.len();
         let table = &compiled.table;
@@ -388,7 +388,7 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
         if self.cursor < self.filled {
             let avail = (self.filled - self.cursor) as u64;
             self.apply_batch(avail.min(budget) as usize, stop);
-        } else if matches!(self.decoder, EdgeDecoder::Clique { .. }) {
+        } else if matches!(self.decoder, EdgeDecoder::Clique(_)) {
             self.run_fused_clique(budget, stop);
         } else {
             let limit = budget.min(PAIR_BATCH as u64) as usize;

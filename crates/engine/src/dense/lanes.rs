@@ -34,10 +34,11 @@
 //! cost idle *lane-steps* only within the current block, never a whole
 //! pack barrier.
 
-use super::decoder::{clique_decode, orient, EdgeDecoder, PAIR_BATCH};
+use super::decoder::{orient, EdgeDecoder, PAIR_BATCH};
 use super::table::{CompiledProtocol, StateId};
 use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
+use popele_graph::clique::clique_decode;
 use popele_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -397,7 +398,7 @@ impl<'a, P: Protocol> LaneDenseExecutor<'a, P> {
         // the buffered gather path sticks to its buffers' LANE_BLOCK.
         let clique_fast = self.linear
             && self.compiled.fused.is_some()
-            && matches!(self.decoder, EdgeDecoder::Clique { .. });
+            && matches!(self.decoder, EdgeDecoder::Clique(_));
         let cap = if clique_fast && self.simd {
             SIMD_BLOCK
         } else {
@@ -473,7 +474,7 @@ impl<'a, P: Protocol> LaneDenseExecutor<'a, P> {
     fn run_chunk_simd(&mut self, live: &[u8], chunk: usize, max_steps: u64) {
         let n = self.n;
         let cn = n as u32;
-        let limit = 2 * self.graph.edges().len() as u64;
+        let limit = 2 * self.graph.num_edges() as u64;
         let compiled = self.compiled;
         let fused = compiled
             .fused
@@ -617,16 +618,10 @@ impl<'a, P: Protocol> LaneDenseExecutor<'a, P> {
             decoder,
             ..
         } = self;
-        let EdgeDecoder::Clique {
-            n: cn,
-            shift,
-            row_hint,
-        } = decoder
-        else {
+        let EdgeDecoder::Clique(index) = decoder else {
             unreachable!("fused chunk requires the clique decoder")
         };
-        let cn = *cn as u32;
-        let shift = *shift;
+        let (cn, shift, row_hint) = index.parts();
         // `(step, live-index)` of the stability event that cut the chunk
         // short, if any.
         let mut stopped = None;
@@ -705,12 +700,13 @@ impl<'a, P: Protocol> LaneDenseExecutor<'a, P> {
             }
         }
         // Phase 2: per-lane gathers through the shared decoder — the
-        // same raw-to-pair resolution the scalar refill performs.
-        let edges = self.graph.edges();
+        // same raw-to-pair resolution the scalar refill performs. Only
+        // the off-clique packed and CSR decoders gather from tables built
+        // out of an edge list; an implicit clique is never materialized.
         for &slot in live {
             let base = (slot as usize) * LANE_BLOCK;
             self.decoder.gather(
-                edges,
+                &self.schedulers[slot as usize],
                 &self.raw[base..base + chunk],
                 &mut self.pairs[base..base + chunk],
             );
@@ -874,8 +870,8 @@ mod simd {
     /// alternation.
     ///
     /// The decode replaces the scalar path's hint-table walk
-    /// ([`super::clique_decode`]) with the closed form: the row of edge
-    /// `e` is the largest `u` with `start(u) <= e` where
+    /// ([`popele_graph::clique::clique_decode`]) with the closed form:
+    /// the row of edge `e` is the largest `u` with `start(u) <= e` where
     /// `start(u) = u * (2n - 1 - u) / 2`, and the real root
     /// `x = (A - sqrt(A^2 - 8e)) / 2` with `A = 2n - 1` satisfies
     /// `x in [u, u + 1)`. Computed in f32 every intermediate is below
@@ -1262,10 +1258,11 @@ mod tests {
         // Scalar f32 replica of the SIMD kernel's row decode — the same
         // IEEE operations, step for step (i32-to-f32 convert, exact
         // mul/sub below 2^24, correctly-rounded sqrt, truncating
-        // convert) — checked against the reference triangular walk by
-        // exhaustion over every edge index, at sizes including the
-        // `n <= 2048` f32-exactness gate boundary.
+        // convert) — checked against the reference triangular walk and
+        // the shared clique index by exhaustion over every edge index,
+        // at sizes including the `n <= 2048` f32-exactness gate boundary.
         for n in [2u32, 3, 5, 16, 1000, 2047, 2048] {
+            let index = popele_graph::clique::CliqueIndex::new(n);
             let a = 2 * n - 1;
             let a_f = a as f32;
             let a2_f = a_f * a_f;
@@ -1292,6 +1289,7 @@ mod tests {
                 }
                 let v = u + 1 + (e - start);
                 assert_eq!((u, v), (u_ref, v_ref), "n {n} e {e}");
+                assert_eq!((u, v), index.edge(u64::from(e)), "n {n} e {e}");
             }
         }
     }

@@ -30,6 +30,9 @@ pub enum Verdict {
 /// Checks, by exhaustive search, whether `config` is a *stable*
 /// configuration of `protocol` on `graph`.
 ///
+/// Walks [`Graph::edges`], so an implicit clique builds its `O(n²)` edge
+/// list here — harmless at the tiny sizes an exhaustive search affords.
+///
 /// # Panics
 ///
 /// Panics if `config.len() != graph.num_nodes()`.
@@ -150,7 +153,8 @@ pub fn validate_oracle_on_execution<P: Protocol>(
 /// successors come from the precomputed table instead of re-evaluating
 /// `transition` — typically an order of magnitude more configurations
 /// per second, which widens the instance sizes the oracle-validation
-/// machinery can afford.
+/// machinery can afford. Like [`check_stability`] it walks
+/// [`Graph::edges`], materializing an implicit clique.
 ///
 /// # Panics
 ///

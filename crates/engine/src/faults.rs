@@ -230,6 +230,12 @@ impl FaultPlan {
     /// Events whose kind is impossible on the current graph (no missing
     /// edge to add, no removable edge, no removable node) are dropped
     /// and counted in [`ResolvedFaultPlan::skipped`].
+    ///
+    /// Removals, rewirings and churn rebuild the graph from its edge
+    /// list ([`Graph::edges`]), so resolving one against an implicit
+    /// clique builds the clique's `O(n²)` arrays. Corruption bursts never
+    /// touch the edge list, and an edge addition on a clique finds no
+    /// missing edge and is skipped through arithmetic adjacency tests.
     #[must_use]
     pub fn resolve(&self, initial: &Graph, seed: u64) -> ResolvedFaultPlan {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -379,7 +385,8 @@ fn sample_missing_edge(
 }
 
 /// Rejection-samples an edge whose removal keeps the graph connected
-/// (and non-edgeless), returning the reduced graph.
+/// (and non-edgeless), returning the reduced graph. Reads the edge
+/// list, materializing an implicit clique.
 fn sample_removable_edge(rng: &mut SmallRng, graph: &Graph) -> Option<Graph> {
     let m = graph.num_edges();
     if m < 2 {
@@ -403,7 +410,8 @@ fn sample_removable_edge(rng: &mut SmallRng, graph: &Graph) -> Option<Graph> {
     None
 }
 
-/// The one edge present in `graph` but not in `reduced`.
+/// The one edge present in `graph` but not in `reduced` (reads
+/// `graph`'s edge list, materializing an implicit clique).
 fn removed_edge(graph: &Graph, reduced: &Graph) -> (NodeId, NodeId) {
     *graph
         .edges()
@@ -414,7 +422,8 @@ fn removed_edge(graph: &Graph, reduced: &Graph) -> (NodeId, NodeId) {
 
 /// Rejection-samples a node whose removal keeps the graph connected,
 /// returning the reduced, relabelled graph (last node takes the removed
-/// node's id) and the removed id.
+/// node's id) and the removed id. Reads the edge list, materializing an
+/// implicit clique.
 fn sample_removable_node(rng: &mut SmallRng, graph: &Graph) -> Option<(Graph, NodeId)> {
     let n = graph.num_nodes();
     if n <= 2 {

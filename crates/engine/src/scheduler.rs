@@ -1,5 +1,7 @@
 //! The uniform ordered-pair scheduler of the stochastic population model.
 
+use crate::dense::decoder::orient;
+use popele_graph::clique::CliqueIndex;
 use popele_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -8,6 +10,14 @@ use rand::{Rng, SeedableRng};
 /// at random among all `2m` ordered pairs (Section 2.2 of the paper).
 ///
 /// The first component is the **initiator**, the second the **responder**.
+///
+/// A draw is a raw index `r` in `0..2m`: canonical edge `r >> 1`,
+/// orientation `r & 1`. On a CSR graph the edge is gathered from the
+/// borrowed edge list; on an implicit clique
+/// ([`popele_graph::families::clique`]) it is decoded arithmetically
+/// through the graph's [`CliqueIndex`], so a scheduler never makes the
+/// clique build its `O(n²)` edge list. Both forms of the same graph
+/// yield the identical pair stream.
 ///
 /// # Examples
 ///
@@ -22,12 +32,37 @@ use rand::{Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdgeScheduler<'g> {
-    /// Borrowed canonical edge list of the graph — schedulers are
-    /// created per execution (Monte-Carlo runs create thousands), so
-    /// copying a multi-megabyte edge list here would dominate setup.
-    edges: &'g [(NodeId, NodeId)],
+    /// Where canonical edge indices resolve — borrowed, since
+    /// schedulers are created per execution (Monte-Carlo runs create
+    /// thousands) and copying a multi-megabyte edge list here would
+    /// dominate setup.
+    edges: Edges<'g>,
+    /// Number of ordered pairs `2m`, the bound of every raw draw.
+    pairs: usize,
     rng: SmallRng,
     steps: u64,
+}
+
+/// The edge source of an [`EdgeScheduler`].
+#[derive(Debug, Clone, Copy)]
+enum Edges<'g> {
+    /// A CSR graph's canonical edge list.
+    List(&'g [(NodeId, NodeId)]),
+    /// An implicit clique's arithmetic index.
+    Clique(&'g CliqueIndex),
+}
+
+impl<'g> Edges<'g> {
+    fn of(graph: &'g Graph) -> Self {
+        assert!(
+            graph.num_edges() > 0,
+            "scheduler requires a graph with at least one edge"
+        );
+        match graph.clique_index() {
+            Some(index) => Edges::Clique(index),
+            None => Edges::List(graph.edges()),
+        }
+    }
 }
 
 impl<'g> EdgeScheduler<'g> {
@@ -38,12 +73,9 @@ impl<'g> EdgeScheduler<'g> {
     /// Panics if the graph has no edges (no interaction is possible).
     #[must_use]
     pub fn new(graph: &'g Graph, seed: u64) -> Self {
-        assert!(
-            graph.num_edges() > 0,
-            "scheduler requires a graph with at least one edge"
-        );
         Self {
-            edges: graph.edges(),
+            edges: Edges::of(graph),
+            pairs: 2 * graph.num_edges(),
             rng: SmallRng::seed_from_u64(seed),
             steps: 0,
         }
@@ -54,7 +86,17 @@ impl<'g> EdgeScheduler<'g> {
     pub fn next_pair(&mut self) -> (NodeId, NodeId) {
         // One draw covers both the edge index and the orientation bit.
         let r = self.next_raw();
-        let (u, v) = self.edges[r >> 1];
+        self.pair_of(r)
+    }
+
+    /// Resolves a raw index (edge `r >> 1`, orientation `r & 1`) into
+    /// the ordered pair [`Self::next_pair`] returns for it.
+    #[inline]
+    pub(crate) fn pair_of(&self, r: usize) -> (NodeId, NodeId) {
+        let (u, v) = match self.edges {
+            Edges::List(edges) => edges[r >> 1],
+            Edges::Clique(index) => index.edge((r >> 1) as u64),
+        };
         if r & 1 == 0 {
             (u, v)
         } else {
@@ -64,7 +106,7 @@ impl<'g> EdgeScheduler<'g> {
 
     /// Draws `out.len()` consecutive pairs into `out` — exactly
     /// equivalent to calling [`Self::next_pair`] once per slot, but
-    /// phrased as two phases per chunk (draw raw indices, then gather
+    /// phrased as two phases per chunk (draw raw indices, then resolve
     /// the edges) so the edge-array loads are independent and the memory
     /// system can overlap them. On large graphs whose edge list falls
     /// out of cache this is several times faster than the one-at-a-time
@@ -76,16 +118,9 @@ impl<'g> EdgeScheduler<'g> {
         for chunk in out.chunks_mut(CHUNK) {
             let raw = &mut raw[..chunk.len()];
             self.fill_raw(raw);
-            // Independent gathers from the edge array. The orientation
-            // select is branchless (a 50/50 data-dependent branch would
-            // mispredict constantly and stall speculation, which is
-            // exactly the memory parallelism this batch exists to
-            // expose).
-            for (slot, &r) in chunk.iter_mut().zip(raw.iter()) {
-                let (u, v) = self.edges[r >> 1];
-                let mask = (r as u32 & 1).wrapping_neg(); // 0 or all-ones
-                let x = u ^ v;
-                *slot = (u ^ (x & mask), v ^ (x & mask));
+            match self.edges {
+                Edges::List(edges) => orient_all(chunk, raw, |e| edges[e]),
+                Edges::Clique(index) => orient_all(chunk, raw, |e| index.edge(e as u64)),
             }
         }
     }
@@ -100,7 +135,7 @@ impl<'g> EdgeScheduler<'g> {
     #[inline]
     pub fn fill_raw(&mut self, out: &mut [usize]) {
         self.steps += out.len() as u64;
-        let n2 = 2 * self.edges.len();
+        let n2 = self.pairs;
         for r in out.iter_mut() {
             *r = self.rng.random_range(0..n2);
         }
@@ -113,7 +148,7 @@ impl<'g> EdgeScheduler<'g> {
     #[inline]
     pub fn next_raw(&mut self) -> usize {
         self.steps += 1;
-        self.rng.random_range(0..2 * self.edges.len())
+        self.rng.random_range(0..self.pairs)
     }
 
     /// Draws one raw index per slot of `out` (same stream as
@@ -124,7 +159,7 @@ impl<'g> EdgeScheduler<'g> {
     #[inline]
     pub fn fill_raw_with<T>(&mut self, out: &mut [T], mut decode: impl FnMut(usize, &mut T)) {
         self.steps += out.len() as u64;
-        let n2 = 2 * self.edges.len();
+        let n2 = self.pairs;
         for slot in out.iter_mut() {
             decode(self.rng.random_range(0..n2), slot);
         }
@@ -155,7 +190,7 @@ impl<'g> EdgeScheduler<'g> {
     /// Number of undirected edges `m` of the underlying graph.
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.pairs / 2
     }
 
     /// Resets the step counter and reseeds the RNG.
@@ -175,11 +210,26 @@ impl<'g> EdgeScheduler<'g> {
     ///
     /// Panics if the new graph has no edges.
     pub fn set_graph(&mut self, graph: &'g Graph) {
-        assert!(
-            graph.num_edges() > 0,
-            "scheduler requires a graph with at least one edge"
-        );
-        self.edges = graph.edges();
+        self.edges = Edges::of(graph);
+        self.pairs = 2 * graph.num_edges();
+    }
+}
+
+/// Resolves pre-drawn raws into ordered pairs through `edge`, the
+/// gather phase of [`EdgeScheduler::fill_pairs`]. The loads are
+/// independent, and the orientation select is branchless (a 50/50
+/// data-dependent branch would mispredict constantly and stall
+/// speculation, which is exactly the memory parallelism the batch
+/// exists to expose).
+#[inline]
+fn orient_all(
+    out: &mut [(NodeId, NodeId)],
+    raw: &[usize],
+    edge: impl Fn(usize) -> (NodeId, NodeId),
+) {
+    for (slot, &r) in out.iter_mut().zip(raw) {
+        let (u, v) = edge(r >> 1);
+        *slot = orient(u, v, r);
     }
 }
 

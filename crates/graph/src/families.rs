@@ -7,7 +7,15 @@
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
 
-/// Complete graph `K_n`.
+/// Complete graph `K_n`, in the implicit form: `O(1)` memory in `n`
+/// apart from a hint table of at most `2¹⁶` entries.
+///
+/// Edge counts, degrees, adjacency tests and the scheduler's edge
+/// decoding are arithmetic (see [`crate::clique::CliqueIndex`]). The
+/// first call of [`Graph::edges`] or [`Graph::neighbors`] builds the
+/// `O(n²)` edge list and adjacency — 122 MiB at `n = 4000` — and keeps
+/// them for the graph's lifetime. The graph equals the CSR graph of its
+/// complete edge list.
 ///
 /// # Panics
 ///
@@ -15,13 +23,7 @@ use crate::graph::{Graph, GraphBuilder, NodeId};
 #[must_use]
 pub fn clique(n: u32) -> Graph {
     assert!(n >= 1, "clique requires n ≥ 1");
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in u + 1..n {
-            b.add_edge(u, v).expect("valid by construction");
-        }
-    }
-    b.build().expect("valid by construction")
+    Graph::implicit_clique(n)
 }
 
 /// Cycle `C_n`.

@@ -1,6 +1,9 @@
 //! The core immutable undirected graph type.
 
+use crate::clique::CliqueIndex;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node; nodes of an `n`-node graph are `0..n`.
 pub type NodeId = u32;
@@ -123,7 +126,20 @@ impl GraphBuilder {
     }
 }
 
-/// An immutable, simple, undirected graph in CSR form.
+/// An immutable, simple, undirected graph.
+///
+/// A graph takes one of two forms with identical observable behaviour:
+///
+/// * **CSR** — the canonical edge list plus compressed sparse-row
+///   adjacency, built by [`GraphBuilder`] and [`Graph::from_edges`];
+/// * **implicit clique** — `K_n` stored as its node count and a
+///   [`CliqueIndex`], built by [`crate::families::clique`]. Counts,
+///   degrees, [`Graph::has_edge`] and edge decoding are arithmetic; the
+///   `O(n²)` arrays behind [`Graph::edges`] and [`Graph::neighbors`] are
+///   built once, on the first call of either.
+///
+/// Equality is structural across forms: an implicit clique equals the
+/// CSR graph of the same complete edge list.
 ///
 /// Invariants: no self-loops, no parallel edges, canonical edge order
 /// (`u < v`, lexicographically sorted), adjacency lists sorted ascending.
@@ -140,9 +156,25 @@ impl GraphBuilder {
 /// assert!(!g.has_edge(0, 2));
 /// # Ok::<(), popele_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Graph {
     num_nodes: u32,
+    num_edges: usize,
+    form: Form,
+}
+
+#[derive(Clone)]
+enum Form {
+    Csr(Csr),
+    /// `K_n`: the arrays exist only once a cold caller asks for them.
+    Clique {
+        index: Arc<CliqueIndex>,
+        csr: OnceLock<Csr>,
+    },
+}
+
+#[derive(Debug, Clone)]
+struct Csr {
     /// Canonical edge list: `u < v`, sorted.
     edges: Vec<(NodeId, NodeId)>,
     /// CSR offsets, length `num_nodes + 1`.
@@ -151,21 +183,8 @@ pub struct Graph {
     adjacency: Vec<NodeId>,
 }
 
-impl Graph {
-    /// Builds a graph from an edge list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same validation errors as [`GraphBuilder`].
-    pub fn from_edges(num_nodes: u32, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        let mut b = GraphBuilder::new(num_nodes);
-        for &(u, v) in edges {
-            b.add_edge(u, v)?;
-        }
-        b.build()
-    }
-
-    /// Internal constructor from validated, canonically sorted edges.
+impl Csr {
+    /// Builds the adjacency of validated, canonically sorted edges.
     fn from_sorted_edges(num_nodes: u32, edges: Vec<(NodeId, NodeId)>) -> Self {
         let n = num_nodes as usize;
         let mut degree = vec![0u32; n];
@@ -189,10 +208,75 @@ impl Graph {
             adjacency[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
         Self {
-            num_nodes,
             edges,
             offsets,
             adjacency,
+        }
+    }
+
+    /// The arrays of `K_n`, from its edges generated in canonical order.
+    fn clique(n: u32) -> Self {
+        MATERIALIZED_CLIQUES.fetch_add(1, Ordering::Relaxed);
+        let edges = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        Self::from_sorted_edges(n, edges)
+    }
+}
+
+/// Implicit cliques whose arrays have been built in this process.
+static MATERIALIZED_CLIQUES: AtomicUsize = AtomicUsize::new(0);
+
+/// How many implicit cliques have had their `O(n²)` edge list and
+/// adjacency built (by a call of [`Graph::edges`] or
+/// [`Graph::neighbors`]) in this process so far — a diagnostic that
+/// lets a test assert that a workload never materialized its clique.
+#[must_use]
+pub fn materialized_cliques() -> usize {
+    MATERIALIZED_CLIQUES.load(Ordering::Relaxed)
+}
+
+impl Graph {
+    /// Builds a graph from an edge list.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the same validation errors as [`GraphBuilder`].
+    pub fn from_edges(num_nodes: u32, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
+        let mut b = GraphBuilder::new(num_nodes);
+        for &(u, v) in edges {
+            b.add_edge(u, v)?;
+        }
+        b.build()
+    }
+
+    /// Internal constructor from validated, canonically sorted edges.
+    fn from_sorted_edges(num_nodes: u32, edges: Vec<(NodeId, NodeId)>) -> Self {
+        Self {
+            num_nodes,
+            num_edges: edges.len(),
+            form: Form::Csr(Csr::from_sorted_edges(num_nodes, edges)),
+        }
+    }
+
+    /// The implicit complete graph `K_n` (see [`crate::families::clique`]).
+    pub(crate) fn implicit_clique(n: u32) -> Self {
+        let index = CliqueIndex::new(n);
+        Self {
+            num_nodes: n,
+            num_edges: usize::try_from(index.num_edges()).expect("edge count fits usize"),
+            form: Form::Clique {
+                index: Arc::new(index),
+                csr: OnceLock::new(),
+            },
+        }
+    }
+
+    /// The CSR arrays, building them first for an implicit clique.
+    fn csr(&self) -> &Csr {
+        match &self.form {
+            Form::Csr(csr) => csr,
+            Form::Clique { csr, .. } => csr.get_or_init(|| Csr::clique(self.num_nodes)),
         }
     }
 
@@ -205,13 +289,49 @@ impl Graph {
     /// Number of edges `m`.
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.num_edges
+    }
+
+    /// The arithmetic edge index of an implicit clique, or `None` for a
+    /// CSR graph (even a complete one). Edge `e` of [`Self::edges`] is
+    /// `index.edge(e)`, so callers resolve edge indices without
+    /// materializing the list.
+    #[must_use]
+    pub fn clique_index(&self) -> Option<&Arc<CliqueIndex>> {
+        match &self.form {
+            Form::Csr(_) => None,
+            Form::Clique { index, .. } => Some(index),
+        }
+    }
+
+    /// Whether the graph holds its edge list and adjacency arrays:
+    /// always in the CSR form; for an implicit clique only once
+    /// [`Self::edges`] or [`Self::neighbors`] has been called.
+    #[must_use]
+    pub fn is_materialized(&self) -> bool {
+        match &self.form {
+            Form::Csr(_) => true,
+            Form::Clique { csr, .. } => csr.get().is_some(),
+        }
+    }
+
+    /// Whether the graph is complete (`m = n(n−1)/2`) — in either form,
+    /// since a simple graph with that many edges is `K_n`.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        let n = u64::from(self.num_nodes);
+        self.num_edges as u64 == n * (n - 1) / 2
     }
 
     /// The canonical (sorted, `u < v`) edge list.
+    ///
+    /// On an implicit clique the first call of this or
+    /// [`Self::neighbors`] builds the `O(n²)` edge list and adjacency
+    /// (122 MiB at `n = 4000`), kept for the graph's lifetime. Hot paths
+    /// resolve edge indices through [`Self::clique_index`] instead.
     #[must_use]
     pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
+        &self.csr().edges
     }
 
     /// Degree of node `v`.
@@ -221,21 +341,27 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn degree(&self, v: NodeId) -> u32 {
-        let v = v as usize;
-        assert!(v < self.num_nodes as usize, "node out of range");
-        self.offsets[v + 1] - self.offsets[v]
+        assert!(v < self.num_nodes, "node out of range");
+        match &self.form {
+            Form::Csr(csr) => csr.offsets[v as usize + 1] - csr.offsets[v as usize],
+            Form::Clique { .. } => self.num_nodes - 1,
+        }
     }
 
     /// Sorted neighbours of node `v`.
+    ///
+    /// Like [`Self::edges`], the first call on an implicit clique builds
+    /// its `O(n²)` arrays.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        assert!(v < self.num_nodes, "node out of range");
+        let csr = self.csr();
         let v = v as usize;
-        assert!(v < self.num_nodes as usize, "node out of range");
-        &self.adjacency[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        &csr.adjacency[csr.offsets[v] as usize..csr.offsets[v + 1] as usize]
     }
 
     /// Whether the undirected edge `{u, v}` is present.
@@ -243,6 +369,9 @@ impl Graph {
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if u >= self.num_nodes || v >= self.num_nodes || u == v {
             return false;
+        }
+        if self.clique_index().is_some() {
+            return true;
         }
         // Search the shorter adjacency list.
         let (a, b) = if self.degree(u) <= self.degree(v) {
@@ -256,19 +385,19 @@ impl Graph {
     /// Maximum degree `Δ`.
     #[must_use]
     pub fn max_degree(&self) -> u32 {
-        (0..self.num_nodes)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
+        match &self.form {
+            Form::Csr(_) => self.nodes().map(|v| self.degree(v)).max().unwrap_or(0),
+            Form::Clique { .. } => self.num_nodes - 1,
+        }
     }
 
     /// Minimum degree `δ`.
     #[must_use]
     pub fn min_degree(&self) -> u32 {
-        (0..self.num_nodes)
-            .map(|v| self.degree(v))
-            .min()
-            .unwrap_or(0)
+        match &self.form {
+            Form::Csr(_) => self.nodes().map(|v| self.degree(v)).min().unwrap_or(0),
+            Form::Clique { .. } => self.num_nodes - 1,
+        }
     }
 
     /// Average degree `2m/n`.
@@ -295,8 +424,8 @@ impl Graph {
     #[must_use]
     pub fn disjoint_union(&self, other: &Graph) -> (Graph, u32) {
         let offset = self.num_nodes;
-        let mut edges = self.edges.clone();
-        edges.extend(other.edges.iter().map(|&(u, v)| (u + offset, v + offset)));
+        let mut edges = self.edges().to_vec();
+        edges.extend(other.edges().iter().map(|&(u, v)| (u + offset, v + offset)));
         edges.sort_unstable();
         (
             Graph::from_sorted_edges(self.num_nodes + other.num_nodes, edges),
@@ -312,10 +441,39 @@ impl Graph {
     /// [`GraphError::DuplicateEdge`].
     pub fn with_edges(&self, extra: &[(NodeId, NodeId)]) -> Result<Graph, GraphError> {
         let mut b = GraphBuilder::new(self.num_nodes);
-        for &(u, v) in self.edges.iter().chain(extra) {
+        for &(u, v) in self.edges().iter().chain(extra) {
             b.add_edge(u, v)?;
         }
         b.build()
+    }
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        // Two simple graphs on the same nodes with n(n−1)/2 edges each
+        // are both K_n — no edge list needs to be compared (or built).
+        self.num_nodes == other.num_nodes
+            && self.num_edges == other.num_edges
+            && (self.is_complete() || self.edges() == other.edges())
+    }
+}
+
+impl Eq for Graph {}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.form {
+            Form::Csr(csr) => f
+                .debug_struct("Graph")
+                .field("num_nodes", &self.num_nodes)
+                .field("edges", &csr.edges)
+                .finish(),
+            Form::Clique { .. } => f
+                .debug_struct("Graph")
+                .field("num_nodes", &self.num_nodes)
+                .field("implicit_clique", &true)
+                .finish(),
+        }
     }
 }
 
@@ -449,6 +607,84 @@ mod tests {
             }
         )
         .contains("out of range"));
+    }
+
+    /// `K_n` built through the validating builder — the CSR form.
+    fn csr_clique(n: u32) -> Graph {
+        let pairs: Vec<_> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        Graph::from_edges(n, &pairs).unwrap()
+    }
+
+    #[test]
+    fn implicit_clique_matches_its_csr_form() {
+        for n in [1u32, 2, 3, 7, 40] {
+            let implicit = Graph::implicit_clique(n);
+            let csr = csr_clique(n);
+            assert!(implicit.clique_index().is_some());
+            assert!(csr.clique_index().is_none());
+            assert!(implicit.is_complete() && csr.is_complete());
+            assert_eq!(implicit.num_edges(), csr.num_edges());
+            assert_eq!(implicit.max_degree(), csr.max_degree());
+            assert_eq!(implicit.min_degree(), csr.min_degree());
+            assert_eq!(implicit.avg_degree(), csr.avg_degree());
+            assert_eq!(implicit.is_regular(), csr.is_regular());
+            for u in 0..n + 1 {
+                for v in 0..n + 1 {
+                    assert_eq!(implicit.has_edge(u, v), csr.has_edge(u, v));
+                }
+            }
+            // Equality needs no arrays; the arrays, once built, agree.
+            assert_eq!(implicit, csr);
+            assert_eq!(csr, implicit);
+            assert_eq!(implicit.edges(), csr.edges());
+            for v in 0..n {
+                assert_eq!(implicit.degree(v), csr.degree(v));
+                assert_eq!(implicit.neighbors(v), csr.neighbors(v));
+            }
+            let index = implicit.clique_index().unwrap();
+            for (e, &pair) in csr.edges().iter().enumerate() {
+                assert_eq!(index.edge(e as u64), pair);
+            }
+        }
+    }
+
+    #[test]
+    fn implicit_clique_differs_from_other_graphs() {
+        let k4 = Graph::implicit_clique(4);
+        assert_ne!(k4, Graph::implicit_clique(5));
+        assert_ne!(k4, Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap());
+        let minus_one = csr_clique(4).edges()[1..].to_vec();
+        assert_ne!(k4, Graph::from_edges(4, &minus_one).unwrap());
+    }
+
+    #[test]
+    fn arrays_are_built_once_on_first_use() {
+        let g = Graph::implicit_clique(30);
+        let copy = g.clone();
+        let before = materialized_cliques();
+        assert_eq!(g.degree(3), 29);
+        assert!(g.has_edge(3, 29));
+        assert!(!g.is_materialized());
+        let first = g.edges().as_ptr();
+        assert!(g.is_materialized() && !copy.is_materialized());
+        assert_eq!(g.neighbors(0).len(), 29);
+        assert_eq!(g.edges().as_ptr(), first);
+        // Other tests may materialize cliques concurrently: only a lower
+        // bound is exact.
+        assert!(materialized_cliques() > before);
+        assert_eq!(copy.num_edges(), 435);
+        assert!(format!("{copy:?}").contains("implicit_clique"));
+    }
+
+    #[test]
+    fn implicit_clique_union_and_extension_materialize() {
+        let (u, offset) = Graph::implicit_clique(3).disjoint_union(&Graph::implicit_clique(2));
+        assert_eq!(offset, 3);
+        assert_eq!(u.num_edges(), 4);
+        assert!(u.has_edge(3, 4) && !u.has_edge(2, 3));
+        assert!(Graph::implicit_clique(3).with_edges(&[(0, 1)]).is_err());
     }
 
     #[test]

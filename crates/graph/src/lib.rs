@@ -5,7 +5,10 @@
 //! (PODC 2022):
 //!
 //! * [`Graph`] — a compact, immutable undirected graph (CSR adjacency) with
-//!   validation, the representation every other crate consumes;
+//!   validation, the representation every other crate consumes; cliques
+//!   take an implicit form whose edges decode arithmetically;
+//! * [`clique`] — the arithmetic inverse of the complete graph's
+//!   canonical edge index, shared by the scheduler and the dense engines;
 //! * [`families`] — deterministic graph families used across the paper's
 //!   Table 1: cliques, cycles, paths, stars, grids and tori, hypercubes,
 //!   complete bipartite graphs, lollipops, barbells and binary trees;
@@ -36,10 +39,11 @@
 
 mod graph;
 
+pub mod clique;
 pub mod families;
 pub mod properties;
 pub mod random;
 pub mod renitent;
 pub mod traversal;
 
-pub use graph::{Graph, GraphBuilder, GraphError, NodeId};
+pub use graph::{materialized_cliques, Graph, GraphBuilder, GraphError, NodeId};

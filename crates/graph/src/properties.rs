@@ -21,9 +21,13 @@ pub fn is_connected(g: &Graph) -> bool {
 /// disconnected.
 ///
 /// Suitable for the graph sizes in this workspace (up to a few tens of
-/// thousands of nodes for sparse graphs).
+/// thousands of nodes for sparse graphs). A complete graph answers
+/// arithmetically, without a BFS (or materializing an implicit clique).
 #[must_use]
 pub fn diameter(g: &Graph) -> u32 {
+    if g.is_complete() {
+        return complete_diameter(g);
+    }
     let mut diam = 0;
     for v in g.nodes() {
         let e = eccentricity(g, v);
@@ -36,9 +40,14 @@ pub fn diameter(g: &Graph) -> u32 {
 }
 
 /// Lower bound on the diameter by a double BFS sweep (exact on trees, and
-/// a good estimate elsewhere at `O(m)` cost).
+/// a good estimate elsewhere at `O(m)` cost). A complete graph answers
+/// arithmetically — the value the sweep would return — without a BFS (or
+/// materializing an implicit clique).
 #[must_use]
 pub fn diameter_double_sweep(g: &Graph) -> u32 {
+    if g.is_complete() {
+        return complete_diameter(g);
+    }
     let d0 = bfs_distances(g, 0);
     let (far, &best) = d0
         .iter()
@@ -48,6 +57,11 @@ pub fn diameter_double_sweep(g: &Graph) -> u32 {
         .expect("graph is nonempty");
     let _ = best;
     eccentricity(g, far as NodeId)
+}
+
+/// Diameter of `K_n`: 1, or 0 for the single node.
+fn complete_diameter(g: &Graph) -> u32 {
+    u32::from(g.num_nodes() >= 2)
 }
 
 /// Exact edge expansion `β(G) = min_{0<|S|≤n/2} |∂S|/|S|` by exhaustive

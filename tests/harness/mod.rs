@@ -23,10 +23,13 @@
 //!   generic and AOT engines, census included.
 //! * [`assert_distributions_match`] — the count tier's
 //!   exactness-in-distribution contract on clique workloads.
+//! * [`clique_forms`] — `K_n` in both graph forms (implicit and CSR),
+//!   the inputs of the clique-form identity suite.
 //!
 //! Consumed via `mod harness;` from `tests/protocol_matrix.rs`,
 //! `tests/compiled_vs_trait.rs`, `tests/lazy_vs_trait.rs`,
-//! `tests/stabilize_differential.rs` and `tests/count_distribution.rs`;
+//! `tests/stabilize_differential.rs`, `tests/count_distribution.rs` and
+//! `tests/clique_identity.rs`;
 //! each test binary compiles its own copy, so helpers a given suite
 //! does not call are expected dead code.
 #![allow(dead_code)]
@@ -50,6 +53,25 @@ pub fn small_families(n: u32) -> Vec<Graph> {
         families::torus(side, side),
         random::random_regular_connected(n, 4, 11, 200),
     ]
+}
+
+/// `K_n` in both graph forms: the implicit clique
+/// [`families::clique`] returns (arithmetic edge decode, no edge list)
+/// and the CSR graph built from the explicit canonical edge list. The
+/// two are equal graphs, so every engine must produce the identical
+/// trace on either.
+pub fn clique_forms(n: u32) -> (Graph, Graph) {
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let csr = Graph::from_edges(n, &pairs).expect("K_n is a valid simple graph");
+    let implicit = families::clique(n);
+    assert!(
+        implicit.clique_index().is_some(),
+        "clique({n}) must be implicit"
+    );
+    assert!(csr.clique_index().is_none(), "from_edges must build CSR");
+    (implicit, csr)
 }
 
 /// The clique/cycle/torus trio every protocol family must pass the

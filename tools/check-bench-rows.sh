@@ -6,8 +6,9 @@
 # bench source and committed without regenerating the baseline would
 # only surface at the next full bench run — this script makes the gap
 # CI-checkable. The expected list mirrors the bench manifests
-# (`json_workloads`, `HANDOFF_WORKLOAD`, `lanes_workloads`,
-# `count_workloads` and the campaign rows); update both together.
+# (`json_workloads`, `HANDOFF_WORKLOAD`, `IMPLICIT_CLIQUE_WORKLOAD`,
+# `lanes_workloads`, `count_workloads` and the campaign rows); update
+# both together.
 #
 # BENCH.md's recorded-baseline tables are copied from the JSON by hand,
 # so the script also fails when a copied speedup no longer matches its
@@ -27,6 +28,7 @@ expected=(
   "engine/steps/cycle_1000"
   "engine/steps/cycle_120000"
   "engine/steps/fast_cycle_120000"
+  "engine/steps/generic_clique_4000"
   "engine/lanes/token_clique_1000_8"
   "engine/lanes/token_clique_1000_16"
   "engine/lanes/fast_cycle_1000_8"
