@@ -45,7 +45,7 @@ pub fn erdos_renyi(n: u32, p: f64, seed: u64) -> Graph {
             while index < total_pairs {
                 let (u, v) = pair_from_index(index, n);
                 b.add_edge(u, v).expect("valid by construction");
-                index += geo.sample(&mut rng);
+                index = index.saturating_add(geo.sample(&mut rng));
             }
         }
     }
@@ -206,6 +206,13 @@ mod tests {
         assert_eq!(empty.num_edges(), 0);
         let full = erdos_renyi(10, 1.0, 1);
         assert_eq!(full.num_edges(), 45);
+    }
+
+    #[test]
+    fn gnp_tiny_p_is_almost_surely_empty() {
+        // p below 2⁻⁵³: the expected edge count is ~2·10⁻¹², not the
+        // complete graph a rounded-away skip length would give.
+        assert_eq!(erdos_renyi(2000, 1e-18, 3).num_edges(), 0);
     }
 
     #[test]

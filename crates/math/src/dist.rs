@@ -6,6 +6,7 @@
 //! across `rand` versions.
 
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Geometric distribution on `{1, 2, 3, …}`: number of Bernoulli(`p`)
 /// trials up to and including the first success.
@@ -40,9 +41,10 @@ impl Geometric {
     #[must_use]
     pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "geometric requires 0 < p ≤ 1");
+        // ln_1p keeps ln(1−p) ≈ −p below 2⁻⁵³, where 1 − p rounds to 1.
         Self {
             p,
-            ln_q: (1.0 - p).ln(),
+            ln_q: (-p).ln_1p(),
         }
     }
 
@@ -178,7 +180,7 @@ impl Binomial {
         let mut successes = 0u64;
         let mut position = 0u64;
         loop {
-            position += geo.sample(rng);
+            position = position.saturating_add(geo.sample(rng));
             if position > self.n {
                 break;
             }
@@ -200,14 +202,18 @@ impl Binomial {
 /// distinct agents from a population with `success` agents in a given
 /// state yields a hypergeometric count for that state. Sampling uses
 /// exact inversion *from the mode*: the pmf at the mode is computed once
-/// (via a Lanczos log-gamma, the same f64 standard as the logarithmic
-/// inversion in [`Geometric`]) and extended outward with the exact
-/// two-term pmf recurrence, so the expected cost is `O(σ)` — independent
-/// of the drawn value and of the population size. When the support is
-/// small (`min(success, draws)` ≤ 24) a log-gamma-free path inverts
-/// from 0 instead, with `pmf(0)` as a short falling-factorial product —
-/// the hot case for the count engine's batch draws over near-empty
-/// state classes.
+/// from log-factorials and extended outward with the exact two-term pmf
+/// recurrence, so the expected cost is `O(σ)` — independent of the
+/// drawn value and of the population size. The log-factorials are a
+/// table of Lanczos log-gamma values below 4096 (the draw count and the
+/// mode, at the count engine's `√n` epoch cap) and the Stirling series
+/// above it (the population-sized arguments), both at the f64 standard
+/// of the logarithmic inversion in [`Geometric`]; each sample consumes
+/// exactly one uniform. When the support is small
+/// (`min(success, draws)` ≤ 24) a log-factorial-free path inverts from
+/// 0 instead, with `pmf(0)` as a short falling-factorial product — the
+/// hot case for the count engine's batch draws over near-empty state
+/// classes.
 ///
 /// # Examples
 ///
@@ -229,8 +235,8 @@ pub struct Hypergeometric {
     draws: u64,
 }
 
-/// Largest support size handled by the log-gamma-free inversion fast
-/// path in [`Hypergeometric::sample`].
+/// Largest support size handled by the log-factorial-free inversion
+/// fast path in [`Hypergeometric::sample`].
 const SMALL_SUPPORT: u64 = 24;
 
 impl Hypergeometric {
@@ -298,7 +304,7 @@ impl Hypergeometric {
         // whole support fits in ≤ 25 values, so exact inversion from 0
         // needs only the falling-factorial product for pmf(0) —
         //   pmf(0) = ∏_{i<s} (N − t − i)/(N − i),  s = min(K, d), t = max —
-        // and the upward pmf ratio recurrence; no log-gamma at all.
+        // and the upward pmf ratio recurrence; no log-factorial at all.
         // This is the dominant case in the count engine's chained batch
         // draws, where most state classes hold only a handful of agents.
         if lo == 0 && hi <= SMALL_SUPPORT {
@@ -488,13 +494,43 @@ fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (z + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// `ln C(n, k)` for `k ≤ n` via [`ln_gamma`].
+/// Arguments below this bound read [`ln_factorial`] from a table; the
+/// count engine's draw sizes and most mode values stay under it (its
+/// epoch cap is `√n`), so only population-sized arguments pay for the
+/// Stirling series.
+const LN_FACTORIAL_TABLE: usize = 4096;
+
+/// `ln k!`. Below [`LN_FACTORIAL_TABLE`] a lookup in a table filled from
+/// [`ln_gamma`] (so bit-identical to `ln_gamma(k + 1)`); above it the
+/// Stirling series in `x = k + 1`, truncated after the `x⁻⁵` term,
+/// whose next term is below 10⁻²⁸ there — one `ln` and one division
+/// instead of Lanczos' two logarithms and eight divisions.
+fn ln_factorial(k: u64) -> f64 {
+    static TABLE: OnceLock<Box<[f64]>> = OnceLock::new();
+    if k < LN_FACTORIAL_TABLE as u64 {
+        let table = TABLE.get_or_init(|| {
+            (0..LN_FACTORIAL_TABLE)
+                .map(|k| ln_gamma(k as f64 + 1.0))
+                .collect()
+        });
+        return table[k as usize];
+    }
+    const HALF_LN_2PI: f64 = 0.918_938_533_204_672_8;
+    let x = k as f64 + 1.0;
+    let r = 1.0 / x;
+    let r2 = r * r;
+    (x - 0.5) * x.ln() - x
+        + HALF_LN_2PI
+        + r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0)))
+}
+
+/// `ln C(n, k)` for `k ≤ n` via [`ln_factorial`].
 fn ln_choose(n: u64, k: u64) -> f64 {
     debug_assert!(k <= n);
     if k == 0 || k == n {
         return 0.0;
     }
-    ln_gamma(n as f64 + 1.0) - ln_gamma(k as f64 + 1.0) - ln_gamma((n - k) as f64 + 1.0)
+    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
 /// Samples an index from `0..weights.len()` proportionally to `weights`.
@@ -684,6 +720,91 @@ mod tests {
     }
 
     #[test]
+    fn geometric_tiny_p_keeps_its_mean() {
+        // Below 2⁻⁵³ the old `(1 − p).ln()` rounded ln q to 0 and every
+        // sample collapsed to 1.
+        let g = Geometric::new(1e-18);
+        let (mean, _) = sample_mean_var(|r| g.sample(r) as f64, 20_000, 17);
+        assert!((mean / 1e18 - 1.0).abs() < 0.05, "mean {mean:e}");
+    }
+
+    #[test]
+    fn geometric_unit_uniform_stays_in_support() {
+        // A generator whose every word is 0 gives U = 1 − 0 = 1 and
+        // ln U = 0; with ln q rounded to 0 that was 0/0 = NaN → 0.
+        struct Zeros;
+        impl rand::RngCore for Zeros {
+            fn next_u64(&mut self) -> u64 {
+                0
+            }
+        }
+        for p in [1e-18, 1e-9, 0.5] {
+            assert_eq!(Geometric::new(p).sample(&mut Zeros), 1, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn ln_factorial_table_is_lanczos_bit_for_bit() {
+        for k in 0..LN_FACTORIAL_TABLE as u64 {
+            assert_eq!(
+                ln_factorial(k).to_bits(),
+                ln_gamma(k as f64 + 1.0).to_bits(),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn ln_factorial_matches_exact_factorials() {
+        let mut fact: u128 = 1;
+        for k in 0..=30u64 {
+            if k > 0 {
+                fact *= u128::from(k);
+            }
+            let exact = (fact as f64).ln();
+            let got = ln_factorial(k);
+            assert!(
+                (got - exact).abs() <= 1e-12 * exact.max(1.0),
+                "ln {k}! = {got}, exact {exact}"
+            );
+        }
+    }
+
+    #[test]
+    fn ln_factorial_stirling_agrees_with_lanczos() {
+        for k in [
+            4_095,
+            4_096,
+            4_097,
+            100_000,
+            10_000_000,
+            1_000_000_000,
+            u64::from(u32::MAX),
+        ] {
+            let lanczos = ln_gamma(k as f64 + 1.0);
+            let got = ln_factorial(k);
+            assert!(
+                (got - lanczos).abs() <= 1e-15 * lanczos,
+                "ln {k}! = {got}, Lanczos {lanczos}"
+            );
+        }
+    }
+
+    #[test]
+    fn ln_factorial_is_continuous_across_the_table_boundary() {
+        // ln k! − ln (k−1)! = ln k: a seam between the table and the
+        // series would show as an error of order the series' truncation.
+        for k in 4_090..4_100u64 {
+            let step = ln_factorial(k) - ln_factorial(k - 1);
+            let ln_k = (k as f64).ln();
+            assert!(
+                (step - ln_k).abs() < 1e-10,
+                "k = {k}: step {step}, ln k {ln_k}"
+            );
+        }
+    }
+
+    #[test]
     fn hypergeometric_moments() {
         let h = Hypergeometric::new(60, 20, 15);
         let (mean, var) = sample_mean_var(|r| h.sample(r) as f64, 60_000, 29);
@@ -752,11 +873,40 @@ mod tests {
         assert!((var - 2_100.0).abs() / 2_100.0 < 0.1, "var {var}");
     }
 
+    /// Mean and variance at count-tier scale, where the population and
+    /// class sizes reach the Stirling range of [`ln_factorial`]: a
+    /// 10⁷-clique epoch (d = ⌊√N⌋) and a 10⁹-clique one.
+    #[test]
+    fn hypergeometric_moments_at_count_scale() {
+        for (total, success, draws, samples, seed) in [
+            (10_000_000u64, 4_000_000u64, 3_162u64, 20_000, 89),
+            (1_000_000_000, 300_000_000, 31_623, 4_000, 97),
+        ] {
+            let h = Hypergeometric::new(total, success, draws);
+            let (mean, var) = sample_mean_var(|r| h.sample(r) as f64, samples, seed);
+            let (nn, kk, dd) = (total as f64, success as f64, draws as f64);
+            let p = kk / nn;
+            let expected_var = dd * p * (1.0 - p) * (nn - dd) / (nn - 1.0);
+            // Four standard errors of the sample mean and variance.
+            let mean_tol = 4.0 * (expected_var / samples as f64).sqrt();
+            let var_tol = 4.0 * expected_var * (2.0 / samples as f64).sqrt();
+            assert!(
+                (mean - h.mean()).abs() < mean_tol,
+                "N = {total}: mean {mean}, expected {}",
+                h.mean()
+            );
+            assert!(
+                (var - expected_var).abs() < var_tol,
+                "N = {total}: var {var}, expected {expected_var}"
+            );
+        }
+    }
+
     #[test]
     fn hypergeometric_small_class_in_huge_population() {
         // The count engine's hot case: a state class holding a handful
         // of agents inside a batch draw over millions — served by the
-        // log-gamma-free small-support path. mean = d·K/N = 0.005.
+        // log-factorial-free small-support path. mean = d·K/N = 0.005.
         let h = Hypergeometric::new(10_000_000, 5, 10_000);
         let (mean, _) = sample_mean_var(|r| h.sample(r) as f64, 400_000, 43);
         assert!((mean - 0.005).abs() < 0.0006, "mean {mean}");
@@ -784,6 +934,26 @@ mod tests {
         let zs: Vec<u64> = (0..200).map(|_| h.sample(&mut c)).collect();
         assert_eq!(xs, ys, "same seed must reproduce the sample path");
         assert_ne!(xs, zs, "different seeds must diverge");
+    }
+
+    /// Pins the exact sample stream at the count tier's smallest routed
+    /// populations: 2¹⁶ draws at `N = 8·10⁴` with the marked class
+    /// swept across `[0, N)` and the draw count across `1..=283` (the
+    /// epoch cap `√N`), so both inversion paths and both log-factorial
+    /// ranges are crossed. The digest was recorded from the Lanczos-only
+    /// sampler; a change that moves it flips draws at this scale.
+    #[test]
+    fn hypergeometric_stream_is_pinned_at_80000() {
+        const N: u64 = 80_000;
+        let mut rng = SmallRng::seed_from_u64(0x5EED_8000);
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        for i in 0..1u64 << 16 {
+            let success = (i * 7_919) % N;
+            let draws = 1 + (i * 104_729) % 283;
+            let x = Hypergeometric::new(N, success, draws).sample(&mut rng);
+            digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(digest, 0x3587_d863_d09e_02c8, "digest {digest:#018x}");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! layers of evidence:
 //!
 //! 1. **Distribution-level differential tests** at population sizes
-//!    both tiers can run (10³–10⁴): means and quantiles of election
-//!    time in parallel time (steps/n) from [`run_trials_count`] must
-//!    match the sequential engines on the same clique workload. Both
-//!    sides are seeded, so each comparison is deterministic; the
+//!    both tiers can run (10³ up to `COUNT_MIN_AGENTS` = 2¹⁵): means
+//!    and quantiles of election time in parallel time (steps/n) from
+//!    [`run_trials_count`] must match the sequential engines on the
+//!    same clique workload. Both sides are seeded, so each comparison
+//!    is deterministic; the
 //!    tolerances are ~4 standard errors of the difference at the given
 //!    trial counts (from the measured relative standard deviations:
 //!    ≈0.15 for the fast protocol, whose phase-clock concentrates the
@@ -30,7 +31,7 @@ mod harness;
 
 use harness::assert_distributions_match;
 use popele::engine::monte_carlo::{run_trials_count, TrialOptions};
-use popele::engine::{compile_for_count, CountEngine};
+use popele::engine::{compile_for_count, CountEngine, COUNT_MIN_AGENTS};
 use popele::protocols::params::FastParams;
 use popele::protocols::{FastProtocol, TokenProtocol};
 
@@ -76,6 +77,20 @@ fn fast_election_distribution_matches_sequential_4096() {
 fn clique_tuned_election_distribution_matches_sequential_1024() {
     let protocol = FastProtocol::new(FastParams::clique_tuned(1024));
     assert_distributions_match(&protocol, 1024, (48, 96), (0.20, 0.30));
+}
+
+/// At `n = 2¹⁵` = [`COUNT_MIN_AGENTS`], the smallest population the
+/// clique waterfall routes to the count tier, the two tiers still
+/// overlap. It is also the first row whose batch draws reach the
+/// Stirling range of the sampler's log-factorials (arguments ≥ 4096):
+/// every population-sized `ln C(n, ·)` leaves the Lanczos-filled table,
+/// while the 1024 row stays inside it and the 4096 row touches the
+/// series only at `ln 4096!`.
+#[test]
+fn clique_tuned_election_distribution_matches_sequential_at_count_min_agents() {
+    let n = COUNT_MIN_AGENTS;
+    let protocol = FastProtocol::new(FastParams::clique_tuned(u32::try_from(n).unwrap()));
+    assert_distributions_match(&protocol, n, (48, 48), (0.20, 0.30));
 }
 
 #[test]
