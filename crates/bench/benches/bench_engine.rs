@@ -41,6 +41,10 @@
 //!   scheduler decodes each draw arithmetically) and in the CSR form
 //!   (a gather from the 64 MB edge list) — the per-step price of the
 //!   materialized edge list the implicit clique removes.
+//! * **ahead-of-time compile** ([`CompiledProtocol::compile_default`]):
+//!   the fast protocol at the practical parameters of `torus(4000)`, the
+//!   compile a sweep cell pays before its first step. Standalone: the
+//!   row reports the median compile time and the state count.
 //! * **campaign scheduler** ([`run_campaign`]): end-to-end sweep
 //!   campaigns through the real runner — a 32-shard grid under the
 //!   serial scheduler vs a 4-worker pool (identical outputs by the
@@ -75,7 +79,7 @@ use popele_lab::sweep::{
     run_campaign, CampaignOptions, CellMeta, Checkpoint, Journal, JournalEntry, ProtocolSpec,
     SweepSpec, TrialRecord,
 };
-use popele_lab::workloads::Family;
+use popele_lab::workloads::{broadcast_guess, Family};
 use popele_math::rng::SeedSeq;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -562,6 +566,35 @@ fn bench_count(c: &mut Criterion) {
     group.finish();
 }
 
+/// Compile workload name, shared with `render_json` for the same
+/// rename protection as [`FAST_STEPS_WORKLOAD`].
+const COMPILE_WORKLOAD: &str = "fast_torus_4000";
+
+/// The fast protocol at agent-grid's `torus(4000)` cell parameters.
+fn compile_workload() -> (FastProtocol, u32) {
+    let g = Family::Torus.generate(4000, 0);
+    let params = FastParams::practical(
+        broadcast_guess(&g),
+        g.max_degree(),
+        g.num_edges(),
+        g.num_nodes(),
+    );
+    (FastProtocol::new(params), g.num_nodes())
+}
+
+fn bench_compile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine/compile");
+    group.sample_size(20);
+    let (p, n) = compile_workload();
+    group.bench_with_input(BenchmarkId::new("aot", COMPILE_WORKLOAD), &n, |b, &n| {
+        b.iter(|| {
+            let compiled = CompiledProtocol::compile_default(&p, n).expect("fast compiles");
+            black_box(compiled.num_states())
+        });
+    });
+    group.finish();
+}
+
 /// Campaign-tier workload names, shared with `render_json` for the same
 /// rename protection as [`FAST_STEPS_WORKLOAD`].
 const CAMPAIGN_GRID_WORKLOAD: &str = "grid_32shards";
@@ -890,6 +923,26 @@ fn render_json(ms: &[Measurement]) -> (String, Vec<String>) {
         }
         out.push('}');
     }
+    {
+        let (p, n) = compile_workload();
+        if let Some(m) = median_of(ms, &format!("engine/compile/aot/{COMPILE_WORKLOAD}")) {
+            let states = CompiledProtocol::compile_default(&p, n)
+                .expect("fast compiles")
+                .num_states();
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            let _ = write!(
+                out,
+                "    {{\"workload\": \"engine/compile/{COMPILE_WORKLOAD}\", \"engine\": \"aot\", \
+                 \"num_states\": {states}, \"compile_median_ns\": {:.0}}}",
+                m.median_ns
+            );
+        } else {
+            missing.push(format!("engine/compile/{COMPILE_WORKLOAD} (aot)"));
+        }
+    }
     // Campaign tier: the scheduler race reports the serial/pool ratio
     // (≈1.0 on a single-core host — see the module doc); the checkpoint
     // row reports the per-append journal cost (batch median divided by
@@ -964,6 +1017,7 @@ fn main() {
     bench_implicit_clique(&mut c);
     bench_lanes(&mut c);
     bench_count(&mut c);
+    bench_compile(&mut c);
     bench_campaign(&mut c);
 
     let ms = take_measurements();

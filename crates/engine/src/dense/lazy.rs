@@ -24,9 +24,9 @@
 //! Monte-Carlo harness reuses one executor (and thus one warm cache) per
 //! worker thread.
 
+use super::FoldHashBuilder;
 use crate::protocol::{Protocol, Role, EFFECT_OPAQUE};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Dense state identifier of a lazily-compiled protocol. `u32` rather
 /// than the ahead-of-time engine's `u16`: per-run state counts scale
@@ -181,70 +181,6 @@ impl PairCache {
         self.entries.len() * (std::mem::size_of::<Entry>() + std::mem::size_of::<u64>())
     }
 }
-
-/// Multiply-fold hasher for the state interner (an FxHash-style
-/// construction): each written word is xor-folded into the accumulator
-/// and diffused with one odd-constant multiply. Interning sits on the
-/// lazy engine's *miss* path — two lookups per novel pair — where the
-/// standard SipHash costs more than the transition evaluation it
-/// serves; protocol states are plain `#[derive(Hash)]` data, so a
-/// non-cryptographic hash is sound (no untrusted-key DoS surface).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FoldHasher {
-    hash: u64,
-}
-
-impl Hasher for FoldHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // One final diffusion so low-entropy accumulators still spread
-        // across the HashMap's bucket bits (std uses the high bits).
-        self.hash.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = 0u64;
-        for (i, &b) in chunks.remainder().iter().enumerate() {
-            tail |= u64::from(b) << (8 * i);
-        }
-        if !chunks.remainder().is_empty() {
-            self.write_u64(tail);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(26) ^ v).wrapping_mul(0xA24B_AED4_963E_E407);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// The interner's hash state: [`FoldHasher`] per lookup.
-pub type FoldHashBuilder = BuildHasherDefault<FoldHasher>;
 
 /// The lazily-built counterpart of [`crate::CompiledProtocol`]: an
 /// interner assigning dense [`LazyId`]s to states on first sight plus a

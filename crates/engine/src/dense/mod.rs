@@ -48,6 +48,8 @@
 //! [`crate::monte_carlo::run_trials_auto`] exploits it to pick the
 //! fastest applicable engine per workload without ever changing results.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 pub mod count;
 pub mod decoder;
 pub mod exec;
@@ -66,3 +68,70 @@ pub use table::{
     probe_state_space, CompileError, CompiledProtocol, SpaceProbe, StateId,
     DEFAULT_MAX_COMPILED_STATES, MAX_STATE_IDS, PROBE_EVAL_BUDGET,
 };
+
+/// Multiply-fold hasher for both state interners (an FxHash-style
+/// construction): each written word is xor-folded into the accumulator
+/// and diffused with one odd-constant multiply. Interning sits on the
+/// lazy engine's *miss* path — two lookups per novel pair — and on
+/// every pair of the ahead-of-time closure ([`table`]), where the
+/// standard SipHash costs more than the transition evaluation it
+/// serves. Ids are assigned in discovery order, so the hash function
+/// never shows in ids or tables. Protocol states are plain
+/// `#[derive(Hash)]` data, so a non-cryptographic hash is sound (no
+/// untrusted-key DoS surface).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FoldHasher {
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // One final diffusion so low-entropy accumulators still spread
+        // across the HashMap's bucket bits (std uses the high bits).
+        self.hash.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in chunks.by_ref() {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = 0u64;
+        for (i, &b) in chunks.remainder().iter().enumerate() {
+            tail |= u64::from(b) << (8 * i);
+        }
+        if !chunks.remainder().is_empty() {
+            self.write_u64(tail);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.hash = (self.hash.rotate_left(26) ^ v).wrapping_mul(0xA24B_AED4_963E_E407);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// The interners' hash state: [`FoldHasher`] per lookup.
+pub type FoldHashBuilder = BuildHasherDefault<FoldHasher>;

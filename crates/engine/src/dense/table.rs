@@ -6,7 +6,16 @@
 //!   node. The closure is a sound over-approximation: it includes every
 //!   state reachable under *any* schedule on *any* graph with the given
 //!   node count (and possibly more), so the table covers every pair an
-//!   execution can sample.
+//!   execution can sample. The closure *is* the table build: it
+//!   evaluates every ordered pair exactly once and records the
+//!   successor ids as it interns them, one exactly-sized block per
+//!   round, and once the set closes the blocks are laid out as the
+//!   row-major `|Λ|²` table. The leader-delta and fused tables then
+//!   follow from the table and the role table without another
+//!   transition call. States are interned with the fold hasher
+//!   ([`super::FoldHasher`]), which is sound for plain state data and
+//!   much cheaper than SipHash; ids are assigned in discovery order, so
+//!   the hasher never shows in ids or tables.
 //! * [`probe_state_space`] answers "would compilation fit the cap?"
 //!   with a bounded amount of work — the fast-rejection path that keeps
 //!   engine selection cheap for protocols (like the identifier protocol
@@ -30,6 +39,7 @@
 //! [`crate::monte_carlo::run_trials_auto`] automates exactly this
 //! decision.
 
+use super::FoldHashBuilder;
 use crate::protocol::{Protocol, Role};
 use popele_graph::NodeId;
 use std::collections::HashMap;
@@ -73,8 +83,46 @@ impl std::error::Error for CompileError {}
 /// extra seed states, for arbitrary-initialization runs).
 struct Enumeration<S> {
     states: Vec<S>,
-    ids: HashMap<S, StateId>,
+    ids: HashMap<S, StateId, FoldHashBuilder>,
     initial: Vec<StateId>,
+    /// The packed successors `(a' << 16) | b'` of every ordered pair
+    /// `(a, b)`, in evaluation order, one block per closure round (see
+    /// [`Round`]): the closure evaluates each pair exactly once, and
+    /// these are its results.
+    rounds: Vec<Round>,
+}
+
+/// The pairs one closure round evaluated: with `closed` the states
+/// closed before the round and `end` the frontier end, first the new
+/// columns `closed..end` of each closed row `a < closed`, then the full
+/// rows `closed..end` (columns `0..end`), row-major within each part.
+struct Round {
+    closed: usize,
+    end: usize,
+    entries: Vec<u32>,
+}
+
+/// Lays the closure's round blocks out as the row-major `k × k` table.
+/// Each block is freed as soon as it is copied, and the table's zeroed
+/// pages are touched only as rows fill, so blocks and table together
+/// never hold more than 1.25 tables' worth of written entries.
+fn assemble_table(rounds: Vec<Round>, k: usize) -> Vec<u32> {
+    let mut table = vec![0u32; k * k];
+    for Round {
+        closed,
+        end,
+        entries,
+    } in rounds
+    {
+        let (old_rows, new_rows) = entries.split_at(closed * (end - closed));
+        for (a, cols) in old_rows.chunks_exact(end - closed).enumerate() {
+            table[a * k + closed..a * k + end].copy_from_slice(cols);
+        }
+        for (a, cols) in (closed..).zip(new_rows.chunks_exact(end)) {
+            table[a * k..a * k + end].copy_from_slice(cols);
+        }
+    }
+    table
 }
 
 /// Why [`enumerate`] stopped before closing the state set.
@@ -102,12 +150,12 @@ fn enumerate<P: Protocol>(
         "max_states must be in 1..={MAX_STATE_IDS}"
     );
     let mut states: Vec<P::State> = Vec::new();
-    let mut ids: HashMap<P::State, StateId> = HashMap::new();
+    let mut ids: HashMap<P::State, StateId, FoldHashBuilder> = HashMap::default();
 
     fn intern<S: Clone + Eq + std::hash::Hash>(
         s: &S,
         states: &mut Vec<S>,
-        ids: &mut HashMap<S, StateId>,
+        ids: &mut HashMap<S, StateId, FoldHashBuilder>,
         max_states: usize,
     ) -> Result<StateId, EnumerateStop> {
         if let Some(&id) = ids.get(s) {
@@ -132,30 +180,41 @@ fn enumerate<P: Protocol>(
     }
 
     // BFS closure: repeatedly expand every ordered pair involving at
-    // least one state discovered since the last round.
+    // least one state discovered since the last round, recording each
+    // result in the round's block. A round often adds a single state
+    // (the fast protocol closes 828 states in ~440 rounds), so blocks
+    // are sized exactly up front instead of growing per-state rows.
+    let mut rounds = Vec::new();
     let mut closed_upto = 0usize;
     while closed_upto < states.len() {
         let frontier_end = states.len();
+        let fresh = frontier_end - closed_upto;
+        let mut entries = Vec::with_capacity(closed_upto * fresh + fresh * frontier_end);
         for a in 0..frontier_end {
-            for b in 0..frontier_end {
-                if a < closed_upto && b < closed_upto {
-                    continue;
-                }
+            let first = if a < closed_upto { closed_upto } else { 0 };
+            for b in first..frontier_end {
                 if eval_budget == 0 {
                     return Err(EnumerateStop::BudgetExhausted);
                 }
                 eval_budget -= 1;
                 let (na, nb) = protocol.transition(&states[a], &states[b]);
-                intern(&na, &mut states, &mut ids, max_states)?;
-                intern(&nb, &mut states, &mut ids, max_states)?;
+                let na = intern(&na, &mut states, &mut ids, max_states)?;
+                let nb = intern(&nb, &mut states, &mut ids, max_states)?;
+                entries.push((u32::from(na) << 16) | u32::from(nb));
             }
         }
+        rounds.push(Round {
+            closed: closed_upto,
+            end: frontier_end,
+            entries,
+        });
         closed_upto = frontier_end;
     }
     Ok(Enumeration {
         states,
         ids,
         initial,
+        rounds,
     })
 }
 
@@ -167,7 +226,9 @@ fn enumerate<P: Protocol>(
 /// the ~3·cap walk evaluations) and for the small closures to complete
 /// (a `k`-state protocol closes within `k²` evaluations), while bounding
 /// the probe's worst case around a hundred microseconds — versus the
-/// ~10 ms a full quadratic closure-until-overflow costs.
+/// 7–10 ms a full quadratic closure-until-overflow costs (identifier
+/// protocol at `n = 4000` against the default cap, on a 2-vCPU Xeon:
+/// probe 70–100 µs, closure 7–10 ms).
 pub const PROBE_EVAL_BUDGET: usize = 16 * DEFAULT_MAX_COMPILED_STATES;
 
 /// Verdict of [`probe_state_space`].
@@ -201,7 +262,7 @@ pub enum SpaceProbe {
 /// constructions with the same "progress counter" shape — self-pairs
 /// mint fresh states on almost every evaluation, so the verdict arrives
 /// within a few thousand evaluations: **microseconds**, versus the
-/// ~10 ms the quadratic closure needs to overflow the same cap. That
+/// 7–10 ms the quadratic closure needs to overflow the same cap. That
 /// difference is the point: sweep campaigns re-select the engine for
 /// every shard.
 ///
@@ -279,7 +340,7 @@ pub(crate) fn overflow_walk<P: Protocol>(
         "max_states must be in 1..={MAX_STATE_IDS}"
     );
     let mut states: Vec<P::State> = Vec::new();
-    let mut ids: HashMap<P::State, StateId> = HashMap::new();
+    let mut ids: HashMap<P::State, StateId, FoldHashBuilder> = HashMap::default();
     let mut budget = eval_budget;
 
     // Local intern without the cap bail: the walk *wants* to exceed the
@@ -371,7 +432,7 @@ pub struct CompiledProtocol<P: Protocol> {
     /// Id → typed state.
     pub(crate) states: Vec<P::State>,
     /// Typed state → id (kept for introspection and differential tests).
-    ids: HashMap<P::State, StateId>,
+    ids: HashMap<P::State, StateId, FoldHashBuilder>,
     /// Node → id of its initial state; length `num_nodes`.
     pub(crate) initial: Vec<StateId>,
     /// Flat `k × k` successor table, entry `a·k + b` packing
@@ -445,22 +506,21 @@ impl<P: Protocol + Clone> CompiledProtocol<P> {
             states,
             ids,
             initial,
+            rounds,
         } = enumerate(protocol, num_nodes, max_states, usize::MAX, extra_seeds)
             .map_err(|_| CompileError::StateSpaceTooLarge { limit: max_states })?;
 
-        // The set is closed: every successor below is already interned.
+        // The closure already evaluated every pair: its results are the
+        // table, and the derived tables need no transition call.
         let k = states.len();
+        let table = assemble_table(rounds, k);
         let roles: Vec<Role> = states.iter().map(|s| protocol.output(s)).collect();
-        let leader = |id: StateId| i8::from(roles[id as usize] == Role::Leader);
-        let mut table = vec![0u32; k * k];
-        let mut leader_delta = vec![0i8; k * k];
-        for a in 0..k {
-            for b in 0..k {
-                let (na, nb) = protocol.transition(&states[a], &states[b]);
-                let (na, nb) = (ids[&na], ids[&nb]);
-                table[a * k + b] = (u32::from(na) << 16) | u32::from(nb);
-                leader_delta[a * k + b] =
-                    leader(na) + leader(nb) - leader(a as StateId) - leader(b as StateId);
+        let leader: Vec<i8> = roles.iter().map(|&r| i8::from(r == Role::Leader)).collect();
+        let mut leader_delta = Vec::with_capacity(k * k);
+        for (a, row) in table.chunks_exact(k.max(1)).enumerate() {
+            for (b, &packed) in row.iter().enumerate() {
+                let (na, nb) = ((packed >> 16) as usize, (packed & 0xFFFF) as usize);
+                leader_delta.push(leader[na] + leader[nb] - leader[a] - leader[b]);
             }
         }
 
@@ -551,6 +611,42 @@ impl<P: Protocol> CompiledProtocol<P> {
     pub fn successor(&self, a: StateId, b: StateId) -> (StateId, StateId) {
         let packed = self.table[a as usize * self.states.len() + b as usize];
         ((packed >> 16) as StateId, packed as StateId)
+    }
+
+    /// Precomputed net change in the number of leader-output nodes when
+    /// the ordered interaction `(a, b)` fires (see
+    /// [`CompiledProtocol::successor`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
+    #[must_use]
+    pub fn leader_delta(&self, a: StateId, b: StateId) -> i8 {
+        let k = self.states.len();
+        assert!(usize::from(a.max(b)) < k, "state id out of range");
+        self.leader_delta[usize::from(a) * k + usize::from(b)]
+    }
+
+    /// The fused-table entry of `(a, b)` unpacked into successor pair
+    /// and leader delta, or `None` above 256 states, where no fused
+    /// table is built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
+    #[must_use]
+    pub fn fused_entry(&self, a: StateId, b: StateId) -> Option<(StateId, StateId, i8)> {
+        assert!(
+            usize::from(a.max(b)) < self.states.len(),
+            "state id out of range"
+        );
+        let word = self.fused.as_ref()?[(usize::from(a) << 8) | usize::from(b)];
+        let delta = ((word >> 16) as i32 - 2) as i8;
+        Some((
+            ((word >> 8) & 0xFF) as StateId,
+            (word & 0xFF) as StateId,
+            delta,
+        ))
     }
 
     /// Precomputed output role of state id `s`.

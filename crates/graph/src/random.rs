@@ -142,22 +142,40 @@ pub fn random_regular(n: u32, d: u32, seed: u64) -> Graph {
     let mut stubs: Vec<u32> = (0..n)
         .flat_map(|v| std::iter::repeat_n(v, d as usize))
         .collect();
+    // Per-attempt adjacency, reused across attempts: node v's partners
+    // so far are partners[v*d..v*d + fill[v]]. A repeated pair shows up
+    // as a scan of at most d entries — no hashing per stub pair.
+    let d = d as usize;
+    let mut partners = vec![0u32; stubs.len()];
+    let mut fill = vec![0u32; n as usize];
     // The pairing is simple with probability ≈ exp((1 − d²)/4), e.g.
     // ≈ 0.25% at d = 5 — a budget of 10⁵ cheap attempts makes overall
     // failure astronomically unlikely for every d ≤ √n.
     'attempt: for _ in 0..100_000 {
         stubs.shuffle(&mut rng);
-        let mut b = GraphBuilder::new(n);
-        let mut seen = std::collections::HashSet::with_capacity(stubs.len() / 2);
+        // An attempt is accepted iff it has no self-loop and no repeated
+        // pair, so checking loops first changes no verdict. It is a
+        // sequential pass, and it rejects most attempts (P[no loop] ≈
+        // exp((1 − d)/2)) before the partner scan's random accesses.
+        if stubs.chunks_exact(2).any(|pair| pair[0] == pair[1]) {
+            continue;
+        }
+        fill.fill(0);
         for pair in stubs.chunks_exact(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v {
+            let (u, v) = (pair[0] as usize, pair[1] as usize);
+            let (fu, fv) = (fill[u] as usize, fill[v] as usize);
+            if partners[u * d..u * d + fu].contains(&pair[1]) {
                 continue 'attempt;
             }
-            if !seen.insert((u.min(v), u.max(v))) {
-                continue 'attempt;
-            }
-            b.add_edge(u, v).expect("checked above");
+            partners[u * d + fu] = pair[1];
+            partners[v * d + fv] = pair[0];
+            fill[u] += 1;
+            fill[v] += 1;
+        }
+        // Simple: only the accepted pairing is built into a graph.
+        let mut b = GraphBuilder::new(n);
+        for pair in stubs.chunks_exact(2) {
+            b.add_edge(pair[0], pair[1]).expect("checked above");
         }
         return b.build().expect("valid by construction");
     }

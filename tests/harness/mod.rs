@@ -18,7 +18,8 @@
 //!   one shared *arbitrary* start configuration pushed through all
 //!   three engines (the AOT table seeded with the sampler's support).
 //! * [`assert_table_agrees`] — exhaustive `|Λ|²` agreement between a
-//!   compiled transition/role table and the trait implementation.
+//!   compiled transition/role/leader-delta/fused table and the trait
+//!   implementation.
 //! * [`diff_outcomes`] — full seeded elections compared across the
 //!   generic and AOT engines, census included.
 //! * [`assert_distributions_match`] — the count tier's
@@ -28,8 +29,8 @@
 //!
 //! Consumed via `mod harness;` from `tests/protocol_matrix.rs`,
 //! `tests/compiled_vs_trait.rs`, `tests/lazy_vs_trait.rs`,
-//! `tests/stabilize_differential.rs`, `tests/count_distribution.rs` and
-//! `tests/clique_identity.rs`;
+//! `tests/stabilize_differential.rs`, `tests/count_distribution.rs`,
+//! `tests/clique_identity.rs` and `tests/setup_pins.rs`;
 //! each test binary compiles its own copy, so helpers a given suite
 //! does not call are expected dead code.
 #![allow(dead_code)]
@@ -38,7 +39,9 @@ use popele::engine::monte_carlo::{
     run_trials_auto, run_trials_count, Engine, TrialOptions, TrialResult,
 };
 use popele::engine::stabilize::{arbitrary_config, arbitrary_seed, ArbitraryInit};
-use popele::engine::{CompiledProtocol, DenseExecutor, Executor, LazyDenseExecutor, Protocol};
+use popele::engine::{
+    CompiledProtocol, DenseExecutor, Executor, LazyDenseExecutor, Protocol, Role, StateId,
+};
 use popele::graph::{families, random, Graph};
 use popele::math::stats::Summary;
 
@@ -88,17 +91,23 @@ pub fn matrix_families(n: u32) -> Vec<Graph> {
 }
 
 /// Exhaustively checks every enumerated state pair of `compiled`
-/// against the trait implementation.
+/// against the trait implementation: the successor table against
+/// `Protocol::transition`, the role table against `Protocol::output`,
+/// and the leader-delta and fused tables (the latter built only up to
+/// 256 states) against the roles of each pair and its successors.
 pub fn assert_table_agrees<P: Protocol + Clone>(protocol: &P, compiled: &CompiledProtocol<P>) {
     let states = compiled.states();
     assert!(!states.is_empty());
+    let leader = |s: StateId| i8::from(compiled.role(s) == Role::Leader);
     for (a, sa) in states.iter().enumerate() {
+        let a = a as StateId;
         assert_eq!(
-            compiled.role(a as u16),
+            compiled.role(a),
             protocol.output(sa),
             "role table disagrees on {sa:?}"
         );
         for (b, sb) in states.iter().enumerate() {
+            let b = b as StateId;
             let (na, nb) = protocol.transition(sa, sb);
             let na = compiled
                 .state_id(&na)
@@ -107,9 +116,21 @@ pub fn assert_table_agrees<P: Protocol + Clone>(protocol: &P, compiled: &Compile
                 .state_id(&nb)
                 .expect("successor must be enumerated");
             assert_eq!(
-                compiled.successor(a as u16, b as u16),
+                compiled.successor(a, b),
                 (na, nb),
                 "transition table disagrees on ({sa:?}, {sb:?})"
+            );
+            let delta = leader(na) + leader(nb) - leader(a) - leader(b);
+            assert_eq!(
+                compiled.leader_delta(a, b),
+                delta,
+                "leader delta disagrees on ({sa:?}, {sb:?})"
+            );
+            let fused = (states.len() <= 256).then_some((na, nb, delta));
+            assert_eq!(
+                compiled.fused_entry(a, b),
+                fused,
+                "fused table disagrees on ({sa:?}, {sb:?})"
             );
         }
     }

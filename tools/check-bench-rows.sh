@@ -7,8 +7,8 @@
 # only surface at the next full bench run — this script makes the gap
 # CI-checkable. The expected list mirrors the bench manifests
 # (`json_workloads`, `HANDOFF_WORKLOAD`, `IMPLICIT_CLIQUE_WORKLOAD`,
-# `lanes_workloads`, `count_workloads` and the campaign rows); update
-# both together.
+# `lanes_workloads`, `count_workloads`, `COMPILE_WORKLOAD` and the
+# campaign rows); update both together.
 #
 # BENCH.md's recorded-baseline tables are copied from the JSON by hand,
 # so the script also fails when a copied speedup no longer matches its
@@ -36,6 +36,7 @@ expected=(
   "engine/count/fast_clique_1e7"
   "engine/count/fast_clique_1e8"
   "engine/count/token_clique_1e9"
+  "engine/compile/fast_torus_4000"
   "sweep/campaign/grid_32shards"
   "sweep/campaign/checkpoint_1000"
 )
