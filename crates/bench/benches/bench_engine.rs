@@ -14,16 +14,18 @@
 //!   throughput of a full-scale fast-protocol instance on
 //!   `cycle(120000)` (CSR decoder). These are exactly the cells where
 //!   sweep campaigns used to fall back to the generic engine.
-//! * **lazy trials with the mid-run hand-off** ([`run_trials_lazy`]):
+//! * **lazy trials with the mid-run hand-off** ([`EngineSelection::lazy`]):
 //!   identifier trials on `cycle(80000)` shaped like a sweep cell, where
 //!   identifier generation misses the pair cache on almost every step
-//!   and the trial runner hands each trial to the generic engine. The
-//!   row races the trial runner against [`run_trials`] and records the
-//!   lazy executor without the hand-off beside them.
+//!   and the trial driver hands each trial to the generic engine. The
+//!   row races the driver on the forced lazy tier against the forced
+//!   generic tier and records the lazy executor without the hand-off
+//!   beside them.
 //! * **scalar dense vs lane-parallel dense** ([`LaneDenseExecutor`]):
 //!   8- and 16-lane packs against a scalar [`DenseExecutor`] over the
 //!   same trial seeds — full token elections on `clique(1000)` (fused
-//!   branchless path) and fixed-step throughput of a near-cap AOT fast
+//!   branchless path; the scalar side runs through the trial driver on
+//!   the forced AOT tier) and fixed-step throughput of a near-cap AOT fast
 //!   instance on `cycle(1000)` (packed decoder, non-linear oracle).
 //!   Both sides run the identical trial set sequentially vs in
 //!   lockstep, so the speedup *is* the aggregate trials/sec ratio the
@@ -69,10 +71,10 @@
 use criterion::{black_box, take_measurements, BenchmarkId, Criterion, Measurement};
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, TokenProtocol};
-use popele_engine::monte_carlo::{run_trials, run_trials_lazy, TrialOptions};
+use popele_engine::monte_carlo::{run_trials_auto_prepared, TrialOptions, TrialResult};
 use popele_engine::{
-    compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, LaneDenseExecutor,
-    LazyDenseExecutor, Protocol,
+    compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, EngineSelection, Executor,
+    LaneDenseExecutor, LazyDenseExecutor, Protocol,
 };
 use popele_graph::{families, Graph};
 use popele_lab::sweep::{
@@ -82,6 +84,7 @@ use popele_lab::sweep::{
 use popele_lab::workloads::{broadcast_guess, Family};
 use popele_math::rng::SeedSeq;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 const FIXED_STEPS: u64 = 2_000_000;
@@ -248,9 +251,10 @@ fn bench_elections(c: &mut Criterion) {
     group.finish();
 }
 
-/// The hand-off race: [`run_trials`] (generic) vs [`run_trials_lazy`]
-/// (lazy, handing each trial to the generic engine once its windows
-/// miss the pair cache) vs the same trials on the lazy executor alone.
+/// The hand-off race: the trial driver on the forced generic tier vs
+/// the forced lazy tier (handing each trial to the generic engine once
+/// its windows miss the pair cache) vs the same trials on the lazy
+/// executor alone.
 /// All three apply the identical `HANDOFF_TRIALS × HANDOFF_BUDGET`
 /// interactions.
 fn bench_handoff(c: &mut Criterion) {
@@ -265,12 +269,14 @@ fn bench_handoff(c: &mut Criterion) {
         ..TrialOptions::default()
     };
     let name = HANDOFF_WORKLOAD;
-    group.bench_with_input(BenchmarkId::new("generic", name), &g, |b, g| {
-        b.iter(|| black_box(run_trials(g, &p, 1, opts)));
-    });
-    group.bench_with_input(BenchmarkId::new("lazy", name), &g, |b, g| {
-        b.iter(|| black_box(run_trials_lazy(g, &p, 1, opts)));
-    });
+    for (engine, selection) in [
+        ("generic", EngineSelection::generic()),
+        ("lazy", EngineSelection::lazy()),
+    ] {
+        group.bench_with_input(BenchmarkId::new(engine, name), &g, |b, g| {
+            b.iter(|| black_box(run_trials_auto_prepared(g, &p, &selection, 1, opts)));
+        });
+    }
     group.bench_with_input(BenchmarkId::new("no_handoff", name), &g, |b, g| {
         let seeds = SeedSeq::new(1);
         b.iter(|| {
@@ -406,33 +412,33 @@ const LANE_WORKLOADS: [(&str, usize); 4] = [
 /// retirement admits the next trial instead of idling the slot).
 const LANE_TRIAL_FACTOR: usize = 3;
 
-/// Runs trials `1..=trials` (seeded by trial index, both sides
-/// identically) to stabilization on the scalar engine, returning the
-/// summed stabilization steps.
-fn scalar_elections<P: Protocol>(exec: &mut DenseExecutor<'_, P>, trials: usize) -> u64 {
-    let mut total = 0u64;
-    for seed in 1..=trials as u64 {
-        exec.reset(seed);
-        total += exec
-            .run_until_stable(ELECTION_MAX)
-            .expect("election stabilizes")
-            .stabilization_step;
-    }
-    total
+/// Master seed of the lane-tier election trials (both sides).
+const LANE_MASTER_SEED: u64 = 1;
+
+/// Summed stabilization steps of a batch of elections that must all
+/// stabilize.
+fn total_steps(results: &[TrialResult]) -> u64 {
+    results
+        .iter()
+        .map(|r| r.stabilization_step.expect("election stabilizes"))
+        .sum()
 }
 
-/// The same trial set as [`scalar_elections`], one retire-and-refill
-/// pack (the [`run_trials_lanes`] loop shape, inlined so the bench
-/// controls the seeds).
+/// The elections of `TrialOptions { trials, .. }` under master seed
+/// [`LANE_MASTER_SEED`] — the trial set the scalar side runs through the
+/// trial driver — as one retire-and-refill pack (the
+/// [`run_trials_lanes`] loop shape, inlined so the bench controls the
+/// lane count).
 ///
-/// [`run_trials_lanes`]: popele_engine::run_trials_lanes
+/// [`run_trials_lanes`]: popele_engine::monte_carlo::run_trials_lanes
 fn lane_elections<P: Protocol>(lanes: &mut LaneDenseExecutor<'_, P>, trials: usize) -> u64 {
+    let seeds = SeedSeq::new(LANE_MASTER_SEED);
     let mut total = 0u64;
-    let mut next = 1usize;
+    let mut next = 0usize;
     let mut done = 0usize;
     while done < trials {
-        while next <= trials && lanes.has_free_lane() {
-            lanes.load(next, next as u64);
+        while next < trials && lanes.has_free_lane() {
+            lanes.load(next, seeds.child(next as u64));
             next += 1;
         }
         lanes.run_block(ELECTION_MAX);
@@ -473,7 +479,8 @@ fn bench_lanes(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/lanes");
     let token = TokenProtocol::all_candidates();
     let token_graph = families::clique(1000);
-    let token_compiled = CompiledProtocol::compile_default(&token, 1000).unwrap();
+    let token_compiled = Arc::new(CompiledProtocol::compile_default(&token, 1000).unwrap());
+    let token_dense = EngineSelection::dense(Arc::clone(&token_compiled));
     let fast = FastProtocol::new(FastParams::new(8, 17, 4));
     let fast_graph = families::cycle(1000);
     let fast_compiled = CompiledProtocol::compile_default(&fast, 1000)
@@ -481,9 +488,18 @@ fn bench_lanes(c: &mut Criterion) {
     for (name, num_lanes) in LANE_WORKLOADS {
         let trials = num_lanes * LANE_TRIAL_FACTOR;
         if name.starts_with("token_clique") {
+            let opts = TrialOptions {
+                trials,
+                max_steps: ELECTION_MAX,
+                threads: 1,
+                ..TrialOptions::default()
+            };
             group.bench_with_input(BenchmarkId::new("dense", name), &token_graph, |b, g| {
-                let mut exec = DenseExecutor::new(g, &token_compiled, 0);
-                b.iter(|| black_box(scalar_elections(&mut exec, trials)));
+                b.iter(|| {
+                    let results =
+                        run_trials_auto_prepared(g, &token, &token_dense, LANE_MASTER_SEED, opts);
+                    black_box(total_steps(&results))
+                });
             });
             group.bench_with_input(BenchmarkId::new("lanes", name), &token_graph, |b, g| {
                 let mut lanes = LaneDenseExecutor::new(g, &token_compiled, num_lanes);

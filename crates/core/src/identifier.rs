@@ -291,7 +291,9 @@ impl StabilityOracle<IdentifierProtocol> for IdOracle {
 mod tests {
     use super::*;
     use popele_engine::exhaustive::{validate_oracle_on_execution, DEFAULT_CONFIG_LIMIT};
-    use popele_engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
+    use popele_engine::monte_carlo::{
+        run_trials_auto_prepared, EngineSelection, TrialOptions, TrialStats,
+    };
     use popele_engine::Executor;
     use popele_graph::families;
     use popele_math::rng::SeedSeq;
@@ -419,9 +421,10 @@ mod tests {
     fn state_census_within_bound() {
         let g = families::clique(8);
         let p = IdentifierProtocol::new(6);
-        let results = run_trials(
+        let results = run_trials_auto_prepared(
             &g,
             &p,
+            &EngineSelection::generic(),
             13,
             TrialOptions {
                 trials: 3,

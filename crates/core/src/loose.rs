@@ -418,12 +418,12 @@ impl ArbitraryInit for RingLooseProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popele_engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
+    use popele_engine::monte_carlo::{run_trials_auto_prepared, TrialOptions, TrialStats};
     use popele_engine::stabilize::{
-        arbitrary_config, arbitrary_seed, run_to_hold, run_trials_stabilize_auto,
-        select_stabilize_engine,
+        arbitrary_config, arbitrary_seed, prepare_stabilize_engine, run_to_hold,
+        run_trials_stabilize_auto_prepared,
     };
-    use popele_engine::{Engine, Executor, FaultPlan};
+    use popele_engine::{Engine, EngineSelection, Executor, FaultPlan};
     use popele_graph::families;
 
     fn fol(timer: u32) -> LooseState {
@@ -526,9 +526,10 @@ mod tests {
     fn loose_state_census_respects_the_declared_bound() {
         let g = families::clique(10);
         let p = LooseProtocol::new(5);
-        let results = run_trials(
+        let results = run_trials_auto_prepared(
             &g,
             &p,
+            &EngineSelection::generic(),
             3,
             TrialOptions {
                 trials: 3,
@@ -556,19 +557,19 @@ mod tests {
         // Small budgets compile ahead of time; budgets past the AOT cap
         // ride the lazy engine (the state-space bound is declared).
         assert_eq!(
-            select_stabilize_engine(&LooseProtocol::new(24), 64),
+            prepare_stabilize_engine(&LooseProtocol::new(24), 64).engine(),
             Engine::Dense
         );
         assert_eq!(
-            select_stabilize_engine(&LooseProtocol::new(2000), 64),
+            prepare_stabilize_engine(&LooseProtocol::new(2000), 64).engine(),
             Engine::LazyDense
         );
         assert_eq!(
-            select_stabilize_engine(&RingLooseProtocol::for_ring(16), 16),
+            prepare_stabilize_engine(&RingLooseProtocol::for_ring(16), 16).engine(),
             Engine::Dense
         );
         assert_eq!(
-            select_stabilize_engine(&RingLooseProtocol::for_ring(2000), 2000),
+            prepare_stabilize_engine(&RingLooseProtocol::for_ring(2000), 2000).engine(),
             Engine::LazyDense
         );
     }
@@ -627,9 +628,10 @@ mod tests {
     fn stabilize_trials_attach_holding_metrics() {
         let g = families::cycle(10);
         let p = RingLooseProtocol::for_ring(10);
-        let results = run_trials_stabilize_auto(
+        let results = run_trials_stabilize_auto_prepared(
             &g,
             &p,
+            &prepare_stabilize_engine(&p, g.num_nodes()),
             5,
             TrialOptions {
                 trials: 4,

@@ -308,8 +308,8 @@ mod tests {
     use super::*;
     use popele_engine::monte_carlo::TrialOptions;
     use popele_engine::stabilize::{
-        arbitrary_config, arbitrary_seed, run_to_hold, run_trials_stabilize_auto,
-        select_stabilize_engine,
+        arbitrary_config, arbitrary_seed, prepare_stabilize_engine, run_to_hold,
+        run_trials_stabilize_auto_prepared,
     };
     use popele_engine::{Engine, Executor, FaultPlan};
     use popele_graph::families;
@@ -415,11 +415,11 @@ mod tests {
         // this); sweep-sized rings ride the lazy tier via the declared
         // linear state-space bound.
         assert_eq!(
-            select_stabilize_engine(&TimeOptimalRingProtocol::for_ring(8), 8),
+            prepare_stabilize_engine(&TimeOptimalRingProtocol::for_ring(8), 8).engine(),
             Engine::Dense
         );
         assert_eq!(
-            select_stabilize_engine(&TimeOptimalRingProtocol::for_ring(2000), 2000),
+            prepare_stabilize_engine(&TimeOptimalRingProtocol::for_ring(2000), 2000).engine(),
             Engine::LazyDense
         );
     }
@@ -428,9 +428,10 @@ mod tests {
     fn stabilize_trials_attach_holding_metrics() {
         let g = families::cycle(10);
         let p = TimeOptimalRingProtocol::for_ring(10);
-        let results = run_trials_stabilize_auto(
+        let results = run_trials_stabilize_auto_prepared(
             &g,
             &p,
+            &prepare_stabilize_engine(&p, g.num_nodes()),
             5,
             TrialOptions {
                 trials: 4,

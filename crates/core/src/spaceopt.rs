@@ -288,7 +288,9 @@ mod tests {
     use popele_engine::exhaustive::{
         check_stable_and_correct, validate_oracle_on_execution, Verdict, DEFAULT_CONFIG_LIMIT,
     };
-    use popele_engine::monte_carlo::{run_trials, select_engine, Engine, TrialOptions, TrialStats};
+    use popele_engine::monte_carlo::{
+        run_trials_auto_prepared, Engine, EngineSelection, TrialOptions, TrialStats,
+    };
     use popele_engine::{CompiledProtocol, Executor};
     use popele_graph::families;
 
@@ -441,10 +443,11 @@ mod tests {
     fn census_respects_the_declared_bound_and_aot_selection() {
         let g = families::clique(16);
         let p = SpaceOptimalProtocol::practical(16);
-        assert_eq!(select_engine(&p, 16), Engine::Dense);
-        let results = run_trials(
+        assert_eq!(EngineSelection::prepare(&p, 16).engine(), Engine::Dense);
+        let results = run_trials_auto_prepared(
             &g,
             &p,
+            &EngineSelection::generic(),
             5,
             TrialOptions {
                 trials: 3,

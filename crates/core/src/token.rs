@@ -202,7 +202,9 @@ impl Protocol for TokenProtocol {
 mod tests {
     use super::*;
     use popele_engine::exhaustive::{validate_oracle_on_execution, DEFAULT_CONFIG_LIMIT};
-    use popele_engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
+    use popele_engine::monte_carlo::{
+        run_trials_auto_prepared, EngineSelection, TrialOptions, TrialStats,
+    };
     use popele_engine::Executor;
     use popele_graph::families;
 
@@ -299,9 +301,10 @@ mod tests {
     fn uses_at_most_six_states() {
         let g = families::clique(12);
         let p = TokenProtocol::all_candidates();
-        let results = run_trials(
+        let results = run_trials_auto_prepared(
             &g,
             &p,
+            &EngineSelection::generic(),
             7,
             TrialOptions {
                 trials: 4,

@@ -702,7 +702,7 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
 /// overflow the ahead-of-time cap — the identifier protocol at realistic
 /// `k`, full-scale fast-protocol instances — still run on a dense-id hot
 /// loop. See [`super::lazy`] for the caching machinery and
-/// [`crate::monte_carlo::run_trials_auto`] for the three-way engine
+/// [`crate::EngineSelection::prepare`] for the three-way engine
 /// selection.
 ///
 /// Unlike [`DenseExecutor`] the table is owned (the cache mutates during

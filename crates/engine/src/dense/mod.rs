@@ -45,7 +45,7 @@
 //! For the same (protocol, graph, seed) all three engines — generic,
 //! AOT-dense, lazy-dense — produce the identical interaction sequence
 //! and outcome; differential tests across the workspace pin this, and
-//! [`crate::monte_carlo::run_trials_auto`] exploits it to pick the
+//! [`crate::EngineSelection::prepare`] exploits it to pick the
 //! fastest applicable engine per workload without ever changing results.
 
 use std::hash::{BuildHasherDefault, Hasher};

@@ -36,7 +36,7 @@
 //! lazily-compiling [`crate::LazyDenseExecutor`] instead; constant-state
 //! protocols (token, star, majority) and small-parameter instances of
 //! the fast protocol compile everywhere.
-//! [`crate::monte_carlo::run_trials_auto`] automates exactly this
+//! [`crate::EngineSelection::prepare`] automates exactly this
 //! decision.
 
 use super::FoldHashBuilder;
@@ -482,7 +482,7 @@ impl<P: Protocol + Clone> CompiledProtocol<P> {
     /// [`crate::stabilize::ArbitraryInit`] sampler). The resulting table
     /// covers every pair an arbitrarily-initialized execution can
     /// sample, which is what lets
-    /// [`crate::stabilize::run_trials_stabilize_dense`] run
+    /// [`crate::stabilize::run_trials_stabilize_auto_prepared`] run
     /// self-stabilization workloads on the ahead-of-time engine.
     ///
     /// # Errors

@@ -502,11 +502,22 @@ pub struct ResolvedFaultPlan {
     pub skipped: usize,
 }
 
-/// The executor surface the fault session drives — implemented by
-/// [`Executor`], [`DenseExecutor`] and [`LazyDenseExecutor`], which is
-/// what makes fault injection engine-agnostic (and lets the differential
-/// tests pin all engines to identical faulted runs).
+/// The executor surface the fault session and the Monte-Carlo trial
+/// driver run on — implemented by [`Executor`], [`DenseExecutor`] and
+/// [`LazyDenseExecutor`], which is what makes fault injection and trial
+/// running engine-agnostic (and lets the differential tests pin all
+/// engines to identical runs).
 pub trait FaultTarget<'g> {
+    /// The protocol's state type.
+    type State;
+    /// Resets to the initial configuration with scheduler seed `seed`;
+    /// behaviourally identical to fresh construction with that seed.
+    fn reset(&mut self, seed: u64);
+    /// Enables the distinct-state census.
+    fn enable_state_census(&mut self);
+    /// Overwrites the whole configuration (an arbitrary start; see
+    /// [`crate::stabilize`]), leaving the scheduler stream untouched.
+    fn set_configuration(&mut self, states: &[Self::State]);
     /// Steps applied so far.
     fn steps(&self) -> u64;
     /// Runs exactly `k` interactions (without drawing the scheduler
@@ -546,6 +557,16 @@ pub trait FaultTarget<'g> {
 macro_rules! impl_fault_target {
     ($($exec:ident),+ $(,)?) => {$(
         impl<'g, P: Protocol> FaultTarget<'g> for $exec<'g, P> {
+            type State = P::State;
+            fn reset(&mut self, seed: u64) {
+                $exec::reset(self, seed);
+            }
+            fn enable_state_census(&mut self) {
+                $exec::enable_state_census(self);
+            }
+            fn set_configuration(&mut self, states: &[P::State]) {
+                $exec::set_configuration(self, states);
+            }
             fn steps(&self) -> u64 {
                 $exec::steps(self)
             }
@@ -662,20 +683,8 @@ pub fn run_with_faults<'g, T: FaultTarget<'g>>(
 ) -> FaultReport {
     let trace = drive_ops(exec, resolved, max_steps);
     let result = exec.run_until_stable(max_steps);
-    let final_leaders = exec.leader_count();
-    let peak = trace.peak.max(final_leaders);
     FaultReport {
-        recovery: Recovery {
-            last_fault_step: trace.last_fault_step,
-            faults_applied: trace.faults_applied,
-            reconvergence_steps: result
-                .as_ref()
-                .ok()
-                .map(|o| o.stabilization_step - trace.last_fault_step),
-            peak_leaders: peak as u32,
-            final_leaders: final_leaders as u32,
-            leader_lost: result.is_err() && final_leaders == 0,
-        },
+        recovery: trace.recovery(&result, exec.leader_count()),
         result,
         trajectory: trace.trajectory,
     }
@@ -693,6 +702,28 @@ pub(crate) struct OpsTrace {
     pub faults_applied: u32,
     /// Maximum leader count observed at fault boundaries.
     pub peak: usize,
+}
+
+impl OpsTrace {
+    /// The recovery metrics of a run that went through these ops, then
+    /// to `result`, and ended with `final_leaders` leader outputs.
+    pub(crate) fn recovery(
+        &self,
+        result: &Result<Outcome, NotStabilized>,
+        final_leaders: usize,
+    ) -> Recovery {
+        Recovery {
+            last_fault_step: self.last_fault_step,
+            faults_applied: self.faults_applied,
+            reconvergence_steps: result
+                .as_ref()
+                .ok()
+                .map(|o| o.stabilization_step - self.last_fault_step),
+            peak_leaders: self.peak.max(final_leaders) as u32,
+            final_leaders: final_leaders as u32,
+            leader_lost: result.is_err() && final_leaders == 0,
+        }
+    }
 }
 
 /// Runs `exec` to each in-budget op's step and applies it, recording

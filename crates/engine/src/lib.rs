@@ -34,9 +34,10 @@
 //!   output) on tiny instances, used to validate the incremental oracles
 //!   (with a dense-id fast path for compiled protocols);
 //! * [`monte_carlo`] — a multi-threaded harness running many independent
-//!   seeded trials, with [`monte_carlo::run_trials_auto`] picking per
-//!   workload among the three engines (AOT-compiled → lazy-compiled →
-//!   generic) and recording the choice in each trial result;
+//!   seeded trials through one driver, with [`EngineSelection::prepare`]
+//!   picking per workload among the three engines (AOT-compiled →
+//!   lazy-compiled → generic) and recording the choice in each trial
+//!   result;
 //! * [`faults`] — fault injection and dynamic graphs: deterministic
 //!   [`FaultPlan`] schedules (state corruption, node churn, edge
 //!   rewiring) applied identically by both engines, with

@@ -5,60 +5,59 @@
 //! Trial `i` of a given master seed always produces the same result
 //! regardless of thread count, so experiment outputs are reproducible.
 //!
-//! Six entry points share that contract:
+//! Five entry points share that contract:
 //!
-//! * [`run_trials`] — the generic reference engine ([`Executor`]);
-//! * [`run_trials_dense`] — the ahead-of-time compiled engine
-//!   ([`crate::DenseExecutor`]) over a shared [`CompiledProtocol`] table;
-//! * [`run_trials_lazy`] — the lazily-compiling dense engine
-//!   ([`crate::LazyDenseExecutor`]), one warm pair cache per worker; a
-//!   trial that keeps missing the cache hands itself to the generic
-//!   engine mid-run;
+//! * [`run_trials_auto_with_faults_prepared`] — clean-start elections,
+//!   optionally under a [`FaultPlan`];
+//! * [`run_trials_auto_prepared`] — the same with an empty plan;
+//! * [`crate::stabilize::run_trials_stabilize_auto_prepared`] —
+//!   elect-and-hold runs from arbitrary start configurations;
+//! * [`run_trials_count_prepared`] — the clique-only count-based batch
+//!   engine ([`crate::CountEngine`]), graph-free: the population size
+//!   alone describes the clique, which is what lets it reach `10⁷–10⁹`
+//!   agents. Deterministic per seed like the others, but exact in
+//!   *distribution* rather than trace-identical to them;
 //! * [`run_trials_lanes`] — the lane-parallel dense engine
 //!   ([`crate::LaneDenseExecutor`]): 8–16 trials of one compiled cell
 //!   stepped in lockstep per worker, retire-and-refill as trials
-//!   finish. Per trial trace-identical to [`run_trials_dense`] — each
+//!   finish. Per trial trace-identical to the scalar AOT tier — each
 //!   lane consumes exactly the RNG stream its trial seed would produce
-//!   scalar — and opt-in via [`TrialOptions::lanes`];
-//! * [`run_trials_count`] — the clique-only count-based batch engine
-//!   ([`crate::CountEngine`]), graph-free: the population size alone
-//!   describes the clique, which is what lets it reach `10⁷–10⁹`
-//!   agents. Deterministic per seed like the others, but exact in
-//!   *distribution* rather than trace-identical to them;
-//! * [`run_trials_auto`] — the selection point over the sequential
-//!   engines (AOT-compiled → lazy-compiled → generic, see
-//!   [`select_engine`]), plus the opt-in lane tier when the AOT path
-//!   wins a fault-free, census-free cell with at least
-//!   [`LANE_MIN_TRIALS`] trials; [`select_engine_clique`] extends the
-//!   waterfall with the count tier for graph-free clique populations.
-//!   Among the trace-identical engines the choice never changes the
-//!   results, only the wall-clock time; the choice made is recorded in
-//!   [`TrialResult::engine`].
+//!   scalar — and opt-in via [`TrialOptions::lanes`].
 //!
-//! Each entry point has a `*_with_faults` counterpart taking a
-//! [`FaultPlan`] (see [`crate::faults`]): per-trial fault realizations
-//! derive from the trial seed via [`fault_seed`], so the determinism
-//! contract — identical results across engines, thread counts and
-//! shardings — extends to fault-injected campaigns, and recovery
-//! metrics are attached to each [`TrialResult`].
+//! The first three run through one driver, written once over the
+//! executor surface every sequential tier implements
+//! ([`FaultTarget`]), on whichever tier their [`EngineSelection`] names:
+//! the generic reference [`Executor`], the ahead-of-time compiled
+//! [`crate::DenseExecutor`] over a shared [`CompiledProtocol`] table, or
+//! the lazily-compiling [`crate::LazyDenseExecutor`].
+//! [`EngineSelection::prepare`] picks the fastest applicable tier
+//! (AOT-compiled → lazy-compiled → generic);
+//! [`EngineSelection::generic`], [`EngineSelection::lazy`] and
+//! [`EngineSelection::dense`] force one. Among these trace-identical
+//! tiers the choice never changes the results, only the wall-clock
+//! time, and it is recorded in [`TrialResult::engine`]. A selection is
+//! prepared once and reused across calls — the hook sweep campaigns use
+//! to pay selection and compilation once per *cell* instead of once per
+//! shard.
 //!
-//! The selecting entry points additionally come in `*_prepared` form
-//! ([`run_trials_auto_prepared`], [`run_trials_auto_with_faults_prepared`],
-//! [`run_trials_count_prepared`]) taking an [`EngineSelection`] (or
-//! pre-compiled count table) the caller produced once and reuses across
-//! calls — the hook sweep campaigns use to pay selection and
-//! compilation once per *cell* instead of once per shard.
+//! Under a nonempty [`FaultPlan`] (see [`crate::faults`]) per-trial
+//! fault realizations derive from the trial seed via [`fault_seed`], so
+//! the determinism contract — identical results across engines, thread
+//! counts and shardings — extends to fault-injected campaigns, and
+//! recovery metrics are attached to each [`TrialResult`].
 
 use crate::dense::table::{overflow_walk, WalkVerdict};
 use crate::dense::{
-    compile_for_count, count_supported, CompiledProtocol, CountEngine, DenseExecutor,
-    LaneDenseExecutor, LazyDenseExecutor, COUNT_MIN_AGENTS, DEFAULT_MAX_COMPILED_STATES,
-    PROBE_EVAL_BUDGET,
+    CompiledProtocol, CountEngine, DenseExecutor, LaneDenseExecutor, LazyDenseExecutor,
+    DEFAULT_MAX_COMPILED_STATES, PROBE_EVAL_BUDGET,
 };
 use crate::executor::{Executor, NotStabilized, Outcome};
-use crate::faults::{fault_seed, run_with_faults, FaultPlan, Recovery};
+use crate::faults::{
+    fault_seed, run_with_faults, FaultPlan, FaultTarget, Recovery, ResolvedFaultPlan,
+};
 use crate::protocol::Protocol;
 use crate::stabilize::HoldingTime;
+use crate::stabilize::{arbitrary_seed, run_to_hold, run_to_hold_with_faults, sample_support};
 use popele_graph::{Graph, NodeId};
 use popele_math::rng::SeedSeq;
 use popele_math::stats::Summary;
@@ -132,13 +131,12 @@ pub struct TrialResult {
     /// Distinct states observed, when the census was requested.
     pub distinct_states: Option<usize>,
     /// Recovery metrics — `Some` exactly when the trial ran under a
-    /// (possibly empty-resolving) fault plan via the `*_with_faults`
-    /// entry points with a nonempty [`FaultPlan`].
+    /// nonempty [`FaultPlan`] (which may still resolve to no faults).
     pub recovery: Option<Recovery>,
     /// Loose-stabilization metrics (election step from an arbitrary
     /// start plus how long the unique-leader configuration held) —
-    /// `Some` exactly when the trial ran through the
-    /// [`crate::stabilize`] entry points.
+    /// `Some` exactly when the trial ran through
+    /// [`crate::stabilize::run_trials_stabilize_auto_prepared`].
     pub holding: Option<HoldingTime>,
     /// The engine tier selected for the trial. Pure provenance — see
     /// [`Engine`] — and therefore **not** part of `PartialEq`: results
@@ -146,7 +144,7 @@ pub struct TrialResult {
     /// outcome is equal, which is exactly the trace-identity contract.
     /// It names the tier the trial started on: an [`Engine::LazyDense`]
     /// election trial may finish on the generic engine after a mid-run
-    /// hand-off (see [`run_trials_lazy`]).
+    /// hand-off (see [`EngineSelection::lazy`]).
     pub engine: Engine,
 }
 
@@ -162,7 +160,7 @@ impl PartialEq for TrialResult {
     }
 }
 
-/// Options for [`run_trials`].
+/// Options for the trial entry points (see the [module docs](self)).
 #[derive(Debug, Clone, Copy)]
 pub struct TrialOptions {
     /// Number of independent executions.
@@ -179,13 +177,13 @@ pub struct TrialOptions {
     pub max_steps: u64,
     /// Whether to record the distinct-state census (slower).
     pub census: bool,
-    /// Opt into the lane-parallel dense engine: when set,
-    /// [`run_trials_auto`] routes cells that win the AOT tier through
-    /// [`run_trials_lanes`] — provided the cell is fault-free, the
-    /// census is off, and at least [`LANE_MIN_TRIALS`] trials are
-    /// requested. Per-trial results are identical either way (the lane
-    /// engine is trace-identical to the scalar dense engine); only the
-    /// wall-clock time and the recorded [`TrialResult::engine`] differ.
+    /// Opt into the lane-parallel dense engine: when set, fault-free
+    /// elections on an AOT selection run through [`run_trials_lanes`] —
+    /// provided the census is off and at least [`LANE_MIN_TRIALS`]
+    /// trials are requested. Per-trial results are identical either way
+    /// (the lane engine is trace-identical to the scalar dense engine);
+    /// only the wall-clock time and the recorded [`TrialResult::engine`]
+    /// differ.
     pub lanes: bool,
     /// Worker threads; `0` = one per available core.
     pub threads: usize,
@@ -204,233 +202,261 @@ impl Default for TrialOptions {
     }
 }
 
-/// Runs `options.trials` independent executions of `protocol` on `graph`.
-///
-/// Results are returned in trial order. Each trial uses child seed
-/// `options.first_trial + i` of `master_seed`, so results are independent
-/// of the thread count (and, for sharded campaigns, of how a trial range
-/// is split into calls).
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// let g = popele_graph::families::clique(12);
-/// let results = run_trials(&g, &Absorb, 42, TrialOptions {
-///     trials: 8,
-///     max_steps: 1 << 22,
-///     ..TrialOptions::default()
-/// });
-/// let stats = TrialStats::from_results(&results);
-/// assert_eq!(stats.steps.len(), 8);
-/// assert_eq!(stats.timeouts, 0);
-/// ```
-#[must_use]
-pub fn run_trials<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let mut exec = Executor::new(graph, protocol, seq.child(trial as u64));
-        if options.census {
-            exec.enable_state_census();
-        }
-        let result = exec.run_until_stable(options.max_steps);
-        election_result(trial, result, || exec.outcome(), Engine::Generic)
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
+/// What a trial of the driver runs to.
+pub(crate) enum Goal<S> {
+    /// A clean-start election: run until the stability oracle first
+    /// holds.
+    Elect,
+    /// Elect-and-hold from a start configuration sampled uniformly over
+    /// this arbitrary support (see [`crate::stabilize`]).
+    Hold(Vec<S>),
 }
 
-/// Packs an election's result into a [`TrialResult`]. A timed-out
-/// trial still reports its census, read from the executor's `snapshot`.
-fn election_result(
-    trial: usize,
-    result: Result<Outcome, NotStabilized>,
-    snapshot: impl FnOnce() -> Outcome,
-    engine: Engine,
-) -> TrialResult {
-    let (stabilization_step, leader, distinct_states) = match result {
-        Ok(outcome) => (
-            Some(outcome.stabilization_step),
-            outcome.leader,
-            outcome.distinct_states,
-        ),
-        Err(_) => (None, None, snapshot().distinct_states),
-    };
-    TrialResult {
-        trial,
-        stabilization_step,
-        leader,
-        distinct_states,
-        recovery: None,
-        holding: None,
-        engine,
+/// One sequential tier as the driver sees it: how to build its
+/// executor, and how that executor runs a fault-free election.
+trait Tier<P: Protocol>: Sync {
+    /// The provenance tag of the tier's trials.
+    const ENGINE: Engine;
+    /// The tier's executor, bound to graphs living for `'g`.
+    type Exec<'g>: FaultTarget<'g, State = P::State>
+    where
+        Self: 'g;
+
+    /// A fresh executor on `graph` with scheduler seed `seed`.
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> Self::Exec<'g>;
+
+    /// Runs a fault-free election on `exec`, which holds its start
+    /// configuration; returns the result and the census at its end.
+    fn elect<'g>(
+        exec: &mut Self::Exec<'g>,
+        max_steps: u64,
+    ) -> (Result<Outcome, NotStabilized>, Option<usize>)
+    where
+        Self: 'g,
+    {
+        let result = exec.run_until_stable(max_steps);
+        let distinct_states = election_census(&result, || exec.outcome());
+        (result, distinct_states)
     }
 }
 
-/// Runs `options.trials` independent executions on the compiled engine,
-/// sharing one precomputed transition table across all worker threads.
-///
-/// Seed derivation matches [`run_trials`] exactly, and the compiled
-/// engine is trace-identical to the generic one, so for a compilable
-/// protocol the two functions return identical results. Each worker
-/// thread builds **one** executor and [`DenseExecutor::reset`]s it per
-/// trial (a reset is exactly equivalent to fresh construction), so
-/// per-trial setup is O(n) regardless of graph size.
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{run_trials, run_trials_dense, TrialOptions};
-/// use popele_engine::CompiledProtocol;
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// let g = popele_graph::families::clique(12);
-/// let compiled = CompiledProtocol::compile_default(&Absorb, 12).unwrap();
-/// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
-/// // The compiled engine is trace-identical to the generic reference.
-/// assert_eq!(
-///     run_trials_dense(&g, &compiled, 7, opts),
-///     run_trials(&g, &Absorb, 7, opts),
-/// );
-/// ```
-#[must_use]
-pub fn run_trials_dense<P: Protocol>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
+/// The generic reference tier.
+struct GenericTier<'p, P>(&'p P);
 
-    let run_one = |exec: &mut DenseExecutor<'_, P>, trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        exec.reset(seq.child(trial as u64));
-        let result = exec.run_until_stable(options.max_steps);
-        election_result(trial, result, || exec.outcome(), Engine::Dense)
-    };
-    let fresh_executor = || {
-        let mut exec = DenseExecutor::new(graph, compiled, 0);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec
-    };
+impl<P: Protocol> Tier<P> for GenericTier<'_, P> {
+    const ENGINE: Engine = Engine::Generic;
+    type Exec<'g>
+        = Executor<'g, P>
+    where
+        Self: 'g;
 
-    fan_out(options.trials, threads, fresh_executor, run_one)
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> Executor<'g, P> {
+        Executor::new(graph, self.0, seed)
+    }
 }
 
-/// Runs `options.trials` independent executions on the lazily-compiling
-/// dense engine.
-///
-/// Seed derivation matches [`run_trials`] exactly, and the lazy engine
-/// is trace-identical to the generic one, so the two functions return
-/// identical results for any protocol. Each worker thread builds **one**
-/// [`LazyDenseExecutor`] and [`LazyDenseExecutor::reset`]s it per trial;
-/// the reset deliberately keeps the interner and pair cache warm, so all
-/// trials after a worker's first run against an already-populated cache
-/// (the cache affects speed only, never the trace — results stay
-/// independent of thread count and sharding).
-///
-/// A trial whose pair cache stops paying hands itself to the generic
-/// [`Executor`] mid-run: the lazy executor steps in windows of 2¹⁶
-/// steps, and a window that misses the cache on more than a quarter of
-/// its steps (the identifier protocol while nodes still generate
-/// identifiers, where almost every state is new) moves the rest of the
-/// trial to the generic engine, which carries the same configuration,
-/// scheduler stream and census on. The trace is unchanged, and the next
-/// trial starts lazy again on the warm cache.
-/// [`lazy_handoff_step`] reports where a trial hands off.
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{run_trials, run_trials_lazy, TrialOptions};
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// let g = popele_graph::families::clique(12);
-/// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
-/// // The lazy engine is trace-identical to the generic reference.
-/// assert_eq!(
-///     run_trials_lazy(&g, &Absorb, 7, opts),
-///     run_trials(&g, &Absorb, 7, opts),
-/// );
-/// ```
-#[must_use]
-pub fn run_trials_lazy<P: Protocol + Clone>(
+/// The ahead-of-time compiled tier: every executor shares the table.
+impl<P: Protocol> Tier<P> for CompiledProtocol<P> {
+    const ENGINE: Engine = Engine::Dense;
+    type Exec<'g>
+        = DenseExecutor<'g, P>
+    where
+        Self: 'g;
+
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> DenseExecutor<'g, P> {
+        DenseExecutor::new(graph, self, seed)
+    }
+}
+
+/// The lazily-compiling tier, whose fault-free elections take the
+/// windowed hand-off to the generic engine.
+struct LazyTier<'p, P>(&'p P);
+
+impl<P: Protocol + Clone> Tier<P> for LazyTier<'_, P> {
+    const ENGINE: Engine = Engine::LazyDense;
+    type Exec<'g>
+        = LazyDenseExecutor<'g, P>
+    where
+        Self: 'g;
+
+    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> LazyDenseExecutor<'g, P> {
+        LazyDenseExecutor::new(graph, self.0, seed)
+    }
+
+    fn elect<'g>(
+        exec: &mut LazyDenseExecutor<'g, P>,
+        max_steps: u64,
+    ) -> (Result<Outcome, NotStabilized>, Option<usize>)
+    where
+        Self: 'g,
+    {
+        let (result, distinct_states, _) = lazy_election(exec, max_steps);
+        (result, distinct_states)
+    }
+}
+
+/// The census an election reports: the stable outcome's own, or — for a
+/// trial that ran out of budget — the executor's `snapshot`.
+fn election_census(
+    result: &Result<Outcome, NotStabilized>,
+    snapshot: impl FnOnce() -> Outcome,
+) -> Option<usize> {
+    match result {
+        Ok(outcome) => outcome.distinct_states,
+        Err(_) => snapshot().distinct_states,
+    }
+}
+
+/// The trial driver behind [`run_trials_auto_with_faults_prepared`] and
+/// [`crate::stabilize::run_trials_stabilize_auto_prepared`]: runs
+/// `options.trials` trials of `goal` under `plan` on the tier
+/// `selection` names. Fault-free elections on an AOT selection take the
+/// lane tier when [`EngineSelection::engine_for`] says so.
+pub(crate) fn drive<P: Protocol + Clone>(
     graph: &Graph,
     protocol: &P,
+    selection: &EngineSelection<P>,
+    plan: &FaultPlan,
+    goal: &Goal<P::State>,
+    master_seed: u64,
+    options: TrialOptions,
+) -> Vec<TrialResult> {
+    let clean_election = matches!(goal, Goal::Elect) && plan.is_empty();
+    match &selection.kind {
+        Selected::Dense(compiled)
+            if clean_election && selection.engine_for(&options) == Engine::Lanes =>
+        {
+            run_trials_lanes(graph, compiled, master_seed, options)
+        }
+        Selected::Dense(compiled) => drive_on(&**compiled, graph, plan, goal, master_seed, options),
+        Selected::Lazy => drive_on(&LazyTier(protocol), graph, plan, goal, master_seed, options),
+        Selected::Generic => drive_on(
+            &GenericTier(protocol),
+            graph,
+            plan,
+            goal,
+            master_seed,
+            options,
+        ),
+    }
+}
+
+/// [`drive`] on one tier. Each trial uses child seed `first_trial + i`
+/// of `master_seed`, so results are independent of the thread count
+/// and of how a trial range is split into calls.
+fn drive_on<P: Protocol, T: Tier<P>>(
+    tier: &T,
+    graph: &Graph,
+    plan: &FaultPlan,
+    goal: &Goal<P::State>,
     master_seed: u64,
     options: TrialOptions,
 ) -> Vec<TrialResult> {
     let seq = SeedSeq::new(master_seed);
     let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |exec: &mut LazyDenseExecutor<'_, P>, trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        lazy_election(exec, trial, seq.child(trial as u64), options.max_steps).0
+    let trial_seed = |job: usize| {
+        let trial = options.first_trial + job;
+        (trial, seq.child(trial as u64))
     };
-    let fresh_executor = || {
-        let mut exec = LazyDenseExecutor::new(graph, protocol, 0);
-        if options.census {
-            exec.enable_state_census();
+    let num_nodes = graph.num_nodes();
+
+    if plan.is_empty() {
+        // Fault-free: each worker builds one executor and resets it per
+        // trial (a reset is exactly equivalent to fresh construction).
+        // The lazy tier's reset keeps its pair cache warm across trials;
+        // the cache changes speed only, never the trace.
+        let fresh = || executor(tier, graph, 0, options.census);
+        return fan_out(options.trials, threads, fresh, |exec, job| {
+            let (trial, seed) = trial_seed(job);
+            exec.reset(seed);
+            run_trial::<P, T>(exec, None, goal, trial, seed, num_nodes, options.max_steps)
+        });
+    }
+    // Topology faults rebind an executor to per-trial epoch graphs, so
+    // each faulted trial builds a fresh one.
+    fan_out(
+        options.trials,
+        threads,
+        || (),
+        |(), job| {
+            let (trial, seed) = trial_seed(job);
+            let resolved = plan.resolve(graph, fault_seed(seed));
+            let mut exec = executor(tier, graph, seed, options.census);
+            let resolved = Some(&resolved);
+            run_trial::<P, T>(
+                &mut exec,
+                resolved,
+                goal,
+                trial,
+                seed,
+                num_nodes,
+                options.max_steps,
+            )
+        },
+    )
+}
+
+/// A fresh executor of `tier`, with the census on when asked for.
+fn executor<'g, P: Protocol, T: Tier<P>>(
+    tier: &'g T,
+    graph: &'g Graph,
+    seed: u64,
+    census: bool,
+) -> T::Exec<'g> {
+    let mut exec = tier.build(graph, seed);
+    if census {
+        exec.enable_state_census();
+    }
+    exec
+}
+
+/// Runs trial `trial` on `exec`, which holds the clean start with
+/// scheduler seed `seed`, and packs what it did into a [`TrialResult`]:
+/// `stabilization_step` and `leader` come from the (first) election,
+/// the census from the end of the run.
+fn run_trial<'g, P: Protocol, T: Tier<P> + 'g>(
+    exec: &mut T::Exec<'g>,
+    resolved: Option<&'g ResolvedFaultPlan>,
+    goal: &Goal<P::State>,
+    trial: usize,
+    seed: u64,
+    num_nodes: u32,
+    max_steps: u64,
+) -> TrialResult {
+    let (result, distinct_states, recovery, holding) = match (goal, resolved) {
+        (Goal::Elect, None) => {
+            let (result, distinct_states) = T::elect(exec, max_steps);
+            (result, distinct_states, None, None)
         }
-        exec
+        (Goal::Elect, Some(resolved)) => {
+            let report = run_with_faults(exec, resolved, max_steps);
+            let distinct_states = exec.outcome().distinct_states;
+            (report.result, distinct_states, Some(report.recovery), None)
+        }
+        (Goal::Hold(support), resolved) => {
+            exec.set_configuration(&sample_support(support, num_nodes, arbitrary_seed(seed)));
+            let report = match resolved {
+                Some(resolved) => run_to_hold_with_faults(exec, resolved, max_steps),
+                None => run_to_hold(exec, max_steps),
+            };
+            let distinct_states = exec.outcome().distinct_states;
+            (
+                report.result,
+                distinct_states,
+                report.recovery,
+                Some(report.holding),
+            )
+        }
     };
-
-    fan_out(options.trials, threads, fresh_executor, run_one)
+    TrialResult {
+        trial,
+        stabilization_step: result.as_ref().ok().map(|o| o.stabilization_step),
+        leader: result.as_ref().ok().and_then(|o| o.leader),
+        distinct_states,
+        recovery,
+        holding,
+        engine: T::ENGINE,
+    }
 }
 
 /// Steps per window of a lazy election trial; the hand-off rule is
@@ -443,18 +469,15 @@ const HANDOFF_WINDOW: u64 = 1 << 16;
 /// windows on 0–4.
 const HANDOFF_MISS_DIVISOR: u64 = 4;
 
-/// Runs election trial `trial` with scheduler seed `seed` on `exec`,
-/// handing it to the generic engine when a window misses the pair cache
-/// too often (see [`run_trials_lazy`]). Returns the result, tagged
-/// [`Engine::LazyDense`] either way, and the step of the hand-off if
-/// there was one.
+/// Runs an election on `exec` from its current (clean) start, handing
+/// it to the generic engine when a window misses the pair cache too
+/// often (see [`EngineSelection::lazy`]). Returns the result, the
+/// census at the trial's end, and the step of the hand-off if there was
+/// one.
 fn lazy_election<P: Protocol>(
     exec: &mut LazyDenseExecutor<'_, P>,
-    trial: usize,
-    seed: u64,
     max_steps: u64,
-) -> (TrialResult, Option<u64>) {
-    exec.reset(seed);
+) -> (Result<Outcome, NotStabilized>, Option<usize>, Option<u64>) {
     loop {
         let cached = exec.table().num_cached_pairs();
         let end = max_steps.min(exec.steps().saturating_add(HANDOFF_WINDOW));
@@ -462,26 +485,26 @@ fn lazy_election<P: Protocol>(
         // drained whenever this returns without stabilizing.
         let result = exec.run_until_stable(end);
         if result.is_ok() || end == max_steps {
-            let result = election_result(trial, result, || exec.outcome(), Engine::LazyDense);
-            return (result, None);
+            let distinct_states = election_census(&result, || exec.outcome());
+            return (result, distinct_states, None);
         }
         let misses = (exec.table().num_cached_pairs() - cached) as u64;
         if misses > HANDOFF_WINDOW / HANDOFF_MISS_DIVISOR {
             let handoff = exec.steps();
             let mut generic = exec.to_generic();
             let result = generic.run_until_stable(max_steps);
-            let result = election_result(trial, result, || generic.outcome(), Engine::LazyDense);
-            return (result, Some(handoff));
+            let distinct_states = election_census(&result, || generic.outcome());
+            return (result, distinct_states, Some(handoff));
         }
     }
 }
 
 /// The step at which a lazy election trial with scheduler seed `seed`
-/// hands itself to the generic engine under [`run_trials_lazy`]'s rule,
-/// or `None` if it finishes (stabilized or out of budget) on the lazy
-/// engine. The trial runs from a cold pair cache, as a worker's first
-/// trial does, and runs to its end. Trial `i` of master seed `s` has
-/// scheduler seed `SeedSeq::new(s).child(i)`.
+/// hands itself to the generic engine under [`EngineSelection::lazy`]'s
+/// rule, or `None` if it finishes (stabilized or out of budget) on the
+/// lazy engine. The trial runs from a cold pair cache, as a worker's
+/// first trial does, and runs to its end. Trial `i` of master seed `s`
+/// has scheduler seed `SeedSeq::new(s).child(i)`.
 #[must_use]
 pub fn lazy_handoff_step<P: Protocol + Clone>(
     graph: &Graph,
@@ -490,59 +513,26 @@ pub fn lazy_handoff_step<P: Protocol + Clone>(
     max_steps: u64,
 ) -> Option<u64> {
     let mut exec = LazyDenseExecutor::new(graph, protocol, seed);
-    lazy_election(&mut exec, 0, seed, max_steps).1
+    lazy_election(&mut exec, max_steps).2
 }
 
 /// Runs `options.trials` independent executions on the count-based
-/// batch engine over a **clique** of `num_agents` agents.
+/// batch engine over a **clique** of `num_agents` agents, on a table
+/// the caller compiled once with [`crate::compile_for_count`] for this
+/// `num_agents` (the count closure seeds differ from the per-agent
+/// compile) and reuses across calls — sweep campaigns share one table
+/// across all shards of a count cell.
 ///
-/// Graph-free: a clique is fully described by its population size, and
-/// the count engine holds only `O(|Λ|)` counters, so `num_agents` may
-/// far exceed what any materialized [`Graph`] (or per-agent engine)
-/// could represent — this is the `10⁷–10⁹` entry point. Each worker
-/// thread builds **one** [`CountEngine`] over a shared compiled table
-/// and [`CountEngine::reset`]s it per trial (`O(|Λ|)`, reusing the
-/// cached initial count vector), mirroring the per-worker executor
-/// reuse of [`run_trials_dense`].
-///
-/// Seed derivation matches [`run_trials`] exactly (child seed
-/// `first_trial + i` of `master_seed`), so results are deterministic
-/// and independent of thread count and sharding. They are **not**
-/// trace-identical to the sequential engines — the count engine
-/// consumes its random stream batch-wise — but exact in distribution;
-/// the workspace pins this with statistical differential tests.
+/// Graph-free, so `num_agents` may far exceed what any materialized
+/// [`Graph`] could represent. Each worker thread builds **one**
+/// [`CountEngine`] over the shared table and [`CountEngine::reset`]s it
+/// per trial (`O(|Λ|)`). Seeds derive as in the per-agent entry points,
+/// so results are independent of thread count and sharding; they are
+/// exact in distribution, not trace-identical to the sequential engines
+/// (the workspace pins this with statistical differential tests).
 ///
 /// [`TrialResult::leader`] is always `None` (agents have no identity
 /// in count space) and [`TrialResult::engine`] is [`Engine::Count`].
-///
-/// # Panics
-///
-/// Panics if the protocol's oracle is neither linear nor
-/// census-capable (pre-check with [`count_supported`]), if its state
-/// space exceeds [`crate::dense::COUNT_MAX_COMPILED_STATES`], or if `num_agents` is
-/// below 2 or above `u32::MAX`.
-#[must_use]
-pub fn run_trials_count<P: Protocol + Clone>(
-    protocol: &P,
-    num_agents: u64,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    let compiled = compile_for_count(protocol, num_agents)
-        .expect("protocol state space exceeds the count-engine compile cap");
-    run_trials_count_prepared(&compiled, num_agents, master_seed, options)
-}
-
-/// [`run_trials_count`] with the compile hoisted out: runs on a table
-/// the caller compiled once (via [`compile_for_count`]) and reuses
-/// across calls — the count tier's counterpart of the `*_prepared`
-/// sequential entry points, used by sweep campaigns to share one table
-/// across all shards of a count cell.
-///
-/// `compiled` must come from [`compile_for_count`] for this
-/// `num_agents` (the count closure seeds differ from the per-agent
-/// compile); given that, results are bit-identical to
-/// [`run_trials_count`].
 ///
 /// # Panics
 ///
@@ -580,8 +570,8 @@ pub fn run_trials_count_prepared<P: Protocol + Clone>(
     fan_out(options.trials, threads, fresh_engine, run_one)
 }
 
-/// Fewest remaining trials for which [`run_trials_auto`] considers the
-/// lane engine worth engaging: below a full minimum pack the lockstep
+/// Fewest trials for which a fault-free election considers the lane
+/// engine worth engaging: below a full minimum pack the lockstep
 /// interleave has too few independent chains to overlap and the scalar
 /// dense engine is at least as fast.
 pub const LANE_MIN_TRIALS: usize = 8;
@@ -600,25 +590,28 @@ pub const LANE_MAX_LANES: usize = 16;
 /// a lane that stabilizes frees its slot for the next `first_trial`
 /// offset instead of stalling the pack.
 ///
-/// Seed derivation matches [`run_trials`] exactly (child seed
+/// Seed derivation matches the other entry points exactly (child seed
 /// `first_trial + i` of `master_seed`, one private scheduler per lane),
 /// and the lane engine is trace-identical to the scalar
 /// [`DenseExecutor`] per trial, so for any thread count, lane count and
-/// sharding the results equal [`run_trials_dense`]'s except for the
+/// sharding the results equal the AOT tier's except for the
 /// [`TrialResult::engine`] tag (which equality ignores). The distinct
 /// states field is always `None`.
 ///
 /// # Panics
 ///
 /// Panics if `options.census` is set — the lane engine does not census
-/// (callers wanting the census take the scalar path, which is what
-/// [`run_trials_auto`] arranges).
+/// (callers wanting the census take the scalar path, which is what the
+/// lane gate of [`run_trials_auto_prepared`] arranges).
 ///
 /// # Examples
 ///
 /// ```
-/// use popele_engine::monte_carlo::{run_trials_dense, run_trials_lanes, TrialOptions};
+/// use popele_engine::monte_carlo::{
+///     run_trials_auto_prepared, run_trials_lanes, EngineSelection, TrialOptions,
+/// };
 /// use popele_engine::CompiledProtocol;
+/// use std::sync::Arc;
 /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
 /// # #[derive(Clone, Copy)]
 /// # struct Absorb;
@@ -636,12 +629,13 @@ pub const LANE_MAX_LANES: usize = 16;
 /// # }
 ///
 /// let g = popele_graph::families::clique(12);
-/// let compiled = CompiledProtocol::compile_default(&Absorb, 12).unwrap();
+/// let compiled = Arc::new(CompiledProtocol::compile_default(&Absorb, 12).unwrap());
+/// let dense = EngineSelection::dense(Arc::clone(&compiled));
 /// let opts = TrialOptions { trials: 9, max_steps: 1 << 22, ..TrialOptions::default() };
 /// // The lane engine is trace-identical to the scalar dense engine.
 /// assert_eq!(
 ///     run_trials_lanes(&g, &compiled, 7, opts),
-///     run_trials_dense(&g, &compiled, 7, opts),
+///     run_trials_auto_prepared(&g, &Absorb, &dense, 7, opts),
 /// );
 /// ```
 #[must_use]
@@ -722,22 +716,23 @@ pub fn run_trials_lanes<P: Protocol>(
         .collect()
 }
 
-/// Outcome of the internal engine selection: the compiled table rides
-/// along when the AOT path won, so `run_trials_auto` never compiles
-/// twice. Shared with [`crate::stabilize`]'s seeded selection. The
-/// table sits behind an [`Arc`] so an [`EngineSelection`] can be cloned
-/// across worker threads without recompiling.
+/// The tier an [`EngineSelection`] resolved to; the compiled table
+/// rides along when the AOT tier won, behind an [`Arc`] so a selection
+/// can be cloned across worker threads without recompiling.
 pub(crate) enum Selected<P: Protocol> {
     Dense(Arc<CompiledProtocol<P>>),
     Lazy,
     Generic,
 }
 
-/// A reusable engine selection for one *cell* — one `(protocol,
-/// maximum node count)` pair — produced by [`EngineSelection::prepare`]
-/// (or [`crate::stabilize::prepare_stabilize_engine`] for
-/// arbitrary-start workloads) and consumed by the `*_prepared` entry
-/// points.
+/// The engine tier for one *cell* — one `(protocol, maximum node
+/// count)` pair — consumed by the per-agent trial entry points.
+/// [`EngineSelection::prepare`] (or
+/// [`crate::stabilize::prepare_stabilize_engine`] for arbitrary-start
+/// workloads) picks the fastest applicable tier;
+/// [`EngineSelection::generic`], [`EngineSelection::lazy`] and
+/// [`EngineSelection::dense`] force one, which is how differential tests
+/// pin the tiers to each other.
 ///
 /// Selection is not free: the rejection path runs a bounded state-space
 /// probe and the accept path compiles the full `|Λ|²` transition table.
@@ -748,18 +743,15 @@ pub(crate) enum Selected<P: Protocol> {
 /// hand-off to concurrent shard workers allocation-free. Cloning an
 /// `EngineSelection` clones the `Arc`, never the table.
 ///
-/// The selection is only valid for the node count it was prepared for:
-/// engine choice depends on the reachable state space, which grows with
-/// the population. Fault campaigns must prepare at the plan's maximum
-/// node count (`graph.num_nodes() + plan.max_joins()`), exactly as
-/// [`run_trials_auto_with_faults`] does internally.
+/// A prepared selection is only valid for the node count it was
+/// prepared for: engine choice depends on the reachable state space,
+/// which grows with the population. Fault campaigns must prepare at the
+/// plan's maximum node count (`graph.num_nodes() + plan.max_joins()`).
 ///
 /// # Examples
 ///
 /// ```
-/// use popele_engine::monte_carlo::{
-///     run_trials_auto, run_trials_auto_prepared, EngineSelection, TrialOptions,
-/// };
+/// use popele_engine::monte_carlo::{run_trials_auto_prepared, EngineSelection, TrialOptions};
 /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
 /// # #[derive(Clone, Copy)]
 /// # struct Absorb;
@@ -779,10 +771,10 @@ pub(crate) enum Selected<P: Protocol> {
 /// let g = popele_graph::families::clique(12);
 /// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
 /// let selection = EngineSelection::prepare(&Absorb, g.num_nodes());
-/// // The prepared path is bit-identical to the self-selecting one.
+/// // The prepared tier is trace-identical to the forced generic reference.
 /// assert_eq!(
 ///     run_trials_auto_prepared(&g, &Absorb, &selection, 7, opts),
-///     run_trials_auto(&g, &Absorb, 7, opts),
+///     run_trials_auto_prepared(&g, &Absorb, &EngineSelection::generic(), 7, opts),
 /// );
 /// ```
 pub struct EngineSelection<P: Protocol> {
@@ -811,16 +803,178 @@ impl<P: Protocol> fmt::Debug for EngineSelection<P> {
 
 impl<P: Protocol> EngineSelection<P> {
     /// Selects the engine for `protocol` on a graph of `num_nodes`
-    /// nodes, compiling the AOT table when that tier wins — the
-    /// reusable form of the selection [`run_trials_auto`] performs
-    /// internally (same waterfall, same verdict, bit for bit).
+    /// nodes, compiling the AOT table when that tier wins:
+    ///
+    /// 1. **AOT-compiled** ([`Engine::Dense`]) when the reachable state
+    ///    space fits [`DEFAULT_MAX_COMPILED_STATES`] — fastest, shareable
+    ///    table;
+    /// 2. **lazy-compiled** ([`Engine::LazyDense`]) when it does not but
+    ///    the protocol declares a finite [`Protocol::state_space_bound`]
+    ///    — the per-run visited slice is then usually small enough to
+    ///    intern profitably (the identifier protocol at realistic `k`,
+    ///    full-scale fast instances);
+    /// 3. **generic** ([`Engine::Generic`]) otherwise: a protocol that
+    ///    cannot even bound its state space may intern without limit,
+    ///    and the generic engine caps memory at O(n) states.
+    ///
+    /// Selection is cheap on the rejection path: a bounded-frontier
+    /// walk with [`PROBE_EVAL_BUDGET`] detects cap-overflowing state
+    /// spaces in microseconds instead of running the full BFS closure
+    /// to overflow. Only the rare inconclusive case — a slow-closing
+    /// state space that might still fit — pays for a full compile
+    /// attempt, which keeps the AOT/non-AOT split bit-for-bit identical
+    /// to compiling unconditionally.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use popele_engine::monte_carlo::{Engine, EngineSelection};
+    /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
+    /// # #[derive(Clone, Copy)]
+    /// # struct Absorb;
+    /// # impl Protocol for Absorb {
+    /// #     type State = bool;
+    /// #     type Oracle = LeaderCountOracle;
+    /// #     fn initial_state(&self, _node: u32) -> bool { true }
+    /// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+    /// #         if *a && *b { (true, false) } else { (*a, *b) }
+    /// #     }
+    /// #     fn output(&self, s: &bool) -> Role {
+    /// #         if *s { Role::Leader } else { Role::Follower }
+    /// #     }
+    /// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
+    /// # }
+    ///
+    /// // A two-state protocol compiles ahead of time at any size.
+    /// assert_eq!(EngineSelection::prepare(&Absorb, 1_000_000).engine(), Engine::Dense);
+    /// ```
     #[must_use]
     pub fn prepare(protocol: &P, num_nodes: u32) -> Self
     where
         P: Clone,
     {
+        // Phase-1 walk only (not the full probe): on the accept path the
+        // probe's closure and the compile's enumeration would be the same
+        // work twice, so anything short of a certified overflow goes
+        // straight to a single compile attempt.
+        let aot = match overflow_walk(
+            protocol,
+            num_nodes,
+            DEFAULT_MAX_COMPILED_STATES,
+            PROBE_EVAL_BUDGET,
+        ) {
+            (WalkVerdict::Exceeds, _) => None,
+            (WalkVerdict::Exhausted | WalkVerdict::Budget, _) => {
+                CompiledProtocol::compile_default(protocol, num_nodes).ok()
+            }
+        };
+        let kind = match aot {
+            Some(compiled) => Selected::Dense(Arc::new(compiled)),
+            None if protocol.state_space_bound().is_some() => Selected::Lazy,
+            None => Selected::Generic,
+        };
+        Self { kind }
+    }
+
+    /// Forces the generic reference tier ([`crate::Executor`]), which
+    /// runs any protocol.
+    #[must_use]
+    pub fn generic() -> Self {
         Self {
-            kind: select(protocol, num_nodes),
+            kind: Selected::Generic,
+        }
+    }
+
+    /// Forces the lazily-compiling tier ([`LazyDenseExecutor`]), which
+    /// runs any protocol. Each worker keeps one warm interner and pair
+    /// cache across its fault-free trials.
+    ///
+    /// A fault-free election that stops paying for its cache hands
+    /// itself to the generic engine mid-run: the lazy executor steps in
+    /// windows of 2¹⁶ steps, and a window that misses the cache on more
+    /// than a quarter of its steps (the identifier protocol while nodes
+    /// still generate identifiers, where almost every state is new)
+    /// moves the rest of the trial to the generic engine, which carries
+    /// the same configuration, scheduler stream and census on. The
+    /// trace is unchanged, and the next trial starts lazy again on the
+    /// warm cache. [`lazy_handoff_step`] reports where a trial hands
+    /// off.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use popele_engine::monte_carlo::{run_trials_auto_prepared, EngineSelection, TrialOptions};
+    /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
+    /// # #[derive(Clone, Copy)]
+    /// # struct Absorb;
+    /// # impl Protocol for Absorb {
+    /// #     type State = bool;
+    /// #     type Oracle = LeaderCountOracle;
+    /// #     fn initial_state(&self, _node: u32) -> bool { true }
+    /// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+    /// #         if *a && *b { (true, false) } else { (*a, *b) }
+    /// #     }
+    /// #     fn output(&self, s: &bool) -> Role {
+    /// #         if *s { Role::Leader } else { Role::Follower }
+    /// #     }
+    /// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
+    /// # }
+    ///
+    /// let g = popele_graph::families::clique(12);
+    /// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
+    /// // The lazy engine is trace-identical to the generic reference.
+    /// assert_eq!(
+    ///     run_trials_auto_prepared(&g, &Absorb, &EngineSelection::lazy(), 7, opts),
+    ///     run_trials_auto_prepared(&g, &Absorb, &EngineSelection::generic(), 7, opts),
+    /// );
+    /// ```
+    #[must_use]
+    pub fn lazy() -> Self {
+        Self {
+            kind: Selected::Lazy,
+        }
+    }
+
+    /// Forces the ahead-of-time compiled tier ([`DenseExecutor`]) over
+    /// `compiled`, shared by every worker. The table must cover the
+    /// graph's node count (plus the plan's [`FaultPlan::max_joins`]) and,
+    /// for arbitrary-start runs, the arbitrary support
+    /// ([`CompiledProtocol::compile_with_seeds`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use popele_engine::monte_carlo::{run_trials_auto_prepared, EngineSelection, TrialOptions};
+    /// use popele_engine::CompiledProtocol;
+    /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
+    /// # #[derive(Clone, Copy)]
+    /// # struct Absorb;
+    /// # impl Protocol for Absorb {
+    /// #     type State = bool;
+    /// #     type Oracle = LeaderCountOracle;
+    /// #     fn initial_state(&self, _node: u32) -> bool { true }
+    /// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+    /// #         if *a && *b { (true, false) } else { (*a, *b) }
+    /// #     }
+    /// #     fn output(&self, s: &bool) -> Role {
+    /// #         if *s { Role::Leader } else { Role::Follower }
+    /// #     }
+    /// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
+    /// # }
+    ///
+    /// let g = popele_graph::families::clique(12);
+    /// let compiled = CompiledProtocol::compile_default(&Absorb, 12).unwrap();
+    /// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
+    /// // The compiled engine is trace-identical to the generic reference.
+    /// assert_eq!(
+    ///     run_trials_auto_prepared(&g, &Absorb, &EngineSelection::dense(compiled), 7, opts),
+    ///     run_trials_auto_prepared(&g, &Absorb, &EngineSelection::generic(), 7, opts),
+    /// );
+    /// ```
+    #[must_use]
+    pub fn dense(compiled: impl Into<Arc<CompiledProtocol<P>>>) -> Self {
+        Self {
+            kind: Selected::Dense(compiled.into()),
         }
     }
 
@@ -836,7 +990,7 @@ impl<P: Protocol> EngineSelection<P> {
         }
     }
 
-    /// The engine [`run_trials_auto_prepared`] will actually run under
+    /// The engine a fault-free election will actually run on under
     /// `options`: [`Self::engine`] upgraded to [`Engine::Lanes`] when
     /// the AOT tier won and the options qualify for the lane pack
     /// (lanes opted in, census off, at least [`LANE_MIN_TRIALS`]
@@ -854,158 +1008,14 @@ impl<P: Protocol> EngineSelection<P> {
     }
 }
 
-/// Picks the engine for `protocol` on an `num_nodes`-node graph:
-///
-/// 1. **AOT-compiled** ([`Engine::Dense`]) when the reachable state
-///    space fits [`DEFAULT_MAX_COMPILED_STATES`] — fastest, shareable
-///    table;
-/// 2. **lazy-compiled** ([`Engine::LazyDense`]) when it does not but the
-///    protocol declares a finite [`Protocol::state_space_bound`] — the
-///    per-run visited slice is then usually small enough to intern
-///    profitably (the identifier protocol at realistic `k`, full-scale
-///    fast instances). Where it is not — identifier generation on large
-///    sparse graphs, where almost every interaction yields a new state
-///    — [`run_trials_lazy`] notices at run time, per trial: a window of
-///    steps that misses the pair cache too often hands the rest of the
-///    trial to the generic engine;
-/// 3. **generic** ([`Engine::Generic`]) otherwise: a protocol that
-///    cannot even bound its state space may intern without limit, and
-///    the generic engine caps memory at O(n) states.
-///
-/// Selection is cheap on the rejection path: a bounded-frontier probe
-/// ([`probe_state_space`] with [`PROBE_EVAL_BUDGET`]) detects
-/// cap-overflowing state spaces in microseconds instead of running the
-/// full BFS closure to overflow on every call (sweep campaigns call this
-/// once per shard). Only the rare inconclusive case — a slow-closing
-/// state space that might still fit — pays for a full compile attempt,
-/// which keeps the AOT/non-AOT split bit-for-bit identical to compiling
-/// unconditionally.
-fn select<P: Protocol + Clone>(protocol: &P, num_nodes: u32) -> Selected<P> {
-    // Phase-1 walk only (not the full probe): on the accept path the
-    // probe's closure and the compile's enumeration would be the same
-    // work twice, so anything short of a certified overflow goes
-    // straight to a single compile attempt.
-    let aot = match overflow_walk(
-        protocol,
-        num_nodes,
-        DEFAULT_MAX_COMPILED_STATES,
-        PROBE_EVAL_BUDGET,
-    ) {
-        (WalkVerdict::Exceeds, _) => None,
-        (WalkVerdict::Exhausted | WalkVerdict::Budget, _) => {
-            CompiledProtocol::compile_default(protocol, num_nodes).ok()
-        }
-    };
-    match aot {
-        Some(compiled) => Selected::Dense(Arc::new(compiled)),
-        None if protocol.state_space_bound().is_some() => Selected::Lazy,
-        None => Selected::Generic,
-    }
-}
-
-/// The engine [`run_trials_auto`] will pick for `protocol` on a graph
-/// with `num_nodes` nodes — exposed so tests and reports can assert the
-/// selection without running trials.
+/// Runs `options.trials` clean-start elections of `protocol` on `graph`
+/// on the tier `selection` names — [`run_trials_auto_with_faults_prepared`]
+/// with an empty plan, including its lane gate.
 ///
 /// # Examples
 ///
 /// ```
-/// use popele_engine::monte_carlo::{select_engine, Engine};
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// // A two-state protocol compiles ahead of time at any size.
-/// assert_eq!(select_engine(&Absorb, 1_000_000), Engine::Dense);
-/// ```
-#[must_use]
-pub fn select_engine<P: Protocol + Clone>(protocol: &P, num_nodes: u32) -> Engine {
-    match select(protocol, num_nodes) {
-        Selected::Dense(_) => Engine::Dense,
-        Selected::Lazy => Engine::LazyDense,
-        Selected::Generic => Engine::Generic,
-    }
-}
-
-/// The fourth tier of the engine waterfall, for **clique** populations
-/// described by size alone (no materialized [`Graph`]): picks
-/// [`Engine::Count`] when the population is at least
-/// [`COUNT_MIN_AGENTS`], the oracle is count-capable
-/// ([`count_supported`]) and the state space compiles within
-/// [`crate::dense::COUNT_MAX_COMPILED_STATES`]; otherwise falls back to the
-/// sequential waterfall of [`select_engine`].
-///
-/// The count tier is deliberately reachable only through this
-/// clique-specific entry point: [`run_trials_auto`] takes a
-/// materialized graph, and no materializable clique reaches
-/// [`COUNT_MIN_AGENTS`] edges-wise, so the sequential engines'
-/// trace-identity contract is untouched.
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{select_engine_clique, Engine};
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &Self::State) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// // Small cliques stay on the sequential engines …
-/// assert_eq!(select_engine_clique(&Absorb, 1_000), Engine::Dense);
-/// // … huge ones take the count tier.
-/// assert_eq!(select_engine_clique(&Absorb, 100_000_000), Engine::Count);
-/// ```
-#[must_use]
-pub fn select_engine_clique<P: Protocol + Clone>(protocol: &P, num_agents: u64) -> Engine {
-    if num_agents >= COUNT_MIN_AGENTS
-        && num_agents <= u64::from(u32::MAX)
-        && count_supported(protocol)
-        && compile_for_count(protocol, num_agents).is_ok()
-    {
-        return Engine::Count;
-    }
-    select_engine(protocol, u32::try_from(num_agents).unwrap_or(u32::MAX))
-}
-
-/// Runs trials on the fastest applicable engine: AOT-compiled when
-/// `protocol` compiles within the default state cap, the lazy-compiling
-/// dense engine when it does not but the state space is declared finite,
-/// and the generic reference engine otherwise (see [`select_engine`]).
-///
-/// This is the engine-selection point the experiment harness uses: the
-/// constant-state protocols (token, star, majority) and small-parameter
-/// fast-protocol instances take the AOT path; the identifier protocol at
-/// realistic `k` and full-scale fast instances take the lazy path.
-/// Whatever is picked, the results are identical — only the speed
-/// differs — and the choice is recorded in [`TrialResult::engine`].
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{run_trials_auto, TrialOptions};
+/// use popele_engine::monte_carlo::{run_trials_auto_prepared, EngineSelection, TrialOptions};
 /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
 /// # #[derive(Clone, Copy)]
 /// # struct Absorb;
@@ -1023,34 +1033,15 @@ pub fn select_engine_clique<P: Protocol + Clone>(protocol: &P, num_agents: u64) 
 /// # }
 ///
 /// let g = popele_graph::families::cycle(10);
+/// let selection = EngineSelection::prepare(&Absorb, g.num_nodes());
 /// let opts = TrialOptions { trials: 4, max_steps: 1 << 22, ..TrialOptions::default() };
 /// // Thread count never changes results, only wall-clock time.
-/// let sequential = run_trials_auto(&g, &Absorb, 3, TrialOptions { threads: 1, ..opts });
-/// let parallel = run_trials_auto(&g, &Absorb, 3, TrialOptions { threads: 4, ..opts });
+/// let sequential =
+///     run_trials_auto_prepared(&g, &Absorb, &selection, 3, TrialOptions { threads: 1, ..opts });
+/// let parallel =
+///     run_trials_auto_prepared(&g, &Absorb, &selection, 3, TrialOptions { threads: 4, ..opts });
 /// assert_eq!(sequential, parallel);
 /// ```
-#[must_use]
-pub fn run_trials_auto<P: Protocol + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    let selection = EngineSelection::prepare(protocol, graph.num_nodes());
-    run_trials_auto_prepared(graph, protocol, &selection, master_seed, options)
-}
-
-/// [`run_trials_auto`] with the engine selection hoisted out: runs on
-/// whatever `selection` resolved to instead of re-probing and
-/// re-compiling per call.
-///
-/// `selection` must have been prepared for this protocol at
-/// `graph.num_nodes()` (see [`EngineSelection::prepare`]); given that,
-/// results are bit-identical to [`run_trials_auto`] — including the
-/// opt-in lane upgrade, which applies exactly when
-/// [`EngineSelection::engine_for`] says [`Engine::Lanes`]. This is the
-/// entry point sweep campaigns use to run many shards of one cell
-/// against a single prepared selection.
 #[must_use]
 pub fn run_trials_auto_prepared<P: Protocol + Clone>(
     graph: &Graph,
@@ -1059,185 +1050,64 @@ pub fn run_trials_auto_prepared<P: Protocol + Clone>(
     master_seed: u64,
     options: TrialOptions,
 ) -> Vec<TrialResult> {
-    match &selection.kind {
-        Selected::Dense(compiled) => {
-            // The opt-in fifth tier: lane-packed trials whenever the AOT
-            // path won and the cell qualifies (census off, enough trials
-            // to fill a minimum pack). Trace-identical to the scalar
-            // path per trial — only speed and the engine tag change.
-            if options.lanes && !options.census && options.trials >= LANE_MIN_TRIALS {
-                run_trials_lanes(graph, compiled, master_seed, options)
-            } else {
-                run_trials_dense(graph, compiled, master_seed, options)
-            }
-        }
-        Selected::Lazy => run_trials_lazy(graph, protocol, master_seed, options),
-        Selected::Generic => run_trials(graph, protocol, master_seed, options),
-    }
+    run_trials_auto_with_faults_prepared(
+        graph,
+        protocol,
+        selection,
+        master_seed,
+        options,
+        &FaultPlan::empty(),
+    )
 }
 
-/// Runs `options.trials` independent *fault-injected* executions on the
-/// generic engine.
+/// Runs `options.trials` independent clean-start elections of
+/// `protocol` on `graph` under `plan`, on the tier `selection` names.
+/// Results are returned in trial order; trial `i` uses child seed
+/// `options.first_trial + i` of `master_seed`, so they are independent
+/// of the thread count and, for sharded campaigns, of how a trial range
+/// is split into calls. The tier never changes them either, only the
+/// wall-clock time and [`TrialResult::engine`].
 ///
-/// Trial `i` resolves `plan` with [`fault_seed`] of its own trial seed,
-/// so every trial sees an independent fault realization of the same
-/// schedule, and results stay independent of thread count and sharding
-/// exactly as in [`run_trials`]. With an empty plan this is **identical**
-/// (bit for bit) to [`run_trials`] except that no recovery metrics are
-/// attached — the faulted entry points delegate to the plain ones.
-#[must_use]
-pub fn run_trials_with_faults<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials(graph, protocol, master_seed, options);
-    }
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = Executor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        let report = run_with_faults(&mut exec, &resolved, options.max_steps);
-        faulted_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Generic,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs fault-injected trials on the compiled engine, sharing one
-/// precomputed table across workers and trials.
+/// `selection` must cover the plan's maximum node count
+/// (`graph.num_nodes() + plan.max_joins()`). Under a nonempty plan,
+/// trial `i` resolves `plan` with [`fault_seed`] of its own trial seed
+/// and reports recovery metrics; give such runs a finite budget, since
+/// a run whose unique leader is lost never restabilizes. An empty plan
+/// runs the fault-free path, the only one that reaches the lane tier.
 ///
-/// The table must cover the plan's maximum node count
-/// (`graph.num_nodes() + plan.max_joins()` — see
-/// [`FaultPlan::max_joins`]); [`run_trials_auto_with_faults`] compiles
-/// exactly that. Because topology faults rebind an executor to per-trial
-/// epoch graphs, each trial builds a fresh executor instead of resetting
-/// a shared one — the construction is O(n + m) and fault campaigns are
-/// dominated by simulation anyway. Results are identical to
-/// [`run_trials_with_faults`] for the same arguments.
-#[must_use]
-pub fn run_trials_dense_with_faults<P: Protocol>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials_dense(graph, compiled, master_seed, options);
-    }
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = DenseExecutor::new(graph, compiled, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        let report = run_with_faults(&mut exec, &resolved, options.max_steps);
-        faulted_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Dense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs fault-injected trials on the lazily-compiling dense engine.
+/// # Examples
 ///
-/// As in [`run_trials_dense_with_faults`], each trial builds a fresh
-/// executor (topology faults rebind executors to per-trial epoch
-/// graphs), so — unlike the fault-free [`run_trials_lazy`] — the pair
-/// cache is per-trial rather than per-worker. Results are identical to
-/// [`run_trials_with_faults`] for the same arguments.
-#[must_use]
-pub fn run_trials_lazy_with_faults<P: Protocol + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials_lazy(graph, protocol, master_seed, options);
-    }
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = LazyDenseExecutor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        let report = run_with_faults(&mut exec, &resolved, options.max_steps);
-        faulted_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::LazyDense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Fault-injected counterpart of [`run_trials_auto`]: selects for the
-/// plan's maximum node count (`n + max_joins`) among the three engines
-/// exactly as [`select_engine`] does. Whatever is picked, the results
-/// are identical.
-#[must_use]
-pub fn run_trials_auto_with_faults<P: Protocol + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        // Bit-identical delegation (an empty plan resolves to nothing
-        // and `max_joins` is 0, so selection is unchanged) — and the
-        // only gate through which the fault-aware entry point reaches
-        // the lane tier: lane eligibility requires a fault-free cell.
-        return run_trials_auto(graph, protocol, master_seed, options);
-    }
-    let max_nodes = graph.num_nodes() + plan.max_joins();
-    let selection = EngineSelection::prepare(protocol, max_nodes);
-    run_trials_auto_with_faults_prepared(graph, protocol, &selection, master_seed, options, plan)
-}
-
-/// [`run_trials_auto_with_faults`] with the engine selection hoisted
-/// out.
+/// ```
+/// use popele_engine::monte_carlo::{
+///     run_trials_auto_with_faults_prepared, EngineSelection, TrialOptions, TrialStats,
+/// };
+/// use popele_engine::{FaultKind, FaultPlan};
+/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
+/// # #[derive(Clone, Copy)]
+/// # struct Absorb;
+/// # impl Protocol for Absorb {
+/// #     type State = bool;
+/// #     type Oracle = LeaderCountOracle;
+/// #     fn initial_state(&self, _node: u32) -> bool { true }
+/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+/// #         if *a && *b { (true, false) } else { (*a, *b) }
+/// #     }
+/// #     fn output(&self, s: &bool) -> Role {
+/// #         if *s { Role::Leader } else { Role::Follower }
+/// #     }
+/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
+/// # }
 ///
-/// `selection` must have been prepared for this protocol at the plan's
-/// maximum node count — `graph.num_nodes() + plan.max_joins()`, which
-/// equals `graph.num_nodes()` for an empty plan; given that, results
-/// are bit-identical to [`run_trials_auto_with_faults`]. An empty plan
-/// delegates to [`run_trials_auto_prepared`] (the fault-free path,
-/// including its lane gate), mirroring the unprepared entry point.
+/// let g = popele_graph::families::clique(12);
+/// let selection = EngineSelection::prepare(&Absorb, g.num_nodes());
+/// let plan = FaultPlan::at(500, FaultKind::CorruptNodes { count: 4 });
+/// let opts = TrialOptions { trials: 8, max_steps: 1 << 22, ..TrialOptions::default() };
+/// let results = run_trials_auto_with_faults_prepared(&g, &Absorb, &selection, 42, opts, &plan);
+/// let stats = TrialStats::from_results(&results);
+/// assert_eq!(stats.steps.len(), 8);
+/// assert_eq!(stats.timeouts, 0);
+/// assert!(results.iter().all(|r| r.recovery.is_some()));
+/// ```
 #[must_use]
 pub fn run_trials_auto_with_faults_prepared<P: Protocol + Clone>(
     graph: &Graph,
@@ -1247,34 +1117,15 @@ pub fn run_trials_auto_with_faults_prepared<P: Protocol + Clone>(
     options: TrialOptions,
     plan: &FaultPlan,
 ) -> Vec<TrialResult> {
-    if plan.is_empty() {
-        return run_trials_auto_prepared(graph, protocol, selection, master_seed, options);
-    }
-    match &selection.kind {
-        Selected::Dense(compiled) => {
-            run_trials_dense_with_faults(graph, compiled, master_seed, options, plan)
-        }
-        Selected::Lazy => run_trials_lazy_with_faults(graph, protocol, master_seed, options, plan),
-        Selected::Generic => run_trials_with_faults(graph, protocol, master_seed, options, plan),
-    }
-}
-
-/// Packs a fault report into a [`TrialResult`].
-fn faulted_result(
-    trial: usize,
-    report: &crate::faults::FaultReport,
-    distinct_states: Option<usize>,
-    engine: Engine,
-) -> TrialResult {
-    TrialResult {
-        trial,
-        stabilization_step: report.result.as_ref().ok().map(|o| o.stabilization_step),
-        leader: report.result.as_ref().ok().and_then(|o| o.leader),
-        distinct_states,
-        recovery: Some(report.recovery),
-        holding: None,
-        engine,
-    }
+    drive(
+        graph,
+        protocol,
+        selection,
+        plan,
+        &Goal::Elect,
+        master_seed,
+        options,
+    )
 }
 
 pub(crate) fn resolve_threads(requested: usize, trials: usize) -> usize {
@@ -1400,12 +1251,26 @@ mod tests {
         }
     }
 
+    /// Clean-start elections of [`Absorb`] on the tier `selection` names.
+    fn elect(
+        g: &Graph,
+        selection: &EngineSelection<Absorb>,
+        seed: u64,
+        options: TrialOptions,
+    ) -> Vec<TrialResult> {
+        run_trials_auto_prepared(g, &Absorb, selection, seed, options)
+    }
+
+    fn dense(n: u32) -> EngineSelection<Absorb> {
+        EngineSelection::dense(CompiledProtocol::compile_default(&Absorb, n).unwrap())
+    }
+
     #[test]
     fn trials_all_stabilize() {
         let g = families::clique(12);
-        let results = run_trials(
+        let results = elect(
             &g,
-            &Absorb,
+            &EngineSelection::generic(),
             42,
             TrialOptions {
                 trials: 8,
@@ -1437,15 +1302,15 @@ mod tests {
             threads,
             ..TrialOptions::default()
         };
-        let seq = run_trials(&g, &Absorb, 7, opts(1));
-        let par = run_trials(&g, &Absorb, 7, opts(4));
+        let generic = EngineSelection::generic();
+        let seq = elect(&g, &generic, 7, opts(1));
+        let par = elect(&g, &generic, 7, opts(4));
         assert_eq!(seq, par);
     }
 
     #[test]
     fn dense_trials_match_generic_trials() {
         let g = families::clique(14);
-        let compiled = CompiledProtocol::compile_default(&Absorb, 14).unwrap();
         let opts = TrialOptions {
             trials: 6,
             max_steps: 1 << 22,
@@ -1453,17 +1318,18 @@ mod tests {
             threads: 1,
             ..TrialOptions::default()
         };
-        let generic = run_trials(&g, &Absorb, 99, opts);
-        let dense = run_trials_dense(&g, &compiled, 99, opts);
-        let auto = run_trials_auto(&g, &Absorb, 99, opts);
+        let generic = elect(&g, &EngineSelection::generic(), 99, opts);
+        let dense = elect(&g, &dense(14), 99, opts);
+        let auto = elect(&g, &EngineSelection::prepare(&Absorb, 14), 99, opts);
         assert_eq!(generic, dense);
         assert_eq!(generic, auto);
+        assert!(dense.iter().all(|r| r.engine == Engine::Dense));
     }
 
     #[test]
     fn dense_trials_bit_identical_across_thread_counts() {
         let g = families::clique(10);
-        let compiled = CompiledProtocol::compile_default(&Absorb, 10).unwrap();
+        let dense = dense(10);
         let opts = |threads| TrialOptions {
             trials: 8,
             max_steps: 1 << 22,
@@ -1471,9 +1337,9 @@ mod tests {
             threads,
             ..TrialOptions::default()
         };
-        let one = run_trials_dense(&g, &compiled, 7, opts(1));
-        let four = run_trials_dense(&g, &compiled, 7, opts(4));
-        let eight = run_trials_dense(&g, &compiled, 7, opts(8));
+        let one = elect(&g, &dense, 7, opts(1));
+        let four = elect(&g, &dense, 7, opts(4));
+        let eight = elect(&g, &dense, 7, opts(8));
         assert_eq!(one, four);
         assert_eq!(one, eight);
     }
@@ -1483,7 +1349,7 @@ mod tests {
         // Splitting a trial range into `first_trial`-offset shards must
         // reproduce the monolithic run bit for bit, on both engines.
         let g = families::clique(12);
-        let compiled = CompiledProtocol::compile_default(&Absorb, 12).unwrap();
+        let (generic, dense) = (EngineSelection::generic(), dense(12));
         let opts = |first_trial, trials| TrialOptions {
             trials,
             first_trial,
@@ -1492,11 +1358,11 @@ mod tests {
             lanes: false,
             threads: 2,
         };
-        let whole = run_trials(&g, &Absorb, 77, opts(0, 9));
+        let whole = elect(&g, &generic, 77, opts(0, 9));
         let mut sharded = Vec::new();
         for (start, len) in [(0, 4), (4, 3), (7, 2)] {
-            sharded.extend(run_trials(&g, &Absorb, 77, opts(start, len)));
-            let dense = run_trials_dense(&g, &compiled, 77, opts(start, len));
+            sharded.extend(elect(&g, &generic, 77, opts(start, len)));
+            let dense = elect(&g, &dense, 77, opts(start, len));
             assert_eq!(&sharded[start..start + len], &dense[..]);
         }
         assert_eq!(whole, sharded);
@@ -1505,12 +1371,12 @@ mod tests {
 
     #[test]
     fn prepared_selection_matches_self_selecting_paths() {
-        // One selection, reused across shards and a fault plan: every
-        // prepared entry point must be bit-identical to its
-        // self-selecting counterpart.
+        // One selection, reused across shards and a fault plan, must be
+        // bit-identical to selecting afresh for every call.
         let g = families::clique(12);
         let selection = EngineSelection::prepare(&Absorb, g.num_nodes());
         assert_eq!(selection.engine(), Engine::Dense);
+        let fresh = || EngineSelection::prepare(&Absorb, g.num_nodes());
         let opts = |first_trial| TrialOptions {
             trials: 3,
             first_trial,
@@ -1521,16 +1387,16 @@ mod tests {
         };
         for first_trial in [0, 3] {
             assert_eq!(
-                run_trials_auto_prepared(&g, &Absorb, &selection, 77, opts(first_trial)),
-                run_trials_auto(&g, &Absorb, 77, opts(first_trial)),
+                elect(&g, &selection, 77, opts(first_trial)),
+                elect(&g, &fresh(), 77, opts(first_trial)),
             );
         }
         let plan = FaultPlan::at(4, crate::faults::FaultKind::CorruptNodes { count: 1 });
         assert_eq!(
             run_trials_auto_with_faults_prepared(&g, &Absorb, &selection, 77, opts(0), &plan),
-            run_trials_auto_with_faults(&g, &Absorb, 77, opts(0), &plan),
+            run_trials_auto_with_faults_prepared(&g, &Absorb, &fresh(), 77, opts(0), &plan),
         );
-        // An empty plan must flow through the prepared fault-free path.
+        // An empty plan must flow through the fault-free path.
         assert_eq!(
             run_trials_auto_with_faults_prepared(
                 &g,
@@ -1540,7 +1406,33 @@ mod tests {
                 opts(0),
                 &FaultPlan::empty()
             ),
-            run_trials_auto(&g, &Absorb, 77, opts(0)),
+            elect(&g, &fresh(), 77, opts(0)),
+        );
+    }
+
+    #[test]
+    fn count_prepared_matches_self_compiling_path() {
+        // A tight step budget keeps the quadratic duel endgame of the
+        // absorb protocol out of the test: a table compiled once and
+        // reused walks the same batch stream to the same deterministic
+        // timeout as a table compiled for the call.
+        let num_agents = 200_000;
+        let compiled = crate::compile_for_count(&Absorb, num_agents).unwrap();
+        let opts = TrialOptions {
+            trials: 2,
+            max_steps: 100_000,
+            threads: 1,
+            ..TrialOptions::default()
+        };
+        let first = run_trials_count_prepared(&compiled, num_agents, 5, opts);
+        assert_eq!(
+            run_trials_count_prepared(&compiled, num_agents, 5, opts),
+            first
+        );
+        let fresh = crate::compile_for_count(&Absorb, num_agents).unwrap();
+        assert_eq!(
+            run_trials_count_prepared(&fresh, num_agents, 5, opts),
+            first
         );
     }
 
@@ -1568,33 +1460,18 @@ mod tests {
             ..lanes
         };
         assert_eq!(selection.engine_for(&census), Engine::Dense);
-    }
-
-    #[test]
-    fn count_prepared_matches_self_compiling_path() {
-        // A tight step budget keeps the quadratic duel endgame of the
-        // absorb protocol out of the test: both paths walk the same
-        // batch stream to the same deterministic timeout.
-        let num_agents = 200_000;
-        let compiled = compile_for_count(&Absorb, num_agents).unwrap();
-        let opts = TrialOptions {
-            trials: 2,
-            max_steps: 100_000,
-            threads: 1,
-            ..TrialOptions::default()
-        };
         assert_eq!(
-            run_trials_count_prepared(&compiled, num_agents, 5, opts),
-            run_trials_count(&Absorb, num_agents, 5, opts),
+            EngineSelection::<Absorb>::lazy().engine_for(&lanes),
+            Engine::LazyDense
         );
     }
 
     #[test]
     fn timeout_reported() {
         let g = families::clique(32);
-        let results = run_trials(
+        let results = elect(
             &g,
-            &Absorb,
+            &EngineSelection::generic(),
             1,
             TrialOptions {
                 trials: 3,

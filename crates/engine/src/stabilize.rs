@@ -26,10 +26,10 @@
 //!   drivers, producing a [`HoldingTime`] (and, under a fault plan,
 //!   [`Recovery`] metrics: a corrupt burst mid-hold measures the
 //!   *re-election* time, the headline property of this protocol class);
-//! * [`run_trials_stabilize`] / [`run_trials_stabilize_dense`] /
-//!   [`run_trials_stabilize_lazy`] / [`run_trials_stabilize_auto`] —
-//!   Monte-Carlo entry points mirroring [`crate::monte_carlo`],
-//!   attaching the metrics to [`TrialResult::holding`].
+//! * [`prepare_stabilize_engine`] / [`run_trials_stabilize_auto_prepared`]
+//!   — the Monte-Carlo entry point, running on the same trial driver as
+//!   [`crate::monte_carlo`]'s elections and attaching the metrics to
+//!   [`TrialResult::holding`].
 //!
 //! # What "stable" means here
 //!
@@ -102,19 +102,16 @@
 //! assert_eq!(exec.steps(), elect + hold);
 //! ```
 
-use crate::dense::{
-    CompiledProtocol, DenseExecutor, LazyDenseExecutor, DEFAULT_MAX_COMPILED_STATES,
-};
-use crate::executor::{Executor, NotStabilized, Outcome};
-use crate::faults::{drive_ops, fault_seed, FaultPlan, FaultTarget, Recovery, ResolvedFaultPlan};
-use crate::monte_carlo::{
-    fan_out, resolve_threads, Engine, EngineSelection, Selected, TrialOptions, TrialResult,
-};
+use crate::dense::{CompiledProtocol, DEFAULT_MAX_COMPILED_STATES};
+use crate::executor::{NotStabilized, Outcome};
+use crate::faults::{drive_ops, FaultPlan, FaultTarget, Recovery, ResolvedFaultPlan};
+use crate::monte_carlo::{drive, EngineSelection, Goal, Selected, TrialOptions, TrialResult};
 use crate::protocol::Protocol;
 use popele_graph::Graph;
 use popele_math::rng::SeedSeq;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A protocol that can be started from an adversarial configuration.
 ///
@@ -367,60 +364,105 @@ pub fn run_to_hold_with_faults<'g, T: FaultTarget<'g>>(
 ) -> StabilizeReport {
     let trace = drive_ops(exec, resolved, max_steps);
     let (result, holding) = elect_and_hold(exec, max_steps);
-    let final_leaders = exec.leader_count();
-    let peak = trace.peak.max(final_leaders);
     StabilizeReport {
-        recovery: Some(Recovery {
-            last_fault_step: trace.last_fault_step,
-            faults_applied: trace.faults_applied,
-            reconvergence_steps: result
-                .as_ref()
-                .ok()
-                .map(|o| o.stabilization_step - trace.last_fault_step),
-            peak_leaders: peak as u32,
-            final_leaders: final_leaders as u32,
-            leader_lost: result.is_err() && final_leaders == 0,
-        }),
+        recovery: Some(trace.recovery(&result, exec.leader_count())),
         result,
         holding,
     }
 }
 
-/// Packs a stabilize report into a [`TrialResult`]:
-/// `stabilization_step` carries the election step, `leader` the leader
-/// *at election*, and `holding` is always attached.
-fn stabilize_result(
-    trial: usize,
-    report: &StabilizeReport,
-    distinct_states: Option<usize>,
-    engine: Engine,
-) -> TrialResult {
-    TrialResult {
-        trial,
-        stabilization_step: report.result.as_ref().ok().map(|o| o.stabilization_step),
-        leader: report.result.as_ref().ok().and_then(|o| o.leader),
-        distinct_states,
-        recovery: report.recovery,
-        holding: Some(report.holding),
-        engine,
-    }
-}
-
-/// Runs `options.trials` independent arbitrarily-initialized
-/// elect-and-hold executions on the **generic** engine.
+/// Seeded engine selection for arbitrary-start workloads, in reusable
+/// form: the counterpart of [`EngineSelection::prepare`] whose AOT table
+/// is compiled over the initial states **and** the protocol's arbitrary
+/// support. AOT when that closure fits the default cap, lazy when it
+/// does not but the protocol declares a finite state-space bound,
+/// generic otherwise.
 ///
-/// Trial `i` samples its start configuration with
-/// [`arbitrary_seed`]`(seed_i)` and (for a nonempty `plan`) its fault
-/// realization with [`fault_seed`]`(seed_i)`, so results are
-/// independent of thread count and sharding exactly as in
-/// [`crate::monte_carlo::run_trials`]. Pass [`FaultPlan::empty`] for
-/// the fault-free workload.
+/// No probe is needed on the rejection path: the support states are
+/// interned *before* the BFS closure starts, so supports beyond the cap
+/// (the large-timer instances that motivate the lazy engine) are
+/// rejected during seeding, in O(cap) work.
+///
+/// A selection prepared here is **not** interchangeable with one from
+/// [`EngineSelection::prepare`] — the fixed-start closure does not
+/// contain the arbitrary support — so hand it only to
+/// [`run_trials_stabilize_auto_prepared`]. Fault campaigns prepare at
+/// the plan's maximum node count (`graph.num_nodes() +
+/// plan.max_joins()`).
 ///
 /// # Examples
 ///
 /// ```
-/// use popele_engine::monte_carlo::TrialOptions;
-/// use popele_engine::stabilize::{run_trials_stabilize, ArbitraryInit};
+/// use popele_engine::monte_carlo::Engine;
+/// use popele_engine::stabilize::{prepare_stabilize_engine, ArbitraryInit};
+/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
+/// # #[derive(Clone, Copy)]
+/// # struct Absorb;
+/// # impl Protocol for Absorb {
+/// #     type State = bool;
+/// #     type Oracle = LeaderCountOracle;
+/// #     fn initial_state(&self, _node: u32) -> bool { true }
+/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+/// #         if *a && *b { (true, false) } else { (*a, *b) }
+/// #     }
+/// #     fn output(&self, s: &bool) -> Role {
+/// #         if *s { Role::Leader } else { Role::Follower }
+/// #     }
+/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
+/// # }
+/// # impl ArbitraryInit for Absorb {
+/// #     fn arbitrary_support(&self) -> Vec<bool> { vec![false, true] }
+/// # }
+///
+/// // A two-state support compiles ahead of time at any size.
+/// assert_eq!(prepare_stabilize_engine(&Absorb, 1_000_000).engine(), Engine::Dense);
+/// ```
+#[must_use]
+pub fn prepare_stabilize_engine<P: ArbitraryInit + Clone>(
+    protocol: &P,
+    num_nodes: u32,
+) -> EngineSelection<P> {
+    let support = protocol.arbitrary_support();
+    let kind = match CompiledProtocol::compile_with_seeds(
+        protocol,
+        num_nodes,
+        DEFAULT_MAX_COMPILED_STATES,
+        &support,
+    ) {
+        Ok(compiled) => Selected::Dense(Arc::new(compiled)),
+        Err(_) if protocol.state_space_bound().is_some() => Selected::Lazy,
+        Err(_) => Selected::Generic,
+    };
+    EngineSelection { kind }
+}
+
+/// Runs `options.trials` independent arbitrarily-initialized
+/// elect-and-hold executions of `protocol` on `graph` under `plan`, on
+/// the tier `selection` names. Whatever the tier, the results are
+/// identical — the choice is recorded in [`TrialResult::engine`].
+///
+/// Trial `i` samples its start configuration with
+/// [`arbitrary_seed`]`(seed_i)` and (for a nonempty `plan`) its fault
+/// realization with [`crate::faults::fault_seed`]`(seed_i)`, so results
+/// are independent of thread count and sharding. `stabilization_step`
+/// carries the election step, `leader` the leader *at election*, and
+/// [`TrialResult::holding`] is always attached. Pass
+/// [`FaultPlan::empty`] for the fault-free workload.
+///
+/// `selection` must come from [`prepare_stabilize_engine`] for this
+/// protocol at the plan's maximum node count (`graph.num_nodes() +
+/// plan.max_joins()`), or be a forced tier whose AOT table covers the
+/// arbitrary support. This is the entry point the sweep layer and the
+/// `popele-lab stabilize` experiment use for the loosely-stabilizing
+/// protocol family.
+///
+/// # Examples
+///
+/// ```
+/// use popele_engine::monte_carlo::{Engine, TrialOptions};
+/// use popele_engine::stabilize::{
+///     prepare_stabilize_engine, run_trials_stabilize_auto_prepared, ArbitraryInit,
+/// };
 /// use popele_engine::FaultPlan;
 /// # use popele_engine::{LeaderCountOracle, Protocol, Role};
 /// # #[derive(Clone, Copy)]
@@ -446,320 +488,14 @@ fn stabilize_result(
 /// # }
 ///
 /// let g = popele_graph::families::clique(8);
+/// let selection = prepare_stabilize_engine(&Flimsy, g.num_nodes());
+/// // A two-state support compiles ahead of time.
+/// assert_eq!(selection.engine(), Engine::Dense);
 /// let opts = TrialOptions { trials: 4, max_steps: 1 << 20, ..TrialOptions::default() };
-/// let results = run_trials_stabilize(&g, &Flimsy, 3, opts, &FaultPlan::empty());
+/// let results =
+///     run_trials_stabilize_auto_prepared(&g, &Flimsy, &selection, 3, opts, &FaultPlan::empty());
 /// assert!(results.iter().all(|r| r.holding.is_some()));
 /// ```
-#[must_use]
-pub fn run_trials_stabilize<P: ArbitraryInit>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    let support = protocol.arbitrary_support();
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let config = sample_support(&support, graph.num_nodes(), arbitrary_seed(seed));
-        let resolved = (!plan.is_empty()).then(|| plan.resolve(graph, fault_seed(seed)));
-        let mut exec = Executor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec.set_configuration(&config);
-        let report = match &resolved {
-            Some(resolved) => run_to_hold_with_faults(&mut exec, resolved, options.max_steps),
-            None => run_to_hold(&mut exec, options.max_steps),
-        };
-        stabilize_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Generic,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs arbitrarily-initialized elect-and-hold trials on the
-/// **ahead-of-time compiled** engine, sharing one table across workers.
-///
-/// The table must have been built with
-/// [`CompiledProtocol::compile_with_seeds`] over the protocol's
-/// [`ArbitraryInit::arbitrary_support`] (and, for plans with node
-/// churn, for `graph.num_nodes() + plan.max_joins()` nodes) —
-/// [`run_trials_stabilize_auto`] compiles exactly that. Results are
-/// identical to [`run_trials_stabilize`] for the same arguments.
-///
-/// # Panics
-///
-/// Panics (inside worker threads) if a sampled start state is missing
-/// from the compiled table.
-#[must_use]
-pub fn run_trials_stabilize_dense<P: ArbitraryInit>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    let support = compiled.protocol().arbitrary_support();
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    if plan.is_empty() {
-        // Fault-free: no topology changes, so each worker keeps one
-        // executor and resets it per trial (as `run_trials_dense` does).
-        let run_one = |exec: &mut DenseExecutor<'_, P>, trial: usize| -> TrialResult {
-            let trial = options.first_trial + trial;
-            let seed = seq.child(trial as u64);
-            exec.reset(seed);
-            exec.set_configuration(&sample_support(
-                &support,
-                graph.num_nodes(),
-                arbitrary_seed(seed),
-            ));
-            let report = run_to_hold(exec, options.max_steps);
-            stabilize_result(
-                trial,
-                &report,
-                exec.outcome().distinct_states,
-                Engine::Dense,
-            )
-        };
-        let fresh_executor = || {
-            let mut exec = DenseExecutor::new(graph, compiled, 0);
-            if options.census {
-                exec.enable_state_census();
-            }
-            exec
-        };
-        return fan_out(options.trials, threads, fresh_executor, run_one);
-    }
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = DenseExecutor::new(graph, compiled, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec.set_configuration(&sample_support(
-            &support,
-            graph.num_nodes(),
-            arbitrary_seed(seed),
-        ));
-        let report = run_to_hold_with_faults(&mut exec, &resolved, options.max_steps);
-        stabilize_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::Dense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Runs arbitrarily-initialized elect-and-hold trials on the
-/// **lazily-compiling** engine — the stress test of its design: the
-/// sampled start states are interned on first sight, exactly like
-/// states discovered mid-run. Results are identical to
-/// [`run_trials_stabilize`] for the same arguments.
-#[must_use]
-pub fn run_trials_stabilize_lazy<P: ArbitraryInit + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    let support = protocol.arbitrary_support();
-    let seq = SeedSeq::new(master_seed);
-    let threads = resolve_threads(options.threads, options.trials);
-
-    if plan.is_empty() {
-        // Fault-free: keep one executor — and thus one warm interner
-        // and pair cache — per worker (as `run_trials_lazy` does; the
-        // cache only affects speed, never the trace).
-        let run_one = |exec: &mut LazyDenseExecutor<'_, P>, trial: usize| -> TrialResult {
-            let trial = options.first_trial + trial;
-            let seed = seq.child(trial as u64);
-            exec.reset(seed);
-            exec.set_configuration(&sample_support(
-                &support,
-                graph.num_nodes(),
-                arbitrary_seed(seed),
-            ));
-            let report = run_to_hold(exec, options.max_steps);
-            stabilize_result(
-                trial,
-                &report,
-                exec.outcome().distinct_states,
-                Engine::LazyDense,
-            )
-        };
-        let fresh_executor = || {
-            let mut exec = LazyDenseExecutor::new(graph, protocol, 0);
-            if options.census {
-                exec.enable_state_census();
-            }
-            exec
-        };
-        return fan_out(options.trials, threads, fresh_executor, run_one);
-    }
-
-    let run_one = |trial: usize| -> TrialResult {
-        let trial = options.first_trial + trial;
-        let seed = seq.child(trial as u64);
-        let resolved = plan.resolve(graph, fault_seed(seed));
-        let mut exec = LazyDenseExecutor::new(graph, protocol, seed);
-        if options.census {
-            exec.enable_state_census();
-        }
-        exec.set_configuration(&sample_support(
-            &support,
-            graph.num_nodes(),
-            arbitrary_seed(seed),
-        ));
-        let report = run_to_hold_with_faults(&mut exec, &resolved, options.max_steps);
-        stabilize_result(
-            trial,
-            &report,
-            exec.outcome().distinct_states,
-            Engine::LazyDense,
-        )
-    };
-
-    fan_out(options.trials, threads, || (), |_, trial| run_one(trial))
-}
-
-/// Seeded engine selection for arbitrary-start workloads: AOT when the
-/// closure over initial states **and** the arbitrary support fits the
-/// default cap, lazy when it does not but the protocol declares a
-/// finite state-space bound, generic otherwise.
-///
-/// Unlike [`crate::monte_carlo::select_engine`] no probe is needed on
-/// the rejection path: the support states are interned *before* the
-/// BFS closure starts, so supports beyond the cap (the large-timer
-/// instances that motivate the lazy engine) are rejected during
-/// seeding, in O(cap) work.
-fn select_stabilize<P: ArbitraryInit + Clone>(protocol: &P, num_nodes: u32) -> Selected<P> {
-    let support = protocol.arbitrary_support();
-    match CompiledProtocol::compile_with_seeds(
-        protocol,
-        num_nodes,
-        DEFAULT_MAX_COMPILED_STATES,
-        &support,
-    ) {
-        Ok(compiled) => Selected::Dense(std::sync::Arc::new(compiled)),
-        Err(_) if protocol.state_space_bound().is_some() => Selected::Lazy,
-        Err(_) => Selected::Generic,
-    }
-}
-
-/// Seeded engine selection for arbitrary-start workloads, in reusable
-/// form: the counterpart of [`EngineSelection::prepare`] that compiles
-/// over the protocol's arbitrary support (see
-/// [`select_stabilize_engine`] for the waterfall).
-///
-/// A selection prepared here is **not** interchangeable with one from
-/// [`EngineSelection::prepare`] — the AOT table is seeded with the
-/// arbitrary support, which the fixed-start closure does not contain —
-/// so hand it only to [`run_trials_stabilize_auto_prepared`]. Fault
-/// campaigns prepare at the plan's maximum node count
-/// (`graph.num_nodes() + plan.max_joins()`), exactly as
-/// [`run_trials_stabilize_auto`] does internally.
-#[must_use]
-pub fn prepare_stabilize_engine<P: ArbitraryInit + Clone>(
-    protocol: &P,
-    num_nodes: u32,
-) -> EngineSelection<P> {
-    EngineSelection {
-        kind: select_stabilize(protocol, num_nodes),
-    }
-}
-
-/// The engine [`run_trials_stabilize_auto`] will pick for `protocol`
-/// started from arbitrary configurations on `num_nodes` nodes —
-/// exposed so tests and reports can assert the selection without
-/// running trials.
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::Engine;
-/// use popele_engine::stabilize::{select_stabilize_engine, ArbitraryInit};
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-/// # impl ArbitraryInit for Absorb {
-/// #     fn arbitrary_support(&self) -> Vec<bool> { vec![false, true] }
-/// # }
-///
-/// // A two-state support compiles ahead of time at any size.
-/// assert_eq!(select_stabilize_engine(&Absorb, 1_000_000), Engine::Dense);
-/// ```
-#[must_use]
-pub fn select_stabilize_engine<P: ArbitraryInit + Clone>(protocol: &P, num_nodes: u32) -> Engine {
-    match select_stabilize(protocol, num_nodes) {
-        Selected::Dense(_) => Engine::Dense,
-        Selected::Lazy => Engine::LazyDense,
-        Selected::Generic => Engine::Generic,
-    }
-}
-
-/// Runs arbitrarily-initialized elect-and-hold trials on the fastest
-/// applicable engine (see [`select_stabilize_engine`]; the AOT table is
-/// compiled over the arbitrary support and the plan's maximum node
-/// count). Whatever is picked, the results are identical — the choice
-/// is recorded in [`TrialResult::engine`].
-///
-/// This is the entry point the sweep layer and the `popele-lab
-/// stabilize` experiment use for the loosely-stabilizing protocol
-/// family.
-#[must_use]
-pub fn run_trials_stabilize_auto<P: ArbitraryInit + Clone>(
-    graph: &Graph,
-    protocol: &P,
-    master_seed: u64,
-    options: TrialOptions,
-    plan: &FaultPlan,
-) -> Vec<TrialResult> {
-    let max_nodes = graph.num_nodes() + plan.max_joins();
-    let selection = prepare_stabilize_engine(protocol, max_nodes);
-    run_trials_stabilize_auto_prepared(graph, protocol, &selection, master_seed, options, plan)
-}
-
-/// [`run_trials_stabilize_auto`] with the engine selection hoisted out:
-/// runs on whatever `selection` resolved to instead of re-seeding and
-/// re-compiling per call.
-///
-/// `selection` must come from [`prepare_stabilize_engine`] for this
-/// protocol at the plan's maximum node count (`graph.num_nodes() +
-/// plan.max_joins()`); given that, results are bit-identical to
-/// [`run_trials_stabilize_auto`]. This is the entry point sweep
-/// campaigns use to run many shards of one loosely-stabilizing cell
-/// against a single prepared selection.
 #[must_use]
 pub fn run_trials_stabilize_auto_prepared<P: ArbitraryInit + Clone>(
     graph: &Graph,
@@ -769,20 +505,24 @@ pub fn run_trials_stabilize_auto_prepared<P: ArbitraryInit + Clone>(
     options: TrialOptions,
     plan: &FaultPlan,
 ) -> Vec<TrialResult> {
-    match &selection.kind {
-        Selected::Dense(compiled) => {
-            run_trials_stabilize_dense(graph, compiled, master_seed, options, plan)
-        }
-        Selected::Lazy => run_trials_stabilize_lazy(graph, protocol, master_seed, options, plan),
-        Selected::Generic => run_trials_stabilize(graph, protocol, master_seed, options, plan),
-    }
+    let goal = Goal::Hold(protocol.arbitrary_support());
+    drive(
+        graph,
+        protocol,
+        selection,
+        plan,
+        &goal,
+        master_seed,
+        options,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultKind;
+    use crate::faults::{fault_seed, FaultKind};
     use crate::protocol::{LeaderCountOracle, Role};
+    use crate::Executor;
     use popele_graph::families;
     use popele_graph::NodeId;
 
@@ -893,6 +633,16 @@ mod tests {
         assert_eq!(recovery.reconvergence_steps, Some(elect - 500));
     }
 
+    /// Elect-and-hold trials of [`Flimsy`] on the tier `selection` names.
+    fn hold(
+        g: &Graph,
+        selection: &EngineSelection<Flimsy>,
+        options: TrialOptions,
+        plan: &FaultPlan,
+    ) -> Vec<TrialResult> {
+        run_trials_stabilize_auto_prepared(g, &Flimsy, selection, 7, options, plan)
+    }
+
     #[test]
     fn all_engines_agree_from_arbitrary_starts() {
         let g = families::clique(10);
@@ -907,10 +657,10 @@ mod tests {
             CompiledProtocol::compile_with_seeds(&Flimsy, 10, 16, &Flimsy.arbitrary_support())
                 .unwrap();
         let plan = FaultPlan::empty();
-        let generic = run_trials_stabilize(&g, &Flimsy, 7, opts, &plan);
-        let dense = run_trials_stabilize_dense(&g, &compiled, 7, opts, &plan);
-        let lazy = run_trials_stabilize_lazy(&g, &Flimsy, 7, opts, &plan);
-        let auto = run_trials_stabilize_auto(&g, &Flimsy, 7, opts, &plan);
+        let generic = hold(&g, &EngineSelection::generic(), opts, &plan);
+        let dense = hold(&g, &EngineSelection::dense(compiled), opts, &plan);
+        let lazy = hold(&g, &EngineSelection::lazy(), opts, &plan);
+        let auto = hold(&g, &prepare_stabilize_engine(&Flimsy, 10), opts, &plan);
         assert_eq!(generic, dense);
         assert_eq!(generic, lazy);
         assert_eq!(generic, auto);
@@ -928,14 +678,18 @@ mod tests {
             ..TrialOptions::default()
         };
         let plan = FaultPlan::at(64, FaultKind::CorruptNodes { count: 4 });
-        let one = run_trials_stabilize(&g, &Flimsy, 9, opts(1), &plan);
-        let four = run_trials_stabilize(&g, &Flimsy, 9, opts(4), &plan);
+        let generic = EngineSelection::generic();
+        let one = hold(&g, &generic, opts(1), &plan);
+        let four = hold(&g, &generic, opts(4), &plan);
         assert_eq!(one, four);
         assert!(one.iter().all(|r| r.recovery.is_some()));
     }
 
     #[test]
     fn selection_prefers_aot_for_tiny_supports() {
-        assert_eq!(select_stabilize_engine(&Flimsy, 100), Engine::Dense);
+        assert_eq!(
+            prepare_stabilize_engine(&Flimsy, 100).engine(),
+            crate::Engine::Dense
+        );
     }
 }

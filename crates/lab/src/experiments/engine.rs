@@ -16,15 +16,16 @@
 //!    the compiled path.
 //!
 //! Which engine a workload races is exactly what
-//! [`popele_engine::monte_carlo::select_engine`] would pick for it, so
-//! the table doubles as a selection audit.
+//! [`popele_engine::EngineSelection::prepare`] picks for it, so the
+//! table doubles as a selection audit.
 
 use crate::report::{fmt_num, Table};
 use crate::RunConfig;
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, MajorityProtocol, TokenProtocol};
 use popele_engine::monte_carlo::{
-    run_trials_dense, run_trials_lanes, select_engine, Engine, TrialOptions, LANE_MIN_TRIALS,
+    run_trials_auto_prepared, run_trials_lanes, Engine, EngineSelection, TrialOptions,
+    LANE_MIN_TRIALS,
 };
 use popele_engine::{
     compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, LazyDenseExecutor,
@@ -32,6 +33,7 @@ use popele_engine::{
 };
 use popele_graph::{families, Graph};
 use popele_math::rng::SeedSeq;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs the engine-comparison experiment.
@@ -159,8 +161,11 @@ fn race_lanes<P: Protocol + Clone>(
     master_seed: u64,
     trials: usize,
 ) -> (f64, f64, usize, u64, bool) {
-    let compiled = CompiledProtocol::compile_default(p, g.num_nodes())
-        .expect("lane rows need an AOT-compiling protocol");
+    let compiled = Arc::new(
+        CompiledProtocol::compile_default(p, g.num_nodes())
+            .expect("lane rows need an AOT-compiling protocol"),
+    );
+    let dense = EngineSelection::dense(Arc::clone(&compiled));
     let options = TrialOptions {
         trials,
         max_steps: u64::MAX,
@@ -168,7 +173,7 @@ fn race_lanes<P: Protocol + Clone>(
         ..TrialOptions::default()
     };
     let t0 = Instant::now();
-    let scalar = run_trials_dense(g, &compiled, master_seed, options);
+    let scalar = run_trials_auto_prepared(g, p, &dense, master_seed, options);
     let scalar_ns = t0.elapsed().as_nanos() as f64;
     let t1 = Instant::now();
     let lanes = run_trials_lanes(g, &compiled, master_seed, options);
@@ -189,7 +194,7 @@ fn comparison_table(cfg: &RunConfig) -> Table {
     let seq = SeedSeq::new(cfg.master_seed ^ 0xE46);
     let mut table = Table::new(
         "Engine comparison: generic reference vs compiled dense engines",
-        "same protocol/graph/seed ⇒ identical outcomes; 'engine' is what run_trials_auto selects \
+        "same protocol/graph/seed ⇒ identical outcomes; 'engine' is what EngineSelection::prepare picks \
          (dense = AOT table, lazy = on-demand cache — the identifier protocol's only compiled \
          path). Lazy speedups track the cache-hit fraction: long runs amortize first-sight \
          misses, short generation-dominated ones (identifier on clique/torus at these sizes) \
@@ -322,7 +327,7 @@ fn push_race_row<P: Protocol + Clone>(
     seed: u64,
     trials: usize,
 ) {
-    let engine = select_engine(p, g.num_nodes());
+    let engine = EngineSelection::prepare(p, g.num_nodes()).engine();
     assert_ne!(
         engine,
         Engine::Generic,

@@ -24,7 +24,11 @@ use crate::sweep::FaultSpec;
 use crate::workloads::Family;
 use crate::RunConfig;
 use popele_core::{MajorityProtocol, TokenProtocol};
-use popele_engine::monte_carlo::{run_trials_auto_with_faults, TrialOptions, TrialResult};
+use popele_engine::monte_carlo::{
+    run_trials_auto_with_faults_prepared, EngineSelection, TrialOptions, TrialResult,
+};
+use popele_engine::{FaultPlan, Protocol};
+use popele_graph::Graph;
 use popele_math::rng::SeedSeq;
 use popele_math::stats::Summary;
 
@@ -70,7 +74,7 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
                 };
                 let plan = fault.plan(graph.num_nodes());
                 let results = match *protocol {
-                    "token" => run_trials_auto_with_faults(
+                    "token" => faulted(
                         &graph,
                         &TokenProtocol::all_candidates(),
                         seed,
@@ -79,13 +83,8 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
                     ),
                     _ => {
                         let nn = graph.num_nodes();
-                        run_trials_auto_with_faults(
-                            &graph,
-                            &MajorityProtocol::new(crate::workloads::majority_split(nn), nn),
-                            seed,
-                            options,
-                            &plan,
-                        )
+                        let p = MajorityProtocol::new(crate::workloads::majority_split(nn), nn);
+                        faulted(&graph, &p, seed, options, &plan)
                     }
                 };
                 table.push_row(digest_row(
@@ -101,6 +100,19 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
 }
 
 /// Aggregates one row of the recovery table.
+/// Faulted elections on the auto-selected tier, prepared for the plan's
+/// maximum node count.
+fn faulted<P: Protocol + Clone>(
+    graph: &Graph,
+    protocol: &P,
+    seed: u64,
+    options: TrialOptions,
+    plan: &FaultPlan,
+) -> Vec<TrialResult> {
+    let selection = EngineSelection::prepare(protocol, graph.num_nodes() + plan.max_joins());
+    run_trials_auto_with_faults_prepared(graph, protocol, &selection, seed, options, plan)
+}
+
 fn digest_row(protocol: &str, family: &str, fault: &str, results: &[TrialResult]) -> Vec<String> {
     let ok = results
         .iter()

@@ -16,7 +16,9 @@ pub mod stabilize;
 pub mod table1;
 pub mod walks;
 
-use popele_engine::monte_carlo::{run_trials_auto, TrialOptions, TrialStats};
+use popele_engine::monte_carlo::{
+    run_trials_auto_prepared, EngineSelection, TrialOptions, TrialStats,
+};
 use popele_engine::Protocol;
 use popele_graph::Graph;
 
@@ -37,9 +39,10 @@ pub(crate) fn protocol_stats<P: Protocol + Clone>(
     threads: usize,
     census: bool,
 ) -> TrialStats {
-    let results = run_trials_auto(
+    let results = run_trials_auto_prepared(
         g,
         p,
+        &EngineSelection::prepare(p, g.num_nodes()),
         master_seed,
         TrialOptions {
             trials,

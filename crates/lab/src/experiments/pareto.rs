@@ -28,8 +28,12 @@ use popele_core::{
     FastProtocol, IdentifierProtocol, LooseProtocol, MajorityProtocol, RingLooseProtocol,
     SpaceOptimalProtocol, StarProtocol, TimeOptimalRingProtocol, TokenProtocol,
 };
-use popele_engine::monte_carlo::{run_trials_auto, TrialOptions, TrialResult};
-use popele_engine::stabilize::{run_trials_stabilize_auto, ArbitraryInit};
+use popele_engine::monte_carlo::{
+    run_trials_auto_prepared, EngineSelection, TrialOptions, TrialResult,
+};
+use popele_engine::stabilize::{
+    prepare_stabilize_engine, run_trials_stabilize_auto_prepared, ArbitraryInit,
+};
 use popele_engine::{FaultPlan, Protocol};
 use popele_graph::Graph;
 use popele_math::rng::SeedSeq;
@@ -171,7 +175,8 @@ fn clean_row<P: Protocol + Clone>(
     seed: u64,
     options: TrialOptions,
 ) -> Vec<String> {
-    let results = run_trials_auto(graph, protocol, seed, options);
+    let selection = EngineSelection::prepare(protocol, graph.num_nodes());
+    let results = run_trials_auto_prepared(graph, protocol, &selection, seed, options);
     pareto_row(
         label,
         family,
@@ -190,7 +195,10 @@ fn stab_row<P: ArbitraryInit + Clone>(
     seed: u64,
     options: TrialOptions,
 ) -> Vec<String> {
-    let results = run_trials_stabilize_auto(graph, protocol, seed, options, &FaultPlan::empty());
+    let selection = prepare_stabilize_engine(protocol, graph.num_nodes());
+    let plan = FaultPlan::empty();
+    let results =
+        run_trials_stabilize_auto_prepared(graph, protocol, &selection, seed, options, &plan);
     pareto_row(
         label,
         family,

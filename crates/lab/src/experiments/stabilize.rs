@@ -26,7 +26,7 @@ use crate::workloads::Family;
 use crate::RunConfig;
 use popele_core::{LooseProtocol, RingLooseProtocol};
 use popele_engine::monte_carlo::{TrialOptions, TrialResult};
-use popele_engine::stabilize::run_trials_stabilize_auto;
+use popele_engine::stabilize::{prepare_stabilize_engine, run_trials_stabilize_auto_prepared};
 use popele_engine::{FaultKind, FaultPlan};
 use popele_math::rng::SeedSeq;
 use popele_math::stats::Summary;
@@ -79,9 +79,11 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
     for (f_idx, &family) in [Family::Clique, Family::Cycle].iter().enumerate() {
         let graph = family.generate(n, graph_seed(f_idx as u64));
         for &tau in budgets {
-            let results = run_trials_stabilize_auto(
+            let p = LooseProtocol::new(tau);
+            let results = run_trials_stabilize_auto_prepared(
                 &graph,
-                &LooseProtocol::new(tau),
+                &p,
+                &prepare_stabilize_engine(&p, graph.num_nodes()),
                 next_seed(&mut row_seed),
                 options,
                 &FaultPlan::empty(),
@@ -93,9 +95,10 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
     let ring = Family::Cycle.generate(n, graph_seed(1));
     for factor in [1u32, 2, 4] {
         let p = RingLooseProtocol::new((factor * ring.num_nodes()).max(8));
-        let results = run_trials_stabilize_auto(
+        let results = run_trials_stabilize_auto_prepared(
             &ring,
             &p,
+            &prepare_stabilize_engine(&p, ring.num_nodes()),
             next_seed(&mut row_seed),
             options,
             &FaultPlan::empty(),
@@ -135,9 +138,11 @@ pub fn run(cfg: &RunConfig) -> Vec<Table> {
     for (f_idx, &family) in [Family::Clique, Family::Cycle].iter().enumerate() {
         let graph = family.generate(n, graph_seed(f_idx as u64));
         for &tau in cfg.pick(&[8u32, 32][..], &[16u32, 64][..]) {
-            let results = run_trials_stabilize_auto(
+            let p = LooseProtocol::new(tau);
+            let results = run_trials_stabilize_auto_prepared(
                 &graph,
-                &LooseProtocol::new(tau),
+                &p,
+                &prepare_stabilize_engine(&p, graph.num_nodes() + plan.max_joins()),
                 next_seed(&mut row_seed),
                 options,
                 &plan,

@@ -22,7 +22,7 @@
 //! * across thread counts (per-trial seeds are derived, not consumed in
 //!   execution order);
 //! * across engines (the compiled dense engine is trace-identical to the
-//!   generic one; [`popele_engine::monte_carlo::run_trials_auto`] picks
+//!   generic one; [`popele_engine::EngineSelection::prepare`] picks
 //!   freely);
 //! * across interruptions — kill the process after any shard, rerun the
 //!   same command, and the completed campaign's outputs match an

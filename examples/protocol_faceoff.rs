@@ -10,7 +10,8 @@
 //! heart of the paper.
 
 use popele::dynamics::broadcast::{estimate_broadcast_time, BroadcastConfig, SourceStrategy};
-use popele::engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
+use popele::engine::monte_carlo::{run_trials_auto_prepared, TrialOptions, TrialStats};
+use popele::engine::{EngineSelection, Protocol};
 use popele::graph::{families, random, Graph};
 use popele::protocols::params::{identifier_bits, FastParams};
 use popele::protocols::{FastProtocol, IdentifierProtocol, TokenProtocol};
@@ -71,18 +72,23 @@ fn main() {
                 stats.max_distinct_states.unwrap_or(0)
             );
         };
-        report(
-            "token",
-            TrialStats::from_results(&run_trials(&g, &token, 1, opts)),
-        );
-        report(
-            "identifier",
-            TrialStats::from_results(&run_trials(&g, &id, 2, opts)),
-        );
-        report(
-            "fast",
-            TrialStats::from_results(&run_trials(&g, &fast, 3, opts)),
-        );
+        report("token", elect(&g, &token, 1, opts));
+        report("identifier", elect(&g, &id, 2, opts));
+        report("fast", elect(&g, &fast, 3, opts));
         println!();
     }
+}
+
+/// Election statistics of `protocol` on `g`, on the engine tier picked
+/// for the cell (every tier gives the same results, only faster or slower).
+fn elect<P: Protocol + Clone>(
+    g: &Graph,
+    protocol: &P,
+    seed: u64,
+    opts: TrialOptions,
+) -> TrialStats {
+    let selection = EngineSelection::prepare(protocol, g.num_nodes());
+    TrialStats::from_results(&run_trials_auto_prepared(
+        g, protocol, &selection, seed, opts,
+    ))
 }

@@ -13,8 +13,9 @@
 //! space-efficient protocol (Theorem 24).
 
 use popele::dynamics::broadcast::{estimate_broadcast_time, BroadcastConfig, SourceStrategy};
-use popele::engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
-use popele::graph::families;
+use popele::engine::monte_carlo::{run_trials_auto_prepared, TrialOptions, TrialStats};
+use popele::engine::{EngineSelection, Protocol};
+use popele::graph::{families, Graph};
 use popele::protocols::params::{identifier_bits, FastParams};
 use popele::protocols::{FastProtocol, IdentifierProtocol, TokenProtocol};
 
@@ -54,15 +55,15 @@ fn main() {
     };
 
     let token = TokenProtocol::all_candidates();
-    let stats = TrialStats::from_results(&run_trials(&g, &token, 1, opts));
+    let stats = elect(&g, &token, 1, opts);
     print_stats("token", &stats, "O(H(G)·n·log n), O(1) states");
 
     let id = IdentifierProtocol::new(identifier_bits(n, false));
-    let stats = TrialStats::from_results(&run_trials(&g, &id, 2, opts));
+    let stats = elect(&g, &id, 2, opts);
     print_stats("identifier", &stats, "O(B(G) + n·log n), O(n⁴) states");
 
     let fast = FastProtocol::new(FastParams::practical(b, g.max_degree(), g.num_edges(), n));
-    let stats = TrialStats::from_results(&run_trials(&g, &fast, 3, opts));
+    let stats = elect(&g, &fast, 3, opts);
     print_stats("fast", &stats, "O(B(G)·log n), O(log² n) states");
 
     println!(
@@ -72,4 +73,18 @@ fn main() {
          premium; the 6-state baseline pays the full random-walk penalty.",
         n
     );
+}
+
+/// Election statistics of `protocol` on `g`, on the engine tier picked
+/// for the cell (every tier gives the same results, only faster or slower).
+fn elect<P: Protocol + Clone>(
+    g: &Graph,
+    protocol: &P,
+    seed: u64,
+    opts: TrialOptions,
+) -> TrialStats {
+    let selection = EngineSelection::prepare(protocol, g.num_nodes());
+    TrialStats::from_results(&run_trials_auto_prepared(
+        g, protocol, &selection, seed, opts,
+    ))
 }

@@ -11,17 +11,19 @@ mod harness;
 
 use harness::clique_forms;
 use popele::engine::monte_carlo::{
-    lazy_handoff_step, run_trials, run_trials_auto_with_faults, run_trials_dense, run_trials_lanes,
-    run_trials_lazy, run_trials_with_faults, TrialOptions,
+    lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared,
+    run_trials_lanes, TrialOptions,
 };
-use popele::engine::stabilize::{run_trials_stabilize, run_trials_stabilize_auto};
-use popele::engine::{CompiledProtocol, EdgeScheduler, Executor, FaultKind, FaultPlan};
+use popele::engine::stabilize::{prepare_stabilize_engine, run_trials_stabilize_auto_prepared};
+use popele::engine::{
+    CompiledProtocol, EdgeScheduler, EngineSelection, Executor, FaultKind, FaultPlan,
+};
 use popele::graph::properties::diameter_double_sweep;
 use popele::graph::Graph;
 use popele::protocols::params::{identifier_bits, FastParams};
 use popele::protocols::{FastProtocol, IdentifierProtocol, LooseProtocol, TokenProtocol};
 use popele_lab::workloads::broadcast_guess;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const SIZES: [u32; 5] = [2, 3, 37, 256, 4096];
 
@@ -105,18 +107,20 @@ fn generic_executor_steps_in_lockstep() {
 #[test]
 fn trial_results_are_identical_on_every_tier() {
     let token = TokenProtocol::all_candidates();
+    let (generic, lazy) = (EngineSelection::generic(), EngineSelection::lazy());
     for (implicit, csr) in forms() {
         let n = csr.num_nodes();
         let opts = options(2, budget(n));
         assert_eq!(
-            run_trials(implicit, &token, 3, opts),
-            run_trials(csr, &token, 3, opts),
+            run_trials_auto_prepared(implicit, &token, &generic, 3, opts),
+            run_trials_auto_prepared(csr, &token, &generic, 3, opts),
             "{csr} generic"
         );
-        let compiled = CompiledProtocol::compile_default(&token, n).unwrap();
+        let compiled = Arc::new(CompiledProtocol::compile_default(&token, n).unwrap());
+        let dense = EngineSelection::dense(Arc::clone(&compiled));
         assert_eq!(
-            run_trials_dense(implicit, &compiled, 3, opts),
-            run_trials_dense(csr, &compiled, 3, opts),
+            run_trials_auto_prepared(implicit, &token, &dense, 3, opts),
+            run_trials_auto_prepared(csr, &token, &dense, 3, opts),
             "{csr} AOT"
         );
         let lanes = options(9, budget(n));
@@ -127,8 +131,8 @@ fn trial_results_are_identical_on_every_tier() {
         );
         let identifier = IdentifierProtocol::new(identifier_bits(n, false));
         assert_eq!(
-            run_trials_lazy(implicit, &identifier, 3, opts),
-            run_trials_lazy(csr, &identifier, 3, opts),
+            run_trials_auto_prepared(implicit, &identifier, &lazy, 3, opts),
+            run_trials_auto_prepared(csr, &identifier, &lazy, 3, opts),
             "{csr} lazy"
         );
     }
@@ -142,16 +146,18 @@ fn fast_protocol_cells_agree_in_parameters_and_results() {
             |g: &Graph| FastParams::practical(broadcast_guess(g), g.max_degree(), g.num_edges(), n);
         assert_eq!(broadcast_guess(implicit), broadcast_guess(csr));
         let fast = FastProtocol::new(params(implicit));
-        let opts = options(2, budget(n));
+        let (opts, short) = (options(2, budget(n)), options(1, 20_000));
+        let (generic, csr_fast) = (EngineSelection::generic(), FastProtocol::new(params(csr)));
         assert_eq!(
-            run_trials(implicit, &fast, 5, options(1, 20_000)),
-            run_trials(csr, &FastProtocol::new(params(csr)), 5, options(1, 20_000)),
+            run_trials_auto_prepared(implicit, &fast, &generic, 5, short),
+            run_trials_auto_prepared(csr, &csr_fast, &generic, 5, short),
             "{csr} generic fast"
         );
         if let Ok(compiled) = CompiledProtocol::compile_default(&fast, n) {
+            let dense = EngineSelection::dense(compiled);
             assert_eq!(
-                run_trials_dense(implicit, &compiled, 5, opts),
-                run_trials_dense(csr, &compiled, 5, opts),
+                run_trials_auto_prepared(implicit, &fast, &dense, 5, opts),
+                run_trials_auto_prepared(csr, &fast, &dense, 5, opts),
                 "{csr} AOT fast"
             );
         }
@@ -172,10 +178,10 @@ fn lazy_trials_handed_to_the_generic_engine_agree() {
         if n == 4096 {
             assert_eq!(handoff, Some(1 << 16), "{csr}: no hand-off");
         }
-        let opts = options(2, max_steps);
+        let (opts, lazy) = (options(2, max_steps), EngineSelection::lazy());
         assert_eq!(
-            run_trials_lazy(implicit, &identifier, 11, opts),
-            run_trials_lazy(csr, &identifier, 11, opts),
+            run_trials_auto_prepared(implicit, &identifier, &lazy, 11, opts),
+            run_trials_auto_prepared(csr, &identifier, &lazy, 11, opts),
             "{csr} lazy with hand-off"
         );
     }
@@ -189,19 +195,22 @@ fn faulted_runs_agree() {
         let n = csr.num_nodes();
         let opts = options(2, budget(n));
         let identifier = IdentifierProtocol::new(identifier_bits(n, false));
+        let generic = EngineSelection::generic();
         assert_eq!(
-            run_trials_with_faults(implicit, &token, 4, opts, &corrupt),
-            run_trials_with_faults(csr, &token, 4, opts, &corrupt),
+            run_trials_auto_with_faults_prepared(implicit, &token, &generic, 4, opts, &corrupt),
+            run_trials_auto_with_faults_prepared(csr, &token, &generic, 4, opts, &corrupt),
             "{csr} generic corrupt"
         );
+        let aot = EngineSelection::prepare(&token, n);
         assert_eq!(
-            run_trials_auto_with_faults(implicit, &token, 4, opts, &corrupt),
-            run_trials_auto_with_faults(csr, &token, 4, opts, &corrupt),
+            run_trials_auto_with_faults_prepared(implicit, &token, &aot, 4, opts, &corrupt),
+            run_trials_auto_with_faults_prepared(csr, &token, &aot, 4, opts, &corrupt),
             "{csr} AOT corrupt"
         );
+        let id = EngineSelection::prepare(&identifier, n);
         assert_eq!(
-            run_trials_auto_with_faults(implicit, &identifier, 4, opts, &corrupt),
-            run_trials_auto_with_faults(csr, &identifier, 4, opts, &corrupt),
+            run_trials_auto_with_faults_prepared(implicit, &identifier, &id, 4, opts, &corrupt),
+            run_trials_auto_with_faults_prepared(csr, &identifier, &id, 4, opts, &corrupt),
             "{csr} lazy corrupt"
         );
     }
@@ -216,9 +225,10 @@ fn faulted_runs_agree() {
         .filter(|(g, _)| (3..=256).contains(&g.num_nodes()))
     {
         let opts = options(2, budget(csr.num_nodes()));
+        let auto = EngineSelection::prepare(&token, csr.num_nodes() + topology.max_joins());
         assert_eq!(
-            run_trials_auto_with_faults(implicit, &token, 6, opts, &topology),
-            run_trials_auto_with_faults(csr, &token, 6, opts, &topology),
+            run_trials_auto_with_faults_prepared(implicit, &token, &auto, 6, opts, &topology),
+            run_trials_auto_with_faults_prepared(csr, &token, &auto, 6, opts, &topology),
             "{csr} topology"
         );
     }
@@ -227,20 +237,19 @@ fn faulted_runs_agree() {
 #[test]
 fn stabilizing_runs_agree() {
     let loose = LooseProtocol::new(24);
+    let generic = EngineSelection::generic();
     let corrupt = FaultPlan::at(700, FaultKind::CorruptNodes { count: 1 });
     for (implicit, csr) in forms() {
         let opts = options(2, budget(csr.num_nodes()).min(100_000));
+        let auto = prepare_stabilize_engine(&loose, csr.num_nodes());
         for plan in [FaultPlan::empty(), corrupt.clone()] {
-            assert_eq!(
-                run_trials_stabilize(implicit, &loose, 8, opts, &plan),
-                run_trials_stabilize(csr, &loose, 8, opts, &plan),
-                "{csr} generic stabilize"
-            );
-            assert_eq!(
-                run_trials_stabilize_auto(implicit, &loose, 8, opts, &plan),
-                run_trials_stabilize_auto(csr, &loose, 8, opts, &plan),
-                "{csr} auto stabilize"
-            );
+            for (tier, label) in [(&generic, "generic"), (&auto, "auto")] {
+                assert_eq!(
+                    run_trials_stabilize_auto_prepared(implicit, &loose, tier, 8, opts, &plan),
+                    run_trials_stabilize_auto_prepared(csr, &loose, tier, 8, opts, &plan),
+                    "{csr} {label} stabilize"
+                );
+            }
         }
     }
 }
@@ -275,12 +284,14 @@ fn statistics_and_equality_agree_without_materializing() {
         );
         // A whole trial on each tier leaves it unmaterialized too.
         let token = TokenProtocol::all_candidates();
-        let compiled = CompiledProtocol::compile_default(&token, n).unwrap();
+        let compiled = Arc::new(CompiledProtocol::compile_default(&token, n).unwrap());
         let identifier = IdentifierProtocol::new(identifier_bits(n, false));
-        let _ = run_trials(&fresh, &token, 1, options(1, 5_000));
-        let _ = run_trials_dense(&fresh, &compiled, 1, options(1, 5_000));
+        let (generic, lazy) = (EngineSelection::generic(), EngineSelection::lazy());
+        let dense = EngineSelection::dense(Arc::clone(&compiled));
+        let _ = run_trials_auto_prepared(&fresh, &token, &generic, 1, options(1, 5_000));
+        let _ = run_trials_auto_prepared(&fresh, &token, &dense, 1, options(1, 5_000));
         let _ = run_trials_lanes(&fresh, &compiled, 1, options(9, 5_000));
-        let _ = run_trials_lazy(&fresh, &identifier, 1, options(1, 5_000));
+        let _ = run_trials_auto_prepared(&fresh, &identifier, &lazy, 1, options(1, 5_000));
         assert!(!fresh.is_materialized(), "{csr}: a trial built the arrays");
     }
 }

@@ -16,9 +16,9 @@
 mod harness;
 
 use harness::{assert_table_agrees, diff_outcomes};
-use popele::engine::monte_carlo::{run_trials, run_trials_auto, run_trials_dense, TrialOptions};
+use popele::engine::monte_carlo::{run_trials_auto_prepared, TrialOptions};
 use popele::engine::{
-    CompiledProtocol, DenseExecutor, Executor, LeaderCountOracle, Protocol, Role,
+    CompiledProtocol, DenseExecutor, EngineSelection, Executor, LeaderCountOracle, Protocol, Role,
 };
 use popele::graph::families;
 use popele::protocols::clock::StreakClock;
@@ -252,15 +252,16 @@ fn auto_trials_equal_generic_trials_and_threads_do_not_matter() {
         threads,
         ..TrialOptions::default()
     };
-    let generic = run_trials(&g, &p, 0xC0FFEE, opts(1));
-    let auto1 = run_trials_auto(&g, &p, 0xC0FFEE, opts(1));
-    let auto4 = run_trials_auto(&g, &p, 0xC0FFEE, opts(4));
+    let auto = EngineSelection::prepare(&p, 16);
+    let generic = run_trials_auto_prepared(&g, &p, &EngineSelection::generic(), 0xC0FFEE, opts(1));
+    let auto1 = run_trials_auto_prepared(&g, &p, &auto, 0xC0FFEE, opts(1));
+    let auto4 = run_trials_auto_prepared(&g, &p, &auto, 0xC0FFEE, opts(4));
     assert_eq!(generic, auto1);
     assert_eq!(generic, auto4);
 
-    let compiled = CompiledProtocol::compile_default(&p, 16).unwrap();
-    let dense1 = run_trials_dense(&g, &compiled, 0xC0FFEE, opts(1));
-    let dense3 = run_trials_dense(&g, &compiled, 0xC0FFEE, opts(3));
+    let dense = EngineSelection::dense(CompiledProtocol::compile_default(&p, 16).unwrap());
+    let dense1 = run_trials_auto_prepared(&g, &p, &dense, 0xC0FFEE, opts(1));
+    let dense3 = run_trials_auto_prepared(&g, &p, &dense, 0xC0FFEE, opts(3));
     assert_eq!(generic, dense1);
     assert_eq!(dense1, dense3);
 }
@@ -282,7 +283,7 @@ fn fallback_for_uncompilable_protocols_is_transparent() {
         ..TrialOptions::default()
     };
     assert_eq!(
-        run_trials(&g, &p, 5, opts),
-        run_trials_auto(&g, &p, 5, opts)
+        run_trials_auto_prepared(&g, &p, &EngineSelection::generic(), 5, opts),
+        run_trials_auto_prepared(&g, &p, &EngineSelection::prepare(&p, 10), 5, opts)
     );
 }

@@ -9,7 +9,7 @@
 //! 1. **Distribution-level differential tests** at population sizes
 //!    both tiers can run (10³ up to `COUNT_MIN_AGENTS` = 2¹⁵): means
 //!    and quantiles of election time in parallel time (steps/n) from
-//!    [`run_trials_count`] must match the sequential engines on the
+//!    [`run_trials_count_prepared`] must match the sequential engines on the
 //!    same clique workload. Both sides are seeded, so each comparison
 //!    is deterministic; the
 //!    tolerances are ~4 standard errors of the difference at the given
@@ -30,7 +30,7 @@
 mod harness;
 
 use harness::assert_distributions_match;
-use popele::engine::monte_carlo::{run_trials_count, TrialOptions};
+use popele::engine::monte_carlo::{run_trials_count_prepared, TrialOptions};
 use popele::engine::{compile_for_count, CountEngine, COUNT_MIN_AGENTS};
 use popele::protocols::params::FastParams;
 use popele::protocols::{FastProtocol, TokenProtocol};
@@ -142,7 +142,8 @@ fn count_trials_are_deterministic_at_1e8_agents() {
         max_steps: 50_000_000,
         ..TrialOptions::default()
     };
-    let a = run_trials_count(&protocol, N, 99, options);
-    let b = run_trials_count(&protocol, N, 99, options);
+    let compiled = compile_for_count(&protocol, N).unwrap();
+    let a = run_trials_count_prepared(&compiled, N, 99, options);
+    let b = run_trials_count_prepared(&compiled, N, 99, options);
     assert_eq!(a, b);
 }

@@ -15,10 +15,9 @@
 
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
-    run_trials_auto, run_trials_auto_with_faults, run_trials_dense_with_faults,
-    run_trials_with_faults, TrialOptions,
+    run_trials_auto_prepared, run_trials_auto_with_faults_prepared as faulted_trials, TrialOptions,
 };
-use popele::engine::{CompiledProtocol, DenseExecutor, Executor};
+use popele::engine::{CompiledProtocol, DenseExecutor, EngineSelection, Executor};
 use popele::graph::families;
 use popele::protocols::{MajorityProtocol, TokenProtocol};
 
@@ -80,13 +79,17 @@ fn empty_plan_monte_carlo_matches_plain_entry_points() {
     let g = families::cycle(16);
     let protocol = TokenProtocol::all_candidates();
     let empty = FaultPlan::empty();
-    let plain = run_trials_auto(&g, &protocol, 77, opts(2));
+    let (auto, generic) = (
+        EngineSelection::prepare(&protocol, 16),
+        EngineSelection::generic(),
+    );
+    let plain = run_trials_auto_prepared(&g, &protocol, &auto, 77, opts(2));
     assert_eq!(
-        run_trials_auto_with_faults(&g, &protocol, 77, opts(2), &empty),
+        faulted_trials(&g, &protocol, &auto, 77, opts(2), &empty),
         plain
     );
     assert_eq!(
-        run_trials_with_faults(&g, &protocol, 77, opts(2), &empty),
+        faulted_trials(&g, &protocol, &generic, 77, opts(2), &empty),
         plain
     );
     assert!(plain.iter().all(|r| r.recovery.is_none()));
@@ -123,19 +126,27 @@ fn faulted_trials_match_across_engines_and_threads() {
     let protocol = MajorityProtocol::new(11, 18);
     let plan =
         FaultPlan::at(400, FaultKind::CorruptNodes { count: 4 }).and(800, FaultKind::RewireEdge);
-    let compiled = CompiledProtocol::compile_default(&protocol, 18).unwrap();
+    let dense = EngineSelection::dense(CompiledProtocol::compile_default(&protocol, 18).unwrap());
+    let auto = EngineSelection::prepare(&protocol, 18);
 
-    let generic = run_trials_with_faults(&g, &protocol, 3, opts(1), &plan);
-    let dense = run_trials_dense_with_faults(&g, &compiled, 3, opts(1), &plan);
-    let auto = run_trials_auto_with_faults(&g, &protocol, 3, opts(1), &plan);
+    let generic = faulted_trials(
+        &g,
+        &protocol,
+        &EngineSelection::generic(),
+        3,
+        opts(1),
+        &plan,
+    );
+    let dense = faulted_trials(&g, &protocol, &dense, 3, opts(1), &plan);
+    let auto_results = faulted_trials(&g, &protocol, &auto, 3, opts(1), &plan);
     assert_eq!(generic, dense);
-    assert_eq!(generic, auto);
+    assert_eq!(generic, auto_results);
     assert!(generic.iter().all(|r| r.recovery.is_some()));
 
     // Thread counts never leak into results.
     for threads in [2, 4, 8] {
         assert_eq!(
-            run_trials_auto_with_faults(&g, &protocol, 3, opts(threads), &plan),
+            faulted_trials(&g, &protocol, &auto, 3, opts(threads), &plan),
             generic,
             "{threads} threads"
         );
@@ -148,9 +159,11 @@ fn faulted_shards_equal_one_big_run() {
     let protocol = TokenProtocol::all_candidates();
     let plan = FaultPlan::at(500, FaultKind::CorruptNodes { count: 3 })
         .and(1_000, FaultKind::JoinNode { degree: 3 });
-    let whole = run_trials_auto_with_faults(
+    let auto = EngineSelection::prepare(&protocol, g.num_nodes() + plan.max_joins());
+    let whole = faulted_trials(
         &g,
         &protocol,
+        &auto,
         55,
         TrialOptions {
             trials: 9,
@@ -162,9 +175,10 @@ fn faulted_shards_equal_one_big_run() {
     );
     let mut sharded = Vec::new();
     for (first_trial, trials) in [(0, 4), (4, 3), (7, 2)] {
-        sharded.extend(run_trials_auto_with_faults(
+        sharded.extend(faulted_trials(
             &g,
             &protocol,
+            &auto,
             55,
             TrialOptions {
                 trials,

@@ -36,11 +36,12 @@
 #![allow(dead_code)]
 
 use popele::engine::monte_carlo::{
-    run_trials_auto, run_trials_count, Engine, TrialOptions, TrialResult,
+    run_trials_auto_prepared, run_trials_count_prepared, Engine, TrialOptions, TrialResult,
 };
 use popele::engine::stabilize::{arbitrary_config, arbitrary_seed, ArbitraryInit};
 use popele::engine::{
-    CompiledProtocol, DenseExecutor, Executor, LazyDenseExecutor, Protocol, Role, StateId,
+    compile_for_count, CompiledProtocol, DenseExecutor, EngineSelection, Executor,
+    LazyDenseExecutor, Protocol, Role, StateId,
 };
 use popele::graph::{families, random, Graph};
 use popele::math::stats::Summary;
@@ -298,17 +299,19 @@ pub fn assert_distributions_match<P: Protocol + Clone>(
     (tol_mean, tol_q): (f64, f64),
 ) {
     let graph = families::clique(u32::try_from(n).unwrap());
-    let dense = run_trials_auto(
+    let dense = run_trials_auto_prepared(
         &graph,
         protocol,
+        &EngineSelection::prepare(protocol, graph.num_nodes()),
         0xD0_0D5,
         TrialOptions {
             trials: dense_trials,
             ..TrialOptions::default()
         },
     );
-    let count = run_trials_count(
-        protocol,
+    let compiled = compile_for_count(protocol, n).expect("count tier compiles");
+    let count = run_trials_count_prepared(
+        &compiled,
         n,
         0xC0_0475,
         TrialOptions {

@@ -28,10 +28,9 @@
 //!    recording the lane engine exactly when the tier is eligible.
 
 use popele::engine::monte_carlo::{
-    run_trials, run_trials_auto, run_trials_dense, run_trials_lanes, Engine, TrialOptions,
-    LANE_MIN_TRIALS,
+    run_trials_auto_prepared, run_trials_lanes, Engine, TrialOptions, LANE_MIN_TRIALS,
 };
-use popele::engine::{CompiledProtocol, DenseExecutor, LaneDenseExecutor};
+use popele::engine::{CompiledProtocol, DenseExecutor, EngineSelection, LaneDenseExecutor};
 use popele::graph::{families, random::random_regular_connected, Graph};
 use popele::protocols::params::FastParams;
 use popele::protocols::{FastProtocol, StarProtocol, TokenProtocol};
@@ -58,8 +57,17 @@ fn assert_lanes_match(g: &Graph, seed: u64, trials: usize, max_steps: u64) {
     let lanes = run_trials_lanes(g, &compiled, seed, o);
     assert_eq!(lanes.len(), trials);
     assert!(lanes.iter().all(|r| r.engine == Engine::Lanes));
-    assert_eq!(lanes, run_trials_dense(g, &compiled, seed, o), "{g}");
-    assert_eq!(lanes, run_trials(g, &p, seed, o), "{g}");
+    let (dense, generic) = (EngineSelection::dense(compiled), EngineSelection::generic());
+    assert_eq!(
+        lanes,
+        run_trials_auto_prepared(g, &p, &dense, seed, o),
+        "{g}"
+    );
+    assert_eq!(
+        lanes,
+        run_trials_auto_prepared(g, &p, &generic, seed, o),
+        "{g}"
+    );
 }
 
 #[test]
@@ -97,12 +105,13 @@ fn timeouts_are_trace_identical_per_trial() {
     let g = families::star(24);
     let p = StarProtocol::new();
     let compiled = CompiledProtocol::compile_default(&p, g.num_nodes()).unwrap();
+    let dense = EngineSelection::dense(compiled.clone());
     for max_steps in [1, 8, 64, 512] {
         let o = opts(12, 0, max_steps, 1);
         let lanes = run_trials_lanes(&g, &compiled, 0xC0, o);
         assert_eq!(
             lanes,
-            run_trials_dense(&g, &compiled, 0xC0, o),
+            run_trials_auto_prepared(&g, &p, &dense, 0xC0, o),
             "{max_steps}"
         );
     }
@@ -119,8 +128,17 @@ fn fast_protocol_nonlinear_oracle_matches_scalar() {
         let o = opts(10, 0, 1 << 24, 1);
         let lanes = run_trials_lanes(&g, &compiled, seed, o);
         assert!(lanes.iter().all(|r| r.engine == Engine::Lanes));
-        assert_eq!(lanes, run_trials_dense(&g, &compiled, seed, o), "{g}");
-        assert_eq!(lanes, run_trials(&g, &p, seed, o), "{g}");
+        let (dense, generic) = (EngineSelection::dense(compiled), EngineSelection::generic());
+        assert_eq!(
+            lanes,
+            run_trials_auto_prepared(&g, &p, &dense, seed, o),
+            "{g}"
+        );
+        assert_eq!(
+            lanes,
+            run_trials_auto_prepared(&g, &p, &generic, seed, o),
+            "{g}"
+        );
     }
 }
 
@@ -203,19 +221,20 @@ fn ragged_retirement_refills_without_disturbing_neighbours() {
 fn auto_selection_with_lanes_is_thread_and_shard_invariant() {
     let g = families::clique(32);
     let p = TokenProtocol::all_candidates();
+    let auto = EngineSelection::prepare(&p, 32);
     let with_lanes = |trials, first_trial, threads| TrialOptions {
         lanes: true,
         ..opts(trials, first_trial, 1 << 24, threads)
     };
 
     // Baseline: the lanes-off auto run (scalar dense tier).
-    let baseline = run_trials_auto(&g, &p, 0xF00D, opts(12, 0, 1 << 24, 1));
+    let baseline = run_trials_auto_prepared(&g, &p, &auto, 0xF00D, opts(12, 0, 1 << 24, 1));
     assert!(baseline.iter().all(|r| r.engine == Engine::Dense));
 
     // Lane tier on, one thread and several: identical results, lane
     // provenance.
-    let lanes1 = run_trials_auto(&g, &p, 0xF00D, with_lanes(12, 0, 1));
-    let lanes4 = run_trials_auto(&g, &p, 0xF00D, with_lanes(12, 0, 4));
+    let lanes1 = run_trials_auto_prepared(&g, &p, &auto, 0xF00D, with_lanes(12, 0, 1));
+    let lanes4 = run_trials_auto_prepared(&g, &p, &auto, 0xF00D, with_lanes(12, 0, 4));
     assert!(lanes1.iter().all(|r| r.engine == Engine::Lanes));
     assert_eq!(baseline, lanes1);
     assert_eq!(lanes1, lanes4);
@@ -225,14 +244,21 @@ fn auto_selection_with_lanes_is_thread_and_shard_invariant() {
     // results must be unchanged either way, only the provenance moves.
     let mut sharded = Vec::new();
     for (start, len) in [(0, 8), (8, 4)] {
-        sharded.extend(run_trials_auto(&g, &p, 0xF00D, with_lanes(len, start, 2)));
+        sharded.extend(run_trials_auto_prepared(
+            &g,
+            &p,
+            &auto,
+            0xF00D,
+            with_lanes(len, start, 2),
+        ));
     }
     assert_eq!(baseline, sharded);
     assert!(sharded[..8].iter().all(|r| r.engine == Engine::Lanes));
     assert!(sharded[8..].iter().all(|r| r.engine == Engine::Dense));
 
     // Below the eligibility floor the flag is a no-op.
-    let small = run_trials_auto(&g, &p, 0xF00D, with_lanes(LANE_MIN_TRIALS - 1, 0, 1));
+    let small =
+        run_trials_auto_prepared(&g, &p, &auto, 0xF00D, with_lanes(LANE_MIN_TRIALS - 1, 0, 1));
     assert!(small.iter().all(|r| r.engine == Engine::Dense));
     assert_eq!(baseline[..LANE_MIN_TRIALS - 1], small[..]);
 }

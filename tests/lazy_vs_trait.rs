@@ -29,11 +29,12 @@ use popele::engine::dense::PROBE_EVAL_BUDGET;
 use popele::engine::dense::{probe_state_space, SpaceProbe, DEFAULT_MAX_COMPILED_STATES};
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
-    lazy_handoff_step, run_trials, run_trials_auto, run_trials_auto_with_faults, run_trials_lazy,
-    run_trials_lazy_with_faults, run_trials_with_faults, select_engine, Engine, TrialOptions,
+    lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared, Engine,
+    TrialOptions,
 };
 use popele::engine::{
-    CompiledProtocol, Executor, LazyDenseExecutor, LeaderCountOracle, Protocol, Role,
+    CompiledProtocol, EngineSelection, Executor, LazyDenseExecutor, LeaderCountOracle, Protocol,
+    Role,
 };
 use popele::graph::{families, Graph};
 use popele::math::rng::SeedSeq;
@@ -198,6 +199,7 @@ fn full_scale_fast_faulted_sessions_identical_across_engines() {
 
 #[test]
 fn lazy_trials_bit_identical_across_threads_and_shards() {
+    let (generic_tier, lazy_tier) = (EngineSelection::generic(), EngineSelection::lazy());
     // Warm per-worker pair caches must never leak into results: any
     // thread count and any sharding reproduces the generic run exactly.
     let g = families::cycle(48);
@@ -210,20 +212,27 @@ fn lazy_trials_bit_identical_across_threads_and_shards() {
         lanes: false,
         threads,
     };
-    let generic = run_trials(&g, &p, 0xBEEF, opts(1, 0, 8));
-    let lazy1 = run_trials_lazy(&g, &p, 0xBEEF, opts(1, 0, 8));
-    let lazy4 = run_trials_lazy(&g, &p, 0xBEEF, opts(4, 0, 8));
+    let generic = run_trials_auto_prepared(&g, &p, &generic_tier, 0xBEEF, opts(1, 0, 8));
+    let lazy1 = run_trials_auto_prepared(&g, &p, &lazy_tier, 0xBEEF, opts(1, 0, 8));
+    let lazy4 = run_trials_auto_prepared(&g, &p, &lazy_tier, 0xBEEF, opts(4, 0, 8));
     assert_eq!(generic, lazy1);
     assert_eq!(generic, lazy4);
     let mut sharded = Vec::new();
     for (start, len) in [(0, 3), (3, 3), (6, 2)] {
-        sharded.extend(run_trials_lazy(&g, &p, 0xBEEF, opts(2, start, len)));
+        sharded.extend(run_trials_auto_prepared(
+            &g,
+            &p,
+            &lazy_tier,
+            0xBEEF,
+            opts(2, start, len),
+        ));
     }
     assert_eq!(generic, sharded);
 }
 
 #[test]
 fn lazy_faulted_trials_equal_generic_faulted_trials() {
+    let (generic_tier, lazy_tier) = (EngineSelection::generic(), EngineSelection::lazy());
     let g = families::cycle(64);
     let p = realistic_identifier(64);
     let plan = FaultPlan::at(800, FaultKind::CorruptNodes { count: 8 })
@@ -236,14 +245,15 @@ fn lazy_faulted_trials_equal_generic_faulted_trials() {
         threads,
         ..TrialOptions::default()
     };
-    let generic = run_trials_with_faults(&g, &p, 0xFA, opts(1), &plan);
-    let lazy1 = run_trials_lazy_with_faults(&g, &p, 0xFA, opts(1), &plan);
-    let lazy3 = run_trials_lazy_with_faults(&g, &p, 0xFA, opts(3), &plan);
+    let generic = run_trials_auto_with_faults_prepared(&g, &p, &generic_tier, 0xFA, opts(1), &plan);
+    let lazy1 = run_trials_auto_with_faults_prepared(&g, &p, &lazy_tier, 0xFA, opts(1), &plan);
+    let lazy3 = run_trials_auto_with_faults_prepared(&g, &p, &lazy_tier, 0xFA, opts(3), &plan);
     assert_eq!(generic, lazy1);
     assert_eq!(generic, lazy3);
     // The auto path picks the lazy engine for this workload and returns
     // the same results, tagged accordingly.
-    let auto = run_trials_auto_with_faults(&g, &p, 0xFA, opts(2), &plan);
+    let auto = EngineSelection::prepare(&p, g.num_nodes() + plan.max_joins());
+    let auto = run_trials_auto_with_faults_prepared(&g, &p, &auto, 0xFA, opts(2), &plan);
     assert_eq!(generic, auto);
     assert!(auto.iter().all(|r| r.engine == Engine::LazyDense));
     assert!(generic.iter().all(|r| r.engine == Engine::Generic));
@@ -283,34 +293,43 @@ impl Protocol for UnboundedCounter {
 fn engine_selection_for_the_six_protocols() {
     // The constant-state protocols compile ahead of time at any size…
     assert_eq!(
-        select_engine(&TokenProtocol::all_candidates(), 80_000),
+        EngineSelection::prepare(&TokenProtocol::all_candidates(), 80_000).engine(),
         Engine::Dense
     );
-    assert_eq!(select_engine(&StarProtocol::new(), 80_000), Engine::Dense);
     assert_eq!(
-        select_engine(&MajorityProtocol::new(48_000, 80_000), 80_000),
+        EngineSelection::prepare(&StarProtocol::new(), 80_000).engine(),
+        Engine::Dense
+    );
+    assert_eq!(
+        EngineSelection::prepare(&MajorityProtocol::new(48_000, 80_000), 80_000).engine(),
         Engine::Dense
     );
     // …small-parameter fast instances too (the clock subroutine rides
     // inside them; its h+1 ≤ 61 states always fit)…
     assert_eq!(
-        select_engine(&FastProtocol::new(FastParams::new(1, 1, 2)), 64),
+        EngineSelection::prepare(&FastProtocol::new(FastParams::new(1, 1, 2)), 64).engine(),
         Engine::Dense
     );
     // …while the paper's flagship identifier protocol at realistic k
     // and full-scale fast instances take the lazy engine…
     assert_eq!(
-        select_engine(&realistic_identifier(2000), 2000),
+        EngineSelection::prepare(&realistic_identifier(2000), 2000).engine(),
         Engine::LazyDense
     );
     assert_eq!(
-        select_engine(&realistic_identifier(80_000), 80_000),
+        EngineSelection::prepare(&realistic_identifier(80_000), 80_000).engine(),
         Engine::LazyDense
     );
-    assert_eq!(select_engine(&full_scale_fast(), 2000), Engine::LazyDense);
+    assert_eq!(
+        EngineSelection::prepare(&full_scale_fast(), 2000).engine(),
+        Engine::LazyDense
+    );
     // …and a protocol that cannot even bound its state space stays on
     // the generic reference engine.
-    assert_eq!(select_engine(&UnboundedCounter, 16), Engine::Generic);
+    assert_eq!(
+        EngineSelection::prepare(&UnboundedCounter, 16).engine(),
+        Engine::Generic
+    );
 }
 
 #[test]
@@ -325,30 +344,35 @@ fn recorded_engine_matches_selection() {
     // AOT tier.
     let g = families::clique(32);
     let token = TokenProtocol::all_candidates();
-    let results = run_trials_auto(&g, &token, 1, opts);
-    assert_eq!(select_engine(&token, 32), Engine::Dense);
+    let tier = EngineSelection::prepare(&token, 32);
+    assert_eq!(tier.engine(), Engine::Dense);
+    let results = run_trials_auto_prepared(&g, &token, &tier, 1, opts);
     assert!(results.iter().all(|r| r.engine == Engine::Dense));
     // Lazy tier.
     let p = realistic_identifier(32);
-    let results = run_trials_auto(&g, &p, 1, opts);
-    assert_eq!(select_engine(&p, 32), Engine::LazyDense);
+    let tier = EngineSelection::prepare(&p, 32);
+    assert_eq!(tier.engine(), Engine::LazyDense);
+    let results = run_trials_auto_prepared(&g, &p, &tier, 1, opts);
     assert!(results.iter().all(|r| r.engine == Engine::LazyDense));
     // Generic tier (bounded budget: the counter never stabilizes).
-    let results = run_trials_auto(
+    let tier = EngineSelection::prepare(&UnboundedCounter, 32);
+    assert_eq!(tier.engine(), Engine::Generic);
+    let results = run_trials_auto_prepared(
         &g,
         &UnboundedCounter,
+        &tier,
         1,
         TrialOptions {
             max_steps: 1000,
             ..opts
         },
     );
-    assert_eq!(select_engine(&UnboundedCounter, 32), Engine::Generic);
     assert!(results.iter().all(|r| r.engine == Engine::Generic));
 }
 
 #[test]
 fn engine_tag_is_provenance_not_identity() {
+    let generic_tier = EngineSelection::generic();
     // The equality used by every differential assertion in this file
     // deliberately ignores the engine tag; everything else must count.
     let g = families::clique(16);
@@ -359,8 +383,8 @@ fn engine_tag_is_provenance_not_identity() {
         threads: 1,
         ..TrialOptions::default()
     };
-    let a = run_trials(&g, &p, 9, opts);
-    let mut b = run_trials_auto(&g, &p, 9, opts);
+    let a = run_trials_auto_prepared(&g, &p, &generic_tier, 9, opts);
+    let mut b = run_trials_auto_prepared(&g, &p, &EngineSelection::prepare(&p, 16), 9, opts);
     assert_ne!(a[0].engine, b[0].engine);
     assert_eq!(a, b);
     b[0].trial += 1;
@@ -427,7 +451,10 @@ fn handoff_fires_on_miss_bound_cells_only() {
     // L = 12) is a lazy cell whose cache pays: it must stay lazy.
     let g = families::clique(4000);
     let fast = FastProtocol::new(FastParams::new(16, 12, 4));
-    assert_eq!(select_engine(&fast, 4000), Engine::LazyDense);
+    assert_eq!(
+        EngineSelection::prepare(&fast, 4000).engine(),
+        Engine::LazyDense
+    );
     assert_eq!(lazy_handoff_step(&g, &fast, seed, 2_000_000), None);
     // So must identifier on the star, where the hub's interactions repeat.
     let g = families::star(70_000);
@@ -437,6 +464,7 @@ fn handoff_fires_on_miss_bound_cells_only() {
 
 #[test]
 fn handoff_trials_equal_generic_on_csr_families() {
+    let (generic_tier, lazy_tier) = (EngineSelection::generic(), EngineSelection::lazy());
     let opts = |threads, first_trial, trials, census| TrialOptions {
         trials,
         first_trial,
@@ -447,22 +475,22 @@ fn handoff_trials_equal_generic_on_csr_families() {
     };
     for g in csr_identifier_graphs() {
         let p = realistic_identifier(g.num_nodes());
-        let generic = run_trials(&g, &p, 0x4A0D, opts(1, 0, 3, false));
+        let generic = run_trials_auto_prepared(&g, &p, &generic_tier, 0x4A0D, opts(1, 0, 3, false));
         assert_eq!(
             generic,
-            run_trials_lazy(&g, &p, 0x4A0D, opts(1, 0, 3, false))
+            run_trials_auto_prepared(&g, &p, &lazy_tier, 0x4A0D, opts(1, 0, 3, false))
         );
         assert_eq!(
             generic,
-            run_trials_lazy(&g, &p, 0x4A0D, opts(2, 0, 3, false))
+            run_trials_auto_prepared(&g, &p, &lazy_tier, 0x4A0D, opts(2, 0, 3, false))
         );
-        let shard = run_trials_lazy(&g, &p, 0x4A0D, opts(2, 1, 2, false));
+        let shard = run_trials_auto_prepared(&g, &p, &lazy_tier, 0x4A0D, opts(2, 1, 2, false));
         assert_eq!(generic[1..], shard[..], "{g} shard from trial 1");
         // Every trial times out at this budget, so the census — a count
         // that depends on the whole trace — is what tells the engines'
         // trajectories apart.
-        let generic = run_trials(&g, &p, 0x4A0D, opts(2, 1, 2, true));
-        let lazy = run_trials_lazy(&g, &p, 0x4A0D, opts(1, 1, 2, true));
+        let generic = run_trials_auto_prepared(&g, &p, &generic_tier, 0x4A0D, opts(2, 1, 2, true));
+        let lazy = run_trials_auto_prepared(&g, &p, &lazy_tier, 0x4A0D, opts(1, 1, 2, true));
         assert!(generic.iter().all(|r| r.distinct_states.is_some()));
         assert_eq!(generic, lazy, "{g} with census");
     }
@@ -470,6 +498,7 @@ fn handoff_trials_equal_generic_on_csr_families() {
 
 #[test]
 fn handoff_census_equals_generic() {
+    let (generic_tier, lazy_tier) = (EngineSelection::generic(), EngineSelection::lazy());
     // torus(63×63) hands off in its first window and elects a few
     // windows later, so the census the generic engine inherits is
     // checked through complete elections, leader and step included.
@@ -486,8 +515,8 @@ fn handoff_census_equals_generic() {
         threads: 1,
         ..TrialOptions::default()
     };
-    let generic = run_trials(&g, &p, 7, opts);
-    let lazy = run_trials_lazy(&g, &p, 7, opts);
+    let generic = run_trials_auto_prepared(&g, &p, &generic_tier, 7, opts);
+    let lazy = run_trials_auto_prepared(&g, &p, &lazy_tier, 7, opts);
     assert!(generic
         .iter()
         .all(|r| r.stabilization_step.is_some() && r.distinct_states.is_some()));

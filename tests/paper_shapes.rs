@@ -5,22 +5,24 @@
 use popele::dynamics::broadcast::broadcast_time_from;
 use popele::dynamics::isolation::estimate_isolation;
 use popele::dynamics::walks::classic_worst_hitting;
-use popele::engine::monte_carlo::{run_trials, TrialOptions, TrialStats};
+use popele::engine::monte_carlo::{run_trials_auto_prepared, TrialOptions, TrialStats};
+use popele::engine::EngineSelection;
 use popele::graph::renitent::cycle_cover;
 use popele::graph::{families, random};
 use popele::math::rng::SeedSeq;
 use popele::protocols::params::identifier_bits;
 use popele::protocols::{IdentifierProtocol, StarProtocol, TokenProtocol};
 
-fn mean_steps<P: popele::engine::Protocol>(
+fn mean_steps<P: popele::engine::Protocol + Clone>(
     g: &popele::graph::Graph,
     p: &P,
     seed: u64,
     trials: usize,
 ) -> f64 {
-    let stats = TrialStats::from_results(&run_trials(
+    let stats = TrialStats::from_results(&run_trials_auto_prepared(
         g,
         p,
+        &EngineSelection::generic(),
         seed,
         TrialOptions {
             trials,

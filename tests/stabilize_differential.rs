@@ -12,16 +12,25 @@
 //! first sight (`set_configuration`), while the ahead-of-time engine
 //! needs its closure seeded with the sampler's support
 //! (`CompiledProtocol::compile_with_seeds`).
+//!
+//! The `trial_driver_*` cases pin the one Monte-Carlo trial driver both
+//! workloads share: every forced tier must equal the prepared auto
+//! selection for clean-start elections and arbitrary-start holds alike.
 
 mod harness;
 
 use harness::{assert_trace_identical_from, small_families};
-use popele::engine::monte_carlo::{Engine, TrialOptions};
-use popele::engine::stabilize::{
-    arbitrary_config, arbitrary_seed, run_to_hold, run_trials_stabilize, run_trials_stabilize_auto,
-    run_trials_stabilize_dense, run_trials_stabilize_lazy, select_stabilize_engine, ArbitraryInit,
+use popele::engine::monte_carlo::{
+    run_trials_auto_with_faults_prepared, Engine, TrialOptions, TrialResult,
 };
-use popele::engine::{CompiledProtocol, Executor, FaultKind, FaultPlan, LazyDenseExecutor};
+use popele::engine::stabilize::{
+    arbitrary_config, arbitrary_seed, prepare_stabilize_engine, run_to_hold,
+    run_trials_stabilize_auto_prepared as hold_trials, ArbitraryInit,
+};
+use popele::engine::{
+    CompiledProtocol, EngineSelection, Executor, FaultKind, FaultPlan, LazyDenseExecutor,
+    DEFAULT_MAX_COMPILED_STATES,
+};
 use popele::graph::families;
 use popele::protocols::{LooseProtocol, RingLooseProtocol};
 
@@ -84,10 +93,14 @@ fn stabilize_trials_agree_across_engines_under_corrupt_bursts() {
         let p = LooseProtocol::new(16);
         let compiled =
             CompiledProtocol::compile_with_seeds(&p, 18, 256, &p.arbitrary_support()).unwrap();
-        let generic = run_trials_stabilize(&g, &p, 77, opts, &plan);
-        let dense = run_trials_stabilize_dense(&g, &compiled, 77, opts, &plan);
-        let lazy = run_trials_stabilize_lazy(&g, &p, 77, opts, &plan);
-        let auto = run_trials_stabilize_auto(&g, &p, 77, opts, &plan);
+        let (dense, auto) = (
+            EngineSelection::dense(compiled),
+            prepare_stabilize_engine(&p, 18),
+        );
+        let generic = hold_trials(&g, &p, &EngineSelection::generic(), 77, opts, &plan);
+        let dense = hold_trials(&g, &p, &dense, 77, opts, &plan);
+        let lazy = hold_trials(&g, &p, &EngineSelection::lazy(), 77, opts, &plan);
+        let auto = hold_trials(&g, &p, &auto, 77, opts, &plan);
         assert_eq!(generic, dense, "{g}");
         assert_eq!(generic, lazy, "{g}");
         assert_eq!(generic, auto, "{g}");
@@ -113,18 +126,13 @@ fn stabilize_trials_are_thread_and_shard_invariant() {
         lanes: false,
         threads,
     };
-    let whole = run_trials_stabilize_auto(&g, &p, 9, opts(0, 9, 1), &FaultPlan::empty());
-    let threaded = run_trials_stabilize_auto(&g, &p, 9, opts(0, 9, 4), &FaultPlan::empty());
+    let (auto, empty) = (prepare_stabilize_engine(&p, 36), FaultPlan::empty());
+    let whole = hold_trials(&g, &p, &auto, 9, opts(0, 9, 1), &empty);
+    let threaded = hold_trials(&g, &p, &auto, 9, opts(0, 9, 4), &empty);
     assert_eq!(whole, threaded);
     let mut sharded = Vec::new();
     for (start, len) in [(0usize, 4usize), (4, 3), (7, 2)] {
-        sharded.extend(run_trials_stabilize_auto(
-            &g,
-            &p,
-            9,
-            opts(start, len, 2),
-            &FaultPlan::empty(),
-        ));
+        sharded.extend(hold_trials(&g, &p, &auto, 9, opts(start, len, 2), &empty));
     }
     assert_eq!(whole, sharded);
     assert_eq!(whole[5].trial, 5);
@@ -140,7 +148,8 @@ fn large_budgets_ride_the_lazy_engine_trace_identically() {
         CompiledProtocol::compile_default(&p, 64).is_err(),
         "large budgets must overflow the AOT cap"
     );
-    assert_eq!(select_stabilize_engine(&p, 64), Engine::LazyDense);
+    let auto = prepare_stabilize_engine(&p, 64);
+    assert_eq!(auto.engine(), Engine::LazyDense);
     let g = families::cycle(64);
     let config = arbitrary_config(&p, 64, arbitrary_seed(21));
     let mut generic = Executor::new(&g, &p, 21);
@@ -162,11 +171,12 @@ fn large_budgets_ride_the_lazy_engine_trace_identically() {
         threads: 1,
         ..TrialOptions::default()
     };
-    let auto = run_trials_stabilize_auto(&g, &p, 4, opts, &FaultPlan::empty());
+    let empty = FaultPlan::empty();
+    let auto = hold_trials(&g, &p, &auto, 4, opts, &empty);
     assert!(auto.iter().all(|r| r.engine == Engine::LazyDense));
     assert_eq!(
         auto,
-        run_trials_stabilize(&g, &p, 4, opts, &FaultPlan::empty())
+        hold_trials(&g, &p, &EngineSelection::generic(), 4, opts, &empty)
     );
 }
 
@@ -178,7 +188,7 @@ fn ring_variant_at_csr_scale_matches_generic() {
     let n = 70_000;
     let g = families::cycle(n);
     let p = RingLooseProtocol::for_ring(n);
-    assert_eq!(select_stabilize_engine(&p, n), Engine::LazyDense);
+    assert_eq!(prepare_stabilize_engine(&p, n).engine(), Engine::LazyDense);
     let config = arbitrary_config(&p, n, arbitrary_seed(8));
     let mut generic = Executor::new(&g, &p, 8);
     let mut lazy = LazyDenseExecutor::new(&g, &p, 8);
@@ -199,9 +209,10 @@ fn ring_variant_at_csr_scale_matches_generic() {
 fn holding_metrics_are_internally_consistent() {
     let g = families::clique(16);
     let p = LooseProtocol::new(8);
-    let results = run_trials_stabilize_auto(
+    let results = hold_trials(
         &g,
         &p,
+        &prepare_stabilize_engine(&p, 16),
         13,
         TrialOptions {
             trials: 8,
@@ -225,3 +236,124 @@ fn holding_metrics_are_internally_consistent() {
         }
     }
 }
+
+/// What a driver case runs: the clean-start election or the
+/// arbitrary-start elect-and-hold workload.
+#[derive(Clone, Copy, Debug)]
+enum Goal {
+    Elect,
+    Hold,
+}
+
+/// The prepared auto selection of `goal` followed by the three forced
+/// tiers, labelled.
+fn driver_selections(
+    goal: Goal,
+    p: &LooseProtocol,
+    n: u32,
+) -> Vec<(&'static str, EngineSelection<LooseProtocol>)> {
+    let (auto, compiled) = match goal {
+        Goal::Elect => (
+            EngineSelection::prepare(p, n),
+            CompiledProtocol::compile_default(p, n),
+        ),
+        Goal::Hold => (
+            prepare_stabilize_engine(p, n),
+            CompiledProtocol::compile_with_seeds(
+                p,
+                n,
+                DEFAULT_MAX_COMPILED_STATES,
+                &p.arbitrary_support(),
+            ),
+        ),
+    };
+    vec![
+        ("auto", auto),
+        ("generic", EngineSelection::generic()),
+        ("lazy", EngineSelection::lazy()),
+        ("dense", EngineSelection::dense(compiled.unwrap())),
+    ]
+}
+
+fn driver_run(
+    goal: Goal,
+    g: &popele::graph::Graph,
+    p: &LooseProtocol,
+    selection: &EngineSelection<LooseProtocol>,
+    options: TrialOptions,
+    plan: &FaultPlan,
+) -> Vec<TrialResult> {
+    match goal {
+        Goal::Elect => run_trials_auto_with_faults_prepared(g, p, selection, 0xD71, options, plan),
+        Goal::Hold => hold_trials(g, p, selection, 0xD71, options, plan),
+    }
+}
+
+/// Every forced tier equals the prepared auto selection — for both
+/// goals, with an empty and a corrupt-burst plan, census on (with a
+/// budget some elections miss, so the timed-out census snapshot is
+/// compared) and off, on 1 and 3 threads over 7 trials (so workers
+/// reuse their executors), and across `first_trial` shards that
+/// concatenate to the whole run.
+#[test]
+fn trial_driver_forced_tiers_equal_auto() {
+    let n = 16;
+    let g = families::cycle(n);
+    let p = LooseProtocol::new(6);
+    let corrupt = FaultPlan::at(20, FaultKind::CorruptNodes { count: 5 });
+    for goal in [Goal::Elect, Goal::Hold] {
+        let selections = driver_selections(goal, &p, n);
+        for plan in [FaultPlan::empty(), corrupt.clone()] {
+            for census in [false, true] {
+                let max_steps = if census { TIMEOUT_BUDGET } else { 1 << 14 };
+                for threads in [1, 3] {
+                    let opts = |first_trial, trials| TrialOptions {
+                        trials,
+                        first_trial,
+                        max_steps,
+                        census,
+                        lanes: false,
+                        threads,
+                    };
+                    let case = format!(
+                        "{goal:?} faults={} census={census} threads={threads}",
+                        !plan.is_empty()
+                    );
+                    let whole = driver_run(goal, &g, &p, &selections[0].1, opts(0, 7), &plan);
+                    assert_eq!(whole.len(), 7);
+                    assert_eq!(
+                        whole.iter().all(|r| r.distinct_states.is_some()),
+                        census,
+                        "{case}"
+                    );
+                    if census && matches!(goal, Goal::Elect) {
+                        let timeouts = whole.iter().filter(|r| r.stabilization_step.is_none());
+                        // Some trials time out; clean starts also elect some.
+                        let expected = if plan.is_empty() { 1..7 } else { 1..8 };
+                        assert!(expected.contains(&timeouts.count()), "{case}");
+                    }
+                    for (label, selection) in &selections {
+                        let results = driver_run(goal, &g, &p, selection, opts(0, 7), &plan);
+                        assert_eq!(results, whole, "{case} {label}");
+                        let mut sharded = Vec::new();
+                        for (start, len) in [(0, 3), (3, 3), (6, 1)] {
+                            sharded.extend(driver_run(
+                                goal,
+                                &g,
+                                &p,
+                                selection,
+                                opts(start, len),
+                                &plan,
+                            ));
+                        }
+                        assert_eq!(sharded, whole, "{case} {label} sharded");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A budget at which some (not all) clean-start elections of the driver
+/// cases time out: they stabilize after 38–45 steps.
+const TIMEOUT_BUDGET: u64 = 41;
