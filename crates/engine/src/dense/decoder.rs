@@ -1,10 +1,10 @@
 //! Edge decoders: how the dense engines resolve raw scheduler draws
 //! into ordered node pairs.
 //!
-//! Both dense engines ([`crate::DenseExecutor`] and
-//! [`crate::LazyDenseExecutor`]) pre-draw scheduler indices in tight
-//! batches and resolve them through an `EdgeDecoder` chosen per graph
-//! shape. Every decoder produces exactly the pairs
+//! The per-agent dense executor, over either pair source
+//! ([`crate::DenseExecutor`], [`crate::LazyDenseExecutor`]), pre-draws
+//! scheduler indices in tight batches and resolves them through an
+//! `EdgeDecoder` chosen per graph shape. Every decoder produces exactly the pairs
 //! [`crate::EdgeScheduler::next_pair`] would for the same RNG stream —
 //! only the memory traffic differs — so the engines stay trace-identical
 //! to the generic [`crate::Executor`] regardless of which decoder runs.

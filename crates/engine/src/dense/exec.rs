@@ -1,11 +1,17 @@
-//! The two dense executors: ahead-of-time compiled and lazily compiled.
+//! The per-agent dense executor, written once over two pair sources.
 //!
-//! Both mirror [`crate::Executor`] exactly — same scheduler, same seed
-//! handling, same oracle semantics, same [`Outcome`]s — and share the
-//! batched draw machinery of [`super::decoder`]; they differ only in
-//! where successor pairs come from (a precomputed `|Λ|²` table vs the
-//! on-demand [`LazyTable`] cache). Differential tests in the workspace
-//! pin both to identical traces with the generic engine.
+//! [`PerAgentExecutor`] mirrors [`crate::Executor`] exactly — same
+//! scheduler, same seed handling, same oracle semantics, same
+//! [`Outcome`]s — and draws through the batched machinery of
+//! [`super::decoder`]. Where a successor pair comes from is its
+//! [`PairSource`]: the shared ahead-of-time table
+//! (`&CompiledProtocol`, `u16` ids — [`DenseExecutor`]) or the owned,
+//! on-demand [`LazyTable`] cache (`u32` ids — [`LazyDenseExecutor`]).
+//! Every loop is monomorphized per source, so each hot loop stays
+//! specialized; only the ahead-of-time source runs clique cells through
+//! the fused draw–decode–apply kernel. Differential tests in the
+//! workspace pin both sources to identical traces with the generic
+//! engine.
 
 use super::decoder::{orient, EdgeDecoder, PAIR_BATCH};
 use super::lazy::{LazyId, LazyTable};
@@ -15,6 +21,195 @@ use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
 use popele_graph::clique::clique_decode;
 use popele_graph::{Graph, NodeId};
+
+/// Where a [`PerAgentExecutor`] gets the successor of an ordered pair of
+/// dense state ids, and how it maps ids back to typed states and roles.
+///
+/// Two implementations: the shared ahead-of-time table
+/// (`&CompiledProtocol<P>`, [`DenseExecutor`]) and the owned lazy cache
+/// ([`LazyTable<P>`], [`LazyDenseExecutor`]), which interns states and
+/// memoizes pairs on first sight and stays warm across
+/// [`PerAgentExecutor::reset`]s.
+pub trait PairSource<P: Protocol> {
+    /// Dense state id: `u16` ahead of time, `u32` lazily.
+    type Id: Copy + Eq + Into<u32> + From<StateId>;
+    /// What a [`Self::successor`] lookup leaves for the state-changing
+    /// pairs: their leader delta and apply-skip verdict are read through
+    /// it, so the (most common) no-op lookups touch nothing else.
+    type Slot: Copy;
+
+    /// Initial-state id of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// The ahead-of-time source panics if `v` is beyond the node count
+    /// it was compiled for.
+    fn initial_id(&mut self, v: NodeId) -> Self::Id;
+
+    /// Id of an arbitrary start state (see
+    /// [`PerAgentExecutor::set_configuration`]).
+    ///
+    /// # Panics
+    ///
+    /// The ahead-of-time source panics if `state` is not in its table;
+    /// the lazy source interns it.
+    fn start_id(&mut self, state: &P::State) -> Self::Id;
+
+    /// Typed state of id `id`.
+    fn state(&self, id: Self::Id) -> &P::State;
+
+    /// Output role of id `id`.
+    fn role(&self, id: Self::Id) -> Role;
+
+    /// Number of states known so far.
+    fn num_states(&self) -> usize;
+
+    /// The protocol the ids belong to.
+    fn protocol(&self) -> &P;
+
+    /// Successor pair of the ordered interaction `(a, b)` plus its
+    /// [`Self::Slot`], or `None` if the interaction changes neither
+    /// state. `oracle` classifies a pair the lazy source evaluates for
+    /// the first time.
+    fn successor(
+        &mut self,
+        a: Self::Id,
+        b: Self::Id,
+        oracle: &P::Oracle,
+    ) -> Option<(Self::Id, Self::Id, Self::Slot)>;
+
+    /// Net change in leader outputs of the looked-up transition.
+    fn leader_delta(&self, slot: Self::Slot) -> i8;
+
+    /// Whether the oracle may skip [`StabilityOracle::apply`] for the
+    /// looked-up transition: never by default (ahead of time); lazily,
+    /// when the oracle vouches its memoized effect is inert.
+    fn skips_apply(&self, _slot: Self::Slot, _oracle: &P::Oracle) -> bool {
+        false
+    }
+
+    /// The compiled table clique cells run on through the fused
+    /// draw–decode–apply kernel (ahead of time), or `None` (the default)
+    /// to keep them on the batched pair buffer like every other decoder.
+    fn clique_kernel(&self) -> Option<&CompiledProtocol<P>> {
+        None
+    }
+}
+
+impl<P: Protocol> PairSource<P> for &CompiledProtocol<P> {
+    type Id = StateId;
+    /// Index of the table entry.
+    type Slot = usize;
+
+    fn initial_id(&mut self, v: NodeId) -> StateId {
+        assert!(
+            v < self.num_nodes(),
+            "protocol was compiled for fewer nodes than the new graph has"
+        );
+        self.initial[v as usize]
+    }
+
+    fn start_id(&mut self, state: &P::State) -> StateId {
+        self.state_id(state)
+            .expect("arbitrary start state missing from the compiled table (compile_with_seeds over the sampler's support)")
+    }
+
+    fn state(&self, id: StateId) -> &P::State {
+        &self.states[id as usize]
+    }
+
+    fn role(&self, id: StateId) -> Role {
+        self.roles[id as usize]
+    }
+
+    fn num_states(&self) -> usize {
+        self.states.len()
+    }
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    #[inline]
+    fn successor(
+        &mut self,
+        a: StateId,
+        b: StateId,
+        _: &P::Oracle,
+    ) -> Option<(StateId, StateId, usize)> {
+        let idx = a as usize * self.states.len() + b as usize;
+        let packed = self.table[idx];
+        // One compare of the packed words: the no-op test is the
+        // hot loop's least predictable branch mid-election.
+        (packed != (u32::from(a) << 16) | u32::from(b)).then_some((
+            (packed >> 16) as StateId,
+            packed as StateId,
+            idx,
+        ))
+    }
+
+    #[inline]
+    fn leader_delta(&self, idx: usize) -> i8 {
+        self.leader_delta[idx]
+    }
+
+    fn clique_kernel(&self) -> Option<&CompiledProtocol<P>> {
+        Some(*self)
+    }
+}
+
+impl<P: Protocol> PairSource<P> for LazyTable<P> {
+    type Id = LazyId;
+    /// The leader delta and the cache slot of the memoized effect.
+    type Slot = (i8, usize);
+
+    fn initial_id(&mut self, v: NodeId) -> LazyId {
+        LazyTable::initial_id(self, v)
+    }
+
+    fn start_id(&mut self, state: &P::State) -> LazyId {
+        self.intern(state)
+    }
+
+    fn state(&self, id: LazyId) -> &P::State {
+        &self.states[id as usize]
+    }
+
+    fn role(&self, id: LazyId) -> Role {
+        LazyTable::role(self, id)
+    }
+
+    fn num_states(&self) -> usize {
+        self.states.len()
+    }
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    #[inline]
+    fn successor(
+        &mut self,
+        a: LazyId,
+        b: LazyId,
+        oracle: &P::Oracle,
+    ) -> Option<(LazyId, LazyId, (i8, usize))> {
+        let (na, nb, delta, slot) = self.successor_tracked(a, b, |protocol, sa, sb, sna, snb| {
+            oracle.transition_effect(protocol, (sa, sb), (sna, snb))
+        });
+        ((na, nb) != (a, b)).then_some((na, nb, (delta, slot)))
+    }
+
+    #[inline]
+    fn leader_delta(&self, (delta, _): (i8, usize)) -> i8 {
+        delta
+    }
+
+    #[inline]
+    fn skips_apply(&self, (_, slot): (i8, usize), oracle: &P::Oracle) -> bool {
+        oracle.effect_inert(self.cached_effect(slot))
+    }
+}
 
 /// When a batched run loop should stop early (beyond its step budget).
 /// `Stable` serves `run_until_stable`, `Unstable` the holding-time loop
@@ -28,7 +223,7 @@ enum Stop {
 }
 
 /// Distinct-state census over dense ids (mirrors the generic executor's
-/// `HashSet` census at O(1) per mark). Growable, because the lazy engine
+/// `HashSet` census at O(1) per mark). Growable, because the lazy source
 /// interns new ids mid-run.
 #[derive(Debug, Clone)]
 struct DenseCensus {
@@ -58,389 +253,59 @@ impl DenseCensus {
     }
 }
 
-/// Runs one execution of a [`CompiledProtocol`] on a [`Graph`].
-///
-/// Drop-in counterpart of [`crate::Executor`]: identical constructor
-/// signature modulo the compiled table, identical scheduler and seed
-/// semantics, identical oracle behaviour and [`Outcome`]s — only the
-/// per-interaction cost differs. The stability oracle is the protocol's
-/// own [`StabilityOracle`], driven with borrowed typed states from the
-/// compiled id ↔ state mapping, and is skipped entirely for the (vastly
-/// most common, late in a run) no-op interactions — valid because oracle
-/// updates are pure count deltas, so an identity transition is always a
-/// no-op on the oracle too.
-pub struct DenseExecutor<'a, P: Protocol> {
-    graph: &'a Graph,
-    compiled: &'a CompiledProtocol<P>,
-    scheduler: EdgeScheduler<'a>,
-    ids: Vec<StateId>,
+/// The configuration and everything derived from it: what an
+/// interaction reads and writes, split from the draw machinery so the
+/// run loops can borrow the pair buffer alongside it.
+struct Agents<P: Protocol, S: PairSource<P>> {
+    source: S,
+    ids: Vec<S::Id>,
     oracle: P::Oracle,
     /// When the oracle declared
-    /// [`StabilityOracle::stable_iff_unique_leader`], the engine tracks
-    /// the leader count itself via the compiled per-pair deltas and the
-    /// typed oracle is bypassed entirely (`leaders` is then
+    /// [`StabilityOracle::stable_iff_unique_leader`], the executor
+    /// tracks the leader count itself via the source's per-pair deltas
+    /// and the typed oracle is bypassed entirely (`leaders` is then
     /// authoritative; the substitution is behaviour-identical).
     linear: bool,
     leaders: i64,
     census: Option<DenseCensus>,
-    /// Pairs pre-drawn from the scheduler in a tight batch (see
-    /// [`EdgeDecoder::fill_batch`]); `pairs[cursor..filled]` are drawn
-    /// but not yet applied. `applied` — not the scheduler's draw count —
-    /// is the execution's step counter. Refills never draw past the step
-    /// budget of the run call they serve, so bounded runs
-    /// ([`DenseExecutor::run_steps`]) consume the scheduler stream
-    /// exactly as far as the generic engine would — the property that
-    /// lets [`crate::faults`] interleave graph changes with execution on
-    /// both engines identically.
-    pairs: Box<[(NodeId, NodeId)]>,
-    raw: Box<[usize]>,
-    cursor: usize,
-    filled: usize,
-    applied: u64,
-    decoder: EdgeDecoder,
 }
 
-impl<'a, P: Protocol> DenseExecutor<'a, P> {
-    /// Creates an executor with every node in its initial state.
+impl<P: Protocol, S: PairSource<P>> Agents<P, S> {
+    /// Applies the ordered interaction of nodes `iu` and `iv`. Returns
+    /// whether the oracle may have moved — a state change it did not
+    /// skip as inert — which is when a stop condition needs re-checking.
     ///
-    /// The compiled node count may exceed the graph's: a compilation for
-    /// `n + k` nodes serves any graph with at most `n + k` nodes, which
-    /// is how fault plans with node churn ([`crate::faults`]) share one
-    /// table across all epochs. (The state enumeration for more nodes is
-    /// a superset, so the table still covers every reachable pair.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no edges or more nodes than the protocol
-    /// was compiled for.
-    #[must_use]
-    pub fn new(graph: &'a Graph, compiled: &'a CompiledProtocol<P>, seed: u64) -> Self {
-        assert!(
-            graph.num_nodes() <= compiled.num_nodes(),
-            "graph size does not match the compiled protocol"
-        );
-        let ids = compiled.initial[..graph.num_nodes() as usize].to_vec();
-        let mut oracle = compiled.protocol.oracle();
-        let linear = oracle.stable_iff_unique_leader();
-        if !linear {
-            // In linear mode the typed oracle is bypassed entirely
-            // (`leaders` is authoritative), so skip the O(n) typed
-            // materialization.
-            oracle.recompute(&compiled.protocol, &compiled.typed_config(&ids));
-        }
-        let leaders = ids
-            .iter()
-            .filter(|&&id| compiled.roles[id as usize] == Role::Leader)
-            .count() as i64;
-        Self {
-            graph,
-            compiled,
-            scheduler: EdgeScheduler::new(graph, seed),
-            ids,
-            oracle,
-            linear,
-            leaders,
-            census: None,
-            pairs: vec![(0, 0); PAIR_BATCH].into_boxed_slice(),
-            raw: vec![0usize; PAIR_BATCH].into_boxed_slice(),
-            cursor: 0,
-            filled: 0,
-            applied: 0,
-            decoder: EdgeDecoder::for_graph(graph),
-        }
-    }
-
-    /// Refills the pair buffer with one batch of up to `limit ≤
-    /// PAIR_BATCH` scheduler draws through the decoder.
-    fn refill(&mut self, limit: usize) {
-        self.decoder
-            .fill_batch(&mut self.scheduler, &mut self.pairs[..limit], &mut self.raw);
-        self.cursor = 0;
-        self.filled = limit;
-    }
-
-    /// Enables the distinct-state census (O(1) per changed state).
-    pub fn enable_state_census(&mut self) {
-        let mut census = DenseCensus::new(self.compiled.num_states());
-        for &id in &self.ids {
-            census.mark(u32::from(id));
-        }
-        self.census = Some(census);
-    }
-
-    /// The underlying graph.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// The compiled protocol driving this execution.
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledProtocol<P> {
-        self.compiled
-    }
-
-    /// Current configuration as dense ids.
-    #[must_use]
-    pub fn state_ids(&self) -> &[StateId] {
-        &self.ids
-    }
-
-    /// Typed state of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[must_use]
-    pub fn state_of(&self, v: NodeId) -> &P::State {
-        &self.compiled.states[self.ids[v as usize] as usize]
-    }
-
-    /// Steps applied so far.
-    ///
-    /// The scheduler may have *drawn* up to one batch further ahead (the
-    /// undrawn pairs are buffered and will be applied next), so this is
-    /// the model's time step `t`, not the raw RNG draw count.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.applied
-    }
-
-    /// Applies the ordered interaction `(u, v)` to the configuration.
-    #[inline]
-    fn apply_pair(&mut self, u: NodeId, v: NodeId) {
-        let (iu, iv) = (u as usize, v as usize);
+    /// The oracle is skipped entirely on no-op interactions (the vast
+    /// majority late in a run): oracle updates are pure count deltas, so
+    /// an identity transition is a no-op on the oracle too.
+    #[inline(always)]
+    fn interact(&mut self, iu: usize, iv: usize) -> bool {
         let a = self.ids[iu];
         let b = self.ids[iv];
-        let k = self.compiled.states.len();
-        let packed = self.compiled.table[a as usize * k + b as usize];
-        let current = (u32::from(a) << 16) | u32::from(b);
-        if packed != current {
-            let na = (packed >> 16) as StateId;
-            let nb = packed as StateId;
-            if self.linear {
-                self.leaders += i64::from(self.compiled.leader_delta[a as usize * k + b as usize]);
-            } else {
-                let states = &self.compiled.states;
-                self.oracle.apply(
-                    &self.compiled.protocol,
-                    (&states[a as usize], &states[b as usize]),
-                    (&states[na as usize], &states[nb as usize]),
-                );
-            }
-            if let Some(census) = &mut self.census {
-                census.mark(u32::from(na));
-                census.mark(u32::from(nb));
-            }
-            self.ids[iu] = na;
-            self.ids[iv] = nb;
-        }
-    }
-
-    /// Applies one interaction and returns the sampled `(initiator,
-    /// responder)` pair.
-    #[inline]
-    pub fn step(&mut self) -> (NodeId, NodeId) {
-        if self.cursor == self.filled {
-            self.refill(PAIR_BATCH);
-        }
-        let (u, v) = self.pairs[self.cursor];
-        self.cursor += 1;
-        self.applied += 1;
-        self.apply_pair(u, v);
-        (u, v)
-    }
-
-    /// Applies up to `budget` already-buffered interactions in one tight
-    /// loop (the engine's hot path: two id reads, one table lookup, two
-    /// id writes per interaction, with oracle/census work only on the
-    /// rare state-changing pairs).
-    ///
-    /// Returns right after the state change that satisfies `stop`. The
-    /// caller guarantees `budget ≤` the number of buffered pairs.
-    fn apply_batch(&mut self, budget: usize, stop: Stop) {
-        let compiled = self.compiled;
-        let k = compiled.states.len();
-        let table = &compiled.table;
-        let states = &compiled.states;
-        let end = self.cursor + budget;
-        let mut i = self.cursor;
-        while i < end {
-            let (u, v) = self.pairs[i];
-            i += 1;
-            let (iu, iv) = (u as usize, v as usize);
-            let a = self.ids[iu];
-            let b = self.ids[iv];
-            let idx = a as usize * k + b as usize;
-            let packed = table[idx];
-            if packed != ((u32::from(a) << 16) | u32::from(b)) {
-                let na = (packed >> 16) as StateId;
-                let nb = packed as StateId;
-                if self.linear {
-                    self.leaders += i64::from(compiled.leader_delta[idx]);
-                } else {
-                    self.oracle.apply(
-                        &compiled.protocol,
-                        (&states[a as usize], &states[b as usize]),
-                        (&states[na as usize], &states[nb as usize]),
-                    );
-                }
-                if let Some(census) = &mut self.census {
-                    census.mark(u32::from(na));
-                    census.mark(u32::from(nb));
-                }
-                self.ids[iu] = na;
-                self.ids[iv] = nb;
-                if self.stop_now(stop) {
-                    break;
-                }
-            }
-        }
-        self.applied += (i - self.cursor) as u64;
-        self.cursor = i;
-    }
-
-    /// Fused runner for the computed-edge (clique) decoder: RNG draw,
-    /// arithmetic decode and table apply in one loop, with no pair
-    /// buffer in between. The RNG state and the configuration are
-    /// independent dependency chains, so the processor overlaps them;
-    /// this is the engine's fastest path. Requires the pair buffer to
-    /// be drained and applies at most `budget` interactions, returning
-    /// early (right after the causing change) once the oracle satisfies
-    /// `stop`.
-    fn run_fused_clique(&mut self, budget: u64, stop: Stop) {
-        debug_assert_eq!(self.cursor, self.filled, "pair buffer must be drained");
-        let EdgeDecoder::Clique(index) = &self.decoder else {
-            unreachable!("fused path requires the clique decoder")
+        let Some((na, nb, slot)) = self.source.successor(a, b, &self.oracle) else {
+            return false;
         };
-        let (n, shift, row_hint) = index.parts();
-        let compiled = self.compiled;
-        let k = compiled.states.len();
-        let table = &compiled.table;
-        let states = &compiled.states;
-        let mut done = 0u64;
-        if self.linear && self.census.is_none() && compiled.fused.is_some() {
-            // Branchless variant: writing back unchanged ids and adding
-            // a zero leader delta are no-ops, so the data-dependent
-            // "did this pair change state?" branch — mispredicted
-            // constantly mid-election — disappears entirely, and one
-            // load of the fused table serves successors and delta alike.
-            let fused = compiled.fused.as_deref().expect("checked above");
-            while done < budget {
-                let r = self.scheduler.next_raw();
-                done += 1;
-                let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                let (iu, iv) = orient(u, v, r);
-                let (iu, iv) = (iu as usize, iv as usize);
-                let a = self.ids[iu];
-                let b = self.ids[iv];
-                let entry = fused[((a as usize) << 8) | b as usize];
-                self.ids[iu] = ((entry >> 8) & 0xFF) as StateId;
-                self.ids[iv] = (entry & 0xFF) as StateId;
-                self.leaders += i64::from(entry >> 16) - 2;
-                match stop {
-                    Stop::Stable if self.leaders == 1 => break,
-                    Stop::Unstable if self.leaders != 1 => break,
-                    _ => {}
-                }
-            }
+        let moved = if self.linear {
+            self.leaders += i64::from(self.source.leader_delta(slot));
+            true
+        } else if self.source.skips_apply(slot, &self.oracle) {
+            false
         } else {
-            while done < budget {
-                let r = self.scheduler.next_raw();
-                done += 1;
-                let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                let (iu, iv) = orient(u, v, r);
-                let (iu, iv) = (iu as usize, iv as usize);
-                let a = self.ids[iu];
-                let b = self.ids[iv];
-                let idx = a as usize * k + b as usize;
-                let packed = table[idx];
-                if packed != ((u32::from(a) << 16) | u32::from(b)) {
-                    let na = (packed >> 16) as StateId;
-                    let nb = packed as StateId;
-                    if self.linear {
-                        self.leaders += i64::from(compiled.leader_delta[idx]);
-                    } else {
-                        self.oracle.apply(
-                            &compiled.protocol,
-                            (&states[a as usize], &states[b as usize]),
-                            (&states[na as usize], &states[nb as usize]),
-                        );
-                    }
-                    if let Some(census) = &mut self.census {
-                        census.mark(u32::from(na));
-                        census.mark(u32::from(nb));
-                    }
-                    self.ids[iu] = na;
-                    self.ids[iv] = nb;
-                    if self.stop_now(stop) {
-                        break;
-                    }
-                }
-            }
+            let source = &self.source;
+            self.oracle.apply(
+                source.protocol(),
+                (source.state(a), source.state(b)),
+                (source.state(na), source.state(nb)),
+            );
+            true
+        };
+        if let Some(census) = &mut self.census {
+            census.mark(na.into());
+            census.mark(nb.into());
         }
-        self.applied += done;
-    }
-
-    /// Applies up to `budget` interactions through buffered pairs (for
-    /// already-drawn pairs and the gather decoders) or the fused path.
-    fn run_budget(&mut self, budget: u64, stop: Stop) {
-        if self.cursor < self.filled {
-            let avail = (self.filled - self.cursor) as u64;
-            self.apply_batch(avail.min(budget) as usize, stop);
-        } else if matches!(self.decoder, EdgeDecoder::Clique(_)) {
-            self.run_fused_clique(budget, stop);
-        } else {
-            let limit = budget.min(PAIR_BATCH as u64) as usize;
-            self.refill(limit);
-            self.apply_batch(limit, stop);
-        }
-    }
-
-    /// Runs exactly `k` interactions, consuming the scheduler stream
-    /// exactly `k` draws past the buffered pairs — never further — so
-    /// after the buffer drains, the RNG position matches the generic
-    /// engine's at the same step (the alignment [`crate::faults`] relies
-    /// on to perturb both engines identically).
-    pub fn run_steps(&mut self, k: u64) {
-        let mut remaining = k;
-        while remaining > 0 {
-            let before = self.applied;
-            self.run_budget(remaining, Stop::Never);
-            remaining -= self.applied - before;
-        }
-    }
-
-    /// Runs until the oracle reports a stable, correct configuration or
-    /// the step budget is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotStabilized`] if `max_steps` interactions pass without
-    /// stabilization.
-    pub fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
-        while !self.stable_now() {
-            if self.applied >= max_steps {
-                return Err(NotStabilized { max_steps });
-            }
-            self.run_budget(max_steps - self.applied, Stop::Stable);
-        }
-        Ok(self.outcome())
-    }
-
-    /// Runs while the oracle keeps reporting stability, stopping right
-    /// after the first interaction that breaks it (same contract as
-    /// [`crate::Executor::run_while_stable`], and trace-identical to
-    /// it). Returns the violation step, or `None` if `max_steps` total
-    /// interactions passed with stability intact.
-    pub fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
-        while self.stable_now() {
-            if self.applied >= max_steps {
-                return None;
-            }
-            self.run_budget(max_steps - self.applied, Stop::Unstable);
-        }
-        Some(self.applied)
+        self.ids[iu] = na;
+        self.ids[iv] = nb;
+        moved
     }
 
     #[inline]
@@ -453,7 +318,7 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
     }
 
     /// Whether the `stop` condition holds right now (checked only after
-    /// state-changing interactions).
+    /// interactions that may have moved the oracle).
     #[inline]
     fn stop_now(&self, stop: Stop) -> bool {
         match stop {
@@ -463,252 +328,104 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
         }
     }
 
-    /// Whether the oracle currently reports stability.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        self.stable_now()
+    /// Marks every current id in the census, if one is on.
+    fn mark_all(&mut self) {
+        if let Some(census) = &mut self.census {
+            for &id in &self.ids {
+                census.mark(id.into());
+            }
+        }
     }
 
-    /// Current number of leader-output nodes (O(n) scan of the role
-    /// table).
-    #[must_use]
-    pub fn leader_count(&self) -> usize {
+    /// Current number of leader-output nodes (O(n) scan of the roles).
+    fn leader_count(&self) -> usize {
+        let source = &self.source;
         self.ids
             .iter()
-            .filter(|&&id| self.compiled.roles[id as usize] == Role::Leader)
+            .filter(|&&id| source.role(id) == Role::Leader)
             .count()
     }
 
-    /// The unique leader if exactly one node outputs leader.
-    #[must_use]
-    pub fn leader(&self) -> Option<NodeId> {
-        let mut found = None;
-        for (v, &id) in self.ids.iter().enumerate() {
-            if self.compiled.roles[id as usize] == Role::Leader {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(v as NodeId);
-            }
-        }
-        found
-    }
-
-    /// Snapshot of the current outcome (regardless of stability).
-    #[must_use]
-    pub fn outcome(&self) -> Outcome {
-        Outcome {
-            stabilization_step: self.steps(),
-            leader_count: self.leader_count(),
-            leader: self.leader(),
-            distinct_states: self.census.as_ref().map(|c| c.count),
-        }
-    }
-
-    /// Resets to the initial configuration with a new seed.
-    ///
-    /// Resets states, scheduler and counters only — the executor stays
-    /// bound to whichever graph it currently borrows, so executors that
-    /// ran a fault plan with topology changes should be rebuilt rather
-    /// than reset (the Monte-Carlo harness does exactly that).
-    pub fn reset(&mut self, seed: u64) {
-        let n = self.graph.num_nodes() as usize;
+    /// Puts all `n` nodes in their initial states and resyncs.
+    fn load_initial(&mut self, n: NodeId) {
         self.ids.clear();
-        self.ids.extend_from_slice(&self.compiled.initial[..n]);
-        self.scheduler.reset(seed);
-        self.cursor = 0;
-        self.filled = 0;
-        self.applied = 0;
-        self.leaders = self
-            .ids
-            .iter()
-            .filter(|&&id| self.compiled.roles[id as usize] == Role::Leader)
-            .count() as i64;
+        self.ids.extend((0..n).map(|v| self.source.initial_id(v)));
+        self.resync();
+    }
+
+    /// Recomputes the census, the leader count and the oracle after
+    /// `ids` changed outside a transition (start, reset, corruption,
+    /// churn).
+    fn resync(&mut self) {
+        self.mark_all();
+        self.leaders = self.leader_count() as i64;
         if !self.linear {
-            self.oracle.recompute(
-                &self.compiled.protocol,
-                &self.compiled.typed_config(&self.ids),
-            );
+            let source = &self.source;
+            let typed: Vec<P::State> = self
+                .ids
+                .iter()
+                .map(|&id| source.state(id).clone())
+                .collect();
+            self.oracle.recompute(source.protocol(), &typed);
         }
-        if self.census.is_some() {
-            self.census = None;
-            self.enable_state_census();
-        }
-    }
-
-    // ---- fault-injection primitives (see `crate::faults`) ------------
-    //
-    // Mirrors of the generic executor's primitives. Topology changes
-    // invalidate the per-graph edge decoder, so every rebind rebuilds it
-    // for the new graph; the scheduler keeps its RNG stream. Rebinds
-    // require the pair buffer to be drained — which it always is after
-    // a `run_steps` call, since bounded runs never draw past their
-    // budget.
-
-    /// Recomputes the derived leader/oracle state after a perturbation
-    /// (corruption or churn) that edited `ids` outside a transition.
-    fn resync_oracle(&mut self) {
-        self.leaders = self
-            .ids
-            .iter()
-            .filter(|&&id| self.compiled.roles[id as usize] == Role::Leader)
-            .count() as i64;
-        if !self.linear {
-            self.oracle.recompute(
-                &self.compiled.protocol,
-                &self.compiled.typed_config(&self.ids),
-            );
-        }
-    }
-
-    /// Rebinds scheduler and decoder to `graph` (states untouched).
-    fn rebind(&mut self, graph: &'a Graph) {
-        assert_eq!(
-            self.cursor, self.filled,
-            "pair buffer must be drained before a graph change"
-        );
-        self.graph = graph;
-        self.scheduler.set_graph(graph);
-        self.decoder = EdgeDecoder::for_graph(graph);
-    }
-
-    /// Rebinds the execution to a graph with the **same node count**
-    /// (edge additions/removals/rewirings), rebuilding the edge decoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node counts differ, the new graph has no edges, or
-    /// the pair buffer still holds drawn-but-unapplied pairs.
-    pub fn set_graph(&mut self, graph: &'a Graph) {
-        assert_eq!(
-            graph.num_nodes() as usize,
-            self.ids.len(),
-            "set_graph requires an equal node count (use join_node/leave_node)"
-        );
-        self.rebind(graph);
-    }
-
-    /// Rebinds to a graph with **one more node**: the new node is `n`
-    /// (the old node count) and starts in its initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` does not have exactly one extra node or the
-    /// protocol was compiled for fewer nodes than the new graph has.
-    pub fn join_node(&mut self, graph: &'a Graph) {
-        assert_eq!(
-            graph.num_nodes() as usize,
-            self.ids.len() + 1,
-            "join_node requires exactly one extra node"
-        );
-        assert!(
-            graph.num_nodes() <= self.compiled.num_nodes(),
-            "protocol was compiled for fewer nodes than the new graph has"
-        );
-        let id = self.compiled.initial[self.ids.len()];
-        if let Some(census) = &mut self.census {
-            census.mark(u32::from(id));
-        }
-        self.ids.push(id);
-        self.rebind(graph);
-        self.resync_oracle();
-    }
-
-    /// Rebinds to a graph with **one less node**: node `removed` leaves
-    /// and the last node (`n − 1`) is relabelled to `removed` — `graph`
-    /// must already use that relabelling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` does not have exactly one node less or
-    /// `removed` is out of range.
-    pub fn leave_node(&mut self, graph: &'a Graph, removed: NodeId) {
-        assert_eq!(
-            graph.num_nodes() as usize,
-            self.ids.len() - 1,
-            "leave_node requires exactly one node less"
-        );
-        self.ids.swap_remove(removed as usize);
-        self.rebind(graph);
-        self.resync_oracle();
-    }
-
-    /// State corruption: resets node `v` to its initial state (a crash
-    /// followed by a clean rejoin), leaving all other nodes untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn corrupt_to_initial(&mut self, v: NodeId) {
-        let id = self.compiled.initial[v as usize];
-        if let Some(census) = &mut self.census {
-            census.mark(u32::from(id));
-        }
-        self.ids[v as usize] = id;
-        self.resync_oracle();
-    }
-
-    /// Overwrites the whole configuration (an *arbitrary* start, in the
-    /// self-stabilization sense — see [`crate::stabilize`]); mirrors
-    /// [`crate::Executor::set_configuration`]. The scheduler's RNG
-    /// stream is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` differs from the node count, or if any
-    /// state is not in the compiled table — arbitrary-start tables must
-    /// be built with [`CompiledProtocol::compile_with_seeds`] over the
-    /// sampler's support.
-    pub fn set_configuration(&mut self, states: &[P::State]) {
-        assert_eq!(
-            states.len(),
-            self.ids.len(),
-            "configuration length must equal the node count"
-        );
-        for (slot, s) in self.ids.iter_mut().zip(states) {
-            let id = self
-                .compiled
-                .state_id(s)
-                .expect("arbitrary start state missing from the compiled table (compile_with_seeds over the sampler's support)");
-            *slot = id;
-        }
-        if let Some(census) = &mut self.census {
-            for &id in &self.ids {
-                census.mark(u32::from(id));
-            }
-        }
-        self.resync_oracle();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn scheduler_steps(&self) -> u64 {
-        self.scheduler.steps()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn decoder(&self) -> &EdgeDecoder {
-        &self.decoder
     }
 }
 
-/// Runs one execution of a protocol through a [`LazyTable`] — the
-/// lazily-compiling dense engine.
+/// Runs one execution of a protocol on dense state ids from a
+/// [`PairSource`] — the per-agent dense engine, used through its two
+/// instantiations [`DenseExecutor`] and [`LazyDenseExecutor`].
 ///
-/// Drop-in counterpart of [`crate::Executor`] and [`DenseExecutor`]:
-/// identical scheduler and seed semantics, identical oracle behaviour
-/// and [`Outcome`]s. Instead of requiring the full reachable state space
-/// up front, it interns states on first sight into `u32` ids and
-/// memoizes pair successors on demand, so protocols whose state spaces
-/// overflow the ahead-of-time cap — the identifier protocol at realistic
-/// `k`, full-scale fast-protocol instances — still run on a dense-id hot
+/// Drop-in counterpart of [`crate::Executor`]: identical scheduler and
+/// seed semantics, identical oracle behaviour and [`Outcome`]s — only
+/// the per-interaction cost differs. The stability oracle is the
+/// protocol's own [`StabilityOracle`], driven with borrowed typed states
+/// from the source's id ↔ state mapping, and is skipped entirely for
+/// no-op interactions.
+pub struct PerAgentExecutor<'a, P: Protocol, S: PairSource<P>> {
+    graph: &'a Graph,
+    scheduler: EdgeScheduler<'a>,
+    decoder: EdgeDecoder,
+    /// Pairs pre-drawn from the scheduler in a tight batch (see
+    /// [`EdgeDecoder::fill_batch`]); `pairs[cursor..filled]` are drawn
+    /// but not yet applied. `applied` — not the scheduler's draw count —
+    /// is the execution's step counter. Refills never draw past the step
+    /// budget of the run call they serve, so bounded runs
+    /// ([`PerAgentExecutor::run_steps`]) consume the scheduler stream
+    /// exactly as far as the generic engine would — the property that
+    /// lets [`crate::faults`] interleave graph changes with execution on
+    /// every engine identically.
+    pairs: Box<[(NodeId, NodeId)]>,
+    raw: Box<[usize]>,
+    cursor: usize,
+    filled: usize,
+    applied: u64,
+    agents: Agents<P, S>,
+}
+
+/// Runs one execution of a [`CompiledProtocol`] on a [`Graph`]: the
+/// ahead-of-time instantiation of [`PerAgentExecutor`], whose hot loop
+/// is two id reads, one table lookup and two id writes per interaction.
+///
+/// The compiled table is borrowed, so every executor of a Monte-Carlo
+/// run shares one.
+pub type DenseExecutor<'a, P> = PerAgentExecutor<'a, P, &'a CompiledProtocol<P>>;
+
+/// Runs one execution of a protocol through a [`LazyTable`] — the
+/// lazily-compiling instantiation of [`PerAgentExecutor`].
+///
+/// Instead of requiring the full reachable state space up front, it
+/// interns states on first sight into `u32` ids and memoizes pair
+/// successors on demand, so protocols whose state spaces overflow the
+/// ahead-of-time cap — the identifier protocol at realistic `k`,
+/// full-scale fast-protocol instances — still run on a dense-id hot
 /// loop. See [`super::lazy`] for the caching machinery and
 /// [`crate::EngineSelection::prepare`] for the three-way engine
 /// selection.
 ///
 /// Unlike [`DenseExecutor`] the table is owned (the cache mutates during
-/// the run), so executors are per-thread; [`LazyDenseExecutor::reset`]
-/// deliberately keeps the warm cache, which is how Monte-Carlo workers
-/// amortize it across trials.
+/// the run), so executors are per-thread; [`PerAgentExecutor::reset`]
+/// keeps the warm cache, which is how Monte-Carlo workers amortize it
+/// across trials.
 ///
 /// # Examples
 ///
@@ -741,87 +458,117 @@ impl<'a, P: Protocol> DenseExecutor<'a, P> {
 /// let lazy = LazyDenseExecutor::new(&g, &GrainAbsorb, 7).run_until_stable(1 << 22).unwrap();
 /// assert_eq!(generic, lazy);
 /// ```
-pub struct LazyDenseExecutor<'a, P: Protocol> {
-    graph: &'a Graph,
-    table: LazyTable<P>,
-    scheduler: EdgeScheduler<'a>,
-    ids: Vec<LazyId>,
-    oracle: P::Oracle,
-    /// Same linear-oracle substitution as [`DenseExecutor`]: when the
-    /// oracle is exactly a unique-leader count, the engine maintains it
-    /// through the cached per-pair deltas.
-    linear: bool,
-    leaders: i64,
-    census: Option<DenseCensus>,
-    /// Batched draws, with the same never-past-the-budget discipline as
-    /// [`DenseExecutor`] (see its field docs) — the property that lets
-    /// [`crate::faults`] perturb all engines identically.
-    pairs: Box<[(NodeId, NodeId)]>,
-    raw: Box<[usize]>,
-    cursor: usize,
-    filled: usize,
-    applied: u64,
-    decoder: EdgeDecoder,
-    /// Reset snapshot: the initial configuration is seed-independent,
-    /// so the dense ids, the typed states feeding the oracle's
-    /// `recompute`, and the initial leader count are captured once and
-    /// replayed by [`Self::reset`] instead of re-interned per reset
-    /// (`initial_typed` stays empty for linear oracles, which need no
-    /// recompute). Rebuilt lazily if node churn changed the population.
-    initial_ids: Vec<LazyId>,
-    initial_typed: Vec<P::State>,
-    initial_leaders: i64,
+pub type LazyDenseExecutor<'a, P> = PerAgentExecutor<'a, P, LazyTable<P>>;
+
+impl<'a, P: Protocol> DenseExecutor<'a, P> {
+    /// Creates an executor with every node in its initial state.
+    ///
+    /// The compiled node count may exceed the graph's: a compilation for
+    /// `n + k` nodes serves any graph with at most `n + k` nodes, which
+    /// is how fault plans with node churn ([`crate::faults`]) share one
+    /// table across all epochs. (The state enumeration for more nodes is
+    /// a superset, so the table still covers every reachable pair.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has no edges or more nodes than the protocol
+    /// was compiled for.
+    #[must_use]
+    pub fn new(graph: &'a Graph, compiled: &'a CompiledProtocol<P>, seed: u64) -> Self {
+        assert!(
+            graph.num_nodes() <= compiled.num_nodes(),
+            "graph size does not match the compiled protocol"
+        );
+        Self::with_source(graph, compiled, seed)
+    }
 }
 
 impl<'a, P: Protocol + Clone> LazyDenseExecutor<'a, P> {
-    /// Creates an executor with every node in its initial state.
+    /// Creates an executor with every node in its initial state and a
+    /// cold cache.
     ///
     /// # Panics
     ///
     /// Panics if the graph has no edges.
     #[must_use]
     pub fn new(graph: &'a Graph, protocol: &P, seed: u64) -> Self {
-        let mut table = LazyTable::new(protocol, graph.num_nodes());
-        let ids: Vec<LazyId> = (0..graph.num_nodes())
-            .map(|v| table.initial_id(v))
-            .collect();
-        let mut oracle = protocol.oracle();
+        Self::with_source(graph, LazyTable::new(protocol, graph.num_nodes()), seed)
+    }
+}
+
+impl<P: Protocol> LazyDenseExecutor<'_, P> {
+    /// The lazily-built table (interner + pair cache) driving this
+    /// execution — exposed for capacity reporting and tests.
+    #[must_use]
+    pub fn table(&self) -> &LazyTable<P> {
+        &self.agents.source
+    }
+
+    /// Hands the execution to the generic engine mid-run. The generic
+    /// [`Executor`] gets the typed configuration, a clone of the
+    /// scheduler (same RNG position, `steps() == applied`), the typed
+    /// states of the census's seen ids, and an oracle recomputed once,
+    /// so it continues the trace exactly where this executor stands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair buffer still holds drawn-but-unapplied pairs:
+    /// the clone would then start past them. Bounded run calls drain it.
+    pub(crate) fn to_generic(&self) -> Executor<'_, P> {
+        assert_eq!(
+            self.cursor, self.filled,
+            "pair buffer must be drained before a hand-off"
+        );
+        debug_assert_eq!(self.scheduler.steps(), self.applied);
+        let table = &self.agents.source;
+        let states = self.agents.ids.iter().map(|&id| table.state(id).clone());
+        let census = self.agents.census.as_ref().map(|census| {
+            census
+                .seen
+                .iter()
+                .zip(&table.states)
+                .filter(|&(&seen, _)| seen)
+                .map(|(_, state)| state.clone())
+                .collect()
+        });
+        Executor::resume(
+            self.graph,
+            &table.protocol,
+            self.scheduler.clone(),
+            states.collect(),
+            census,
+        )
+    }
+}
+
+impl<'a, P: Protocol, S: PairSource<P>> PerAgentExecutor<'a, P, S> {
+    fn with_source(graph: &'a Graph, source: S, seed: u64) -> Self {
+        let oracle = source.protocol().oracle();
         let linear = oracle.stable_iff_unique_leader();
-        let typed: Vec<P::State> = if linear {
-            Vec::new()
-        } else {
-            ids.iter().map(|&id| table.state(id).clone()).collect()
-        };
-        if !linear {
-            oracle.recompute(protocol, &typed);
-        }
-        let leaders = ids
-            .iter()
-            .filter(|&&id| table.role(id) == Role::Leader)
-            .count() as i64;
-        Self {
-            graph,
-            table,
-            scheduler: EdgeScheduler::new(graph, seed),
-            initial_ids: ids.clone(),
-            initial_typed: typed,
-            initial_leaders: leaders,
-            ids,
+        let mut agents = Agents {
+            source,
+            ids: Vec::new(),
             oracle,
             linear,
-            leaders,
+            leaders: 0,
             census: None,
+        };
+        agents.load_initial(graph.num_nodes());
+        Self {
+            graph,
+            scheduler: EdgeScheduler::new(graph, seed),
+            decoder: EdgeDecoder::for_graph(graph),
             pairs: vec![(0, 0); PAIR_BATCH].into_boxed_slice(),
             raw: vec![0usize; PAIR_BATCH].into_boxed_slice(),
             cursor: 0,
             filled: 0,
             applied: 0,
-            decoder: EdgeDecoder::for_graph(graph),
+            agents,
         }
     }
-}
 
-impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
+    /// Refills the pair buffer with one batch of up to `limit ≤
+    /// PAIR_BATCH` scheduler draws through the decoder.
     fn refill(&mut self, limit: usize) {
         self.decoder
             .fill_batch(&mut self.scheduler, &mut self.pairs[..limit], &mut self.raw);
@@ -831,11 +578,8 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
 
     /// Enables the distinct-state census (O(1) per changed state).
     pub fn enable_state_census(&mut self) {
-        let mut census = DenseCensus::new(self.table.num_states());
-        for &id in &self.ids {
-            census.mark(id);
-        }
-        self.census = Some(census);
+        self.agents.census = Some(DenseCensus::new(self.agents.source.num_states()));
+        self.agents.mark_all();
     }
 
     /// The underlying graph.
@@ -844,17 +588,10 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         self.graph
     }
 
-    /// The lazily-built table (interner + pair cache) driving this
-    /// execution — exposed for capacity reporting and tests.
-    #[must_use]
-    pub fn table(&self) -> &LazyTable<P> {
-        &self.table
-    }
-
     /// Current configuration as dense ids.
     #[must_use]
-    pub fn state_ids(&self) -> &[LazyId] {
-        &self.ids
+    pub fn state_ids(&self) -> &[S::Id] {
+        &self.agents.ids
     }
 
     /// Typed state of node `v`.
@@ -864,55 +601,17 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// Panics if `v` is out of range.
     #[must_use]
     pub fn state_of(&self, v: NodeId) -> &P::State {
-        self.table.state(self.ids[v as usize])
+        self.agents.source.state(self.agents.ids[v as usize])
     }
 
-    /// Steps applied so far (the model's time step `t`; the scheduler
-    /// may have drawn up to one buffered batch further ahead).
+    /// Steps applied so far.
+    ///
+    /// The scheduler may have *drawn* up to one batch further ahead (the
+    /// undrawn pairs are buffered and will be applied next), so this is
+    /// the model's time step `t`, not the raw RNG draw count.
     #[must_use]
     pub fn steps(&self) -> u64 {
         self.applied
-    }
-
-    /// Looks up (or on first sight evaluates) the successor of the id
-    /// pair `(a, b)` together with the cache slot of the memoized effect
-    /// summary (fetched on demand via [`LazyTable::cached_effect`] only
-    /// when the pair changes state), splitting the borrows so the
-    /// table's miss path can consult the oracle.
-    #[inline]
-    fn successor(&mut self, a: LazyId, b: LazyId) -> (LazyId, LazyId, i8, usize) {
-        let oracle = &self.oracle;
-        self.table
-            .successor_tracked(a, b, |protocol, sa, sb, sna, snb| {
-                oracle.transition_effect(protocol, (sa, sb), (sna, snb))
-            })
-    }
-
-    /// Applies the ordered interaction `(u, v)` to the configuration.
-    #[inline]
-    fn apply_pair(&mut self, u: NodeId, v: NodeId) {
-        let (iu, iv) = (u as usize, v as usize);
-        let a = self.ids[iu];
-        let b = self.ids[iv];
-        let (na, nb, delta, slot) = self.successor(a, b);
-        if (na, nb) != (a, b) {
-            if self.linear {
-                self.leaders += i64::from(delta);
-            } else if !self.oracle.effect_inert(self.table.cached_effect(slot)) {
-                let states = &self.table.states;
-                self.oracle.apply(
-                    &self.table.protocol,
-                    (&states[a as usize], &states[b as usize]),
-                    (&states[na as usize], &states[nb as usize]),
-                );
-            }
-            if let Some(census) = &mut self.census {
-                census.mark(na);
-                census.mark(nb);
-            }
-            self.ids[iu] = na;
-            self.ids[iv] = nb;
-        }
     }
 
     /// Applies one interaction and returns the sampled `(initiator,
@@ -925,89 +624,116 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         let (u, v) = self.pairs[self.cursor];
         self.cursor += 1;
         self.applied += 1;
-        self.apply_pair(u, v);
+        self.agents.interact(u as usize, v as usize);
         (u, v)
     }
 
     /// Applies up to `budget` already-buffered interactions in one tight
-    /// loop — after warm-up: two id reads, one (almost always one-probe)
-    /// cache lookup, two id writes per interaction, with oracle/census
-    /// work only on the rare state-changing pairs. For non-linear
-    /// oracles, the memoized effect summary skips the typed
+    /// loop — after warm-up: two id reads, one lookup, two id writes per
+    /// interaction, with oracle/census work only on the rarer
+    /// state-changing pairs. For non-linear oracles on the lazy source,
+    /// the memoized effect summary skips the typed
     /// [`StabilityOracle::apply`] — and the interner reads feeding it —
     /// on changes the oracle vouches are inert: an inert application
     /// changes no counter, so stability cannot flip and the stop check
     /// is skipped along with it.
+    ///
+    /// Returns right after the state change that satisfies `stop`. The
+    /// caller guarantees `budget ≤` the number of buffered pairs.
     fn apply_batch(&mut self, budget: usize, stop: Stop) {
         let start = self.cursor;
-        let end = start + budget;
-        // Split the borrows up front: iterating the drawn pairs as a
-        // slice (no per-step bounds check) with the table, oracle and
-        // ids borrowed disjointly keeps the loop invariants (`linear`,
-        // the slice bounds) in registers across the hot loop.
-        let Self {
-            table,
-            oracle,
-            ids,
-            census,
-            pairs,
-            leaders,
-            linear,
-            ..
-        } = self;
-        let linear = *linear;
+        // Iterating the drawn pairs as a slice (no per-step bounds
+        // check) with the configuration borrowed disjointly keeps the
+        // loop invariants in registers across the hot loop.
+        let pairs = &self.pairs[start..start + budget];
+        let agents = &mut self.agents;
         let mut done = 0usize;
-        for &(u, v) in &pairs[start..end] {
+        for &(u, v) in pairs {
             done += 1;
-            let (iu, iv) = (u as usize, v as usize);
-            let a = ids[iu];
-            let b = ids[iv];
-            let (na, nb, delta, slot) =
-                table.successor_tracked(a, b, |protocol, sa, sb, sna, snb| {
-                    oracle.transition_effect(protocol, (sa, sb), (sna, snb))
-                });
-            if (na, nb) != (a, b) {
-                let mut check_stop = true;
-                if linear {
-                    *leaders += i64::from(delta);
-                } else if oracle.effect_inert(table.cached_effect(slot)) {
-                    check_stop = false;
-                } else {
-                    let states = &table.states;
-                    oracle.apply(
-                        &table.protocol,
-                        (&states[a as usize], &states[b as usize]),
-                        (&states[na as usize], &states[nb as usize]),
-                    );
-                }
-                if let Some(census) = census.as_mut() {
-                    census.mark(na);
-                    census.mark(nb);
-                }
-                ids[iu] = na;
-                ids[iv] = nb;
-                if check_stop && !matches!(stop, Stop::Never) {
-                    let stable = if linear {
-                        *leaders == 1
-                    } else {
-                        oracle.is_stable()
-                    };
-                    if matches!(stop, Stop::Stable) == stable {
-                        break;
-                    }
-                }
+            if agents.interact(u as usize, v as usize) && agents.stop_now(stop) {
+                break;
             }
         }
         self.applied += done as u64;
         self.cursor = start + done;
     }
 
-    /// Applies up to `budget` interactions through buffered pairs,
-    /// refilling in decoder batches.
+    /// Fused runner for the computed-edge (clique) decoder on the
+    /// ahead-of-time source: RNG draw, arithmetic decode and table apply
+    /// in one loop, with no pair buffer in between. The RNG state and
+    /// the configuration are independent dependency chains, so the
+    /// processor overlaps them; this is the engine's fastest path.
+    /// Requires the pair buffer to be drained and applies at most
+    /// `budget` interactions, returning early (right after the causing
+    /// change) once the oracle satisfies `stop`.
+    fn run_fused_clique(&mut self, budget: u64, stop: Stop) {
+        debug_assert_eq!(self.cursor, self.filled, "pair buffer must be drained");
+        let EdgeDecoder::Clique(index) = &self.decoder else {
+            unreachable!("fused path requires the clique decoder")
+        };
+        let (n, shift, row_hint) = index.parts();
+        let scheduler = &mut self.scheduler;
+        let agents = &mut self.agents;
+        let fused = agents
+            .source
+            .clique_kernel()
+            .and_then(|compiled| compiled.fused.as_deref());
+        let mut done = 0u64;
+        match fused {
+            Some(fused) if agents.linear && agents.census.is_none() => {
+                // Branchless variant: writing back unchanged ids and
+                // adding a zero leader delta are no-ops, so the
+                // data-dependent "did this pair change state?" branch —
+                // mispredicted constantly mid-election — disappears
+                // entirely, and one load of the fused table serves
+                // successors and delta alike.
+                let ids = &mut agents.ids;
+                let leaders = &mut agents.leaders;
+                while done < budget {
+                    let r = scheduler.next_raw();
+                    done += 1;
+                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
+                    let (iu, iv) = orient(u, v, r);
+                    let (iu, iv) = (iu as usize, iv as usize);
+                    let a: u32 = ids[iu].into();
+                    let b: u32 = ids[iv].into();
+                    let entry = fused[((a as usize) << 8) | b as usize];
+                    ids[iu] = S::Id::from(((entry >> 8) & 0xFF) as StateId);
+                    ids[iv] = S::Id::from((entry & 0xFF) as StateId);
+                    *leaders += i64::from(entry >> 16) - 2;
+                    match stop {
+                        Stop::Stable if *leaders == 1 => break,
+                        Stop::Unstable if *leaders != 1 => break,
+                        _ => {}
+                    }
+                }
+            }
+            _ => {
+                while done < budget {
+                    let r = scheduler.next_raw();
+                    done += 1;
+                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
+                    let (iu, iv) = orient(u, v, r);
+                    if agents.interact(iu as usize, iv as usize) && agents.stop_now(stop) {
+                        break;
+                    }
+                }
+            }
+        }
+        self.applied += done;
+    }
+
+    /// Applies up to `budget` interactions through buffered pairs (for
+    /// already-drawn pairs, the gather decoders, and the lazy source's
+    /// clique cells) or the fused clique kernel.
     fn run_budget(&mut self, budget: u64, stop: Stop) {
         if self.cursor < self.filled {
             let avail = (self.filled - self.cursor) as u64;
             self.apply_batch(avail.min(budget) as usize, stop);
+        } else if matches!(self.decoder, EdgeDecoder::Clique(_))
+            && self.agents.source.clique_kernel().is_some()
+        {
+            self.run_fused_clique(budget, stop);
         } else {
             let limit = budget.min(PAIR_BATCH as u64) as usize;
             self.refill(limit);
@@ -1015,8 +741,11 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         }
     }
 
-    /// Runs exactly `k` interactions without drawing the scheduler
-    /// stream past them (same contract as [`DenseExecutor::run_steps`]).
+    /// Runs exactly `k` interactions, consuming the scheduler stream
+    /// exactly `k` draws past the buffered pairs — never further — so
+    /// after the buffer drains, the RNG position matches the generic
+    /// engine's at the same step (the alignment [`crate::faults`] relies
+    /// on to perturb every engine identically).
     pub fn run_steps(&mut self, k: u64) {
         let mut remaining = k;
         while remaining > 0 {
@@ -1034,7 +763,7 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// Returns [`NotStabilized`] if `max_steps` interactions pass without
     /// stabilization.
     pub fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
-        while !self.stable_now() {
+        while !self.agents.stable_now() {
             if self.applied >= max_steps {
                 return Err(NotStabilized { max_steps });
             }
@@ -1049,7 +778,7 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     /// it). Returns the violation step, or `None` if `max_steps` total
     /// interactions passed with stability intact.
     pub fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
-        while self.stable_now() {
+        while self.agents.stable_now() {
             if self.applied >= max_steps {
                 return None;
             }
@@ -1058,37 +787,25 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
         Some(self.applied)
     }
 
-    #[inline]
-    fn stable_now(&self) -> bool {
-        if self.linear {
-            self.leaders == 1
-        } else {
-            self.oracle.is_stable()
-        }
-    }
-
     /// Whether the oracle currently reports stability.
     #[must_use]
     pub fn is_stable(&self) -> bool {
-        self.stable_now()
+        self.agents.stable_now()
     }
 
     /// Current number of leader-output nodes (O(n) scan of the role
-    /// memo).
+    /// table).
     #[must_use]
     pub fn leader_count(&self) -> usize {
-        self.ids
-            .iter()
-            .filter(|&&id| self.table.role(id) == Role::Leader)
-            .count()
+        self.agents.leader_count()
     }
 
     /// The unique leader if exactly one node outputs leader.
     #[must_use]
     pub fn leader(&self) -> Option<NodeId> {
         let mut found = None;
-        for (v, &id) in self.ids.iter().enumerate() {
-            if self.table.role(id) == Role::Leader {
+        for (v, &id) in self.agents.ids.iter().enumerate() {
+            if self.agents.source.role(id) == Role::Leader {
                 if found.is_some() {
                     return None;
                 }
@@ -1105,81 +822,39 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
             stabilization_step: self.steps(),
             leader_count: self.leader_count(),
             leader: self.leader(),
-            distinct_states: self.census.as_ref().map(|c| c.count),
+            distinct_states: self.agents.census.as_ref().map(|c| c.count),
         }
     }
 
-    /// Resets to the initial configuration with a new seed, **keeping**
-    /// the interner and pair cache warm — a reset is behaviourally
-    /// equivalent to fresh construction (the cache only changes speed,
-    /// never the trace), and cache reuse across trials is where the lazy
+    /// Resets to the initial configuration with a new seed —
+    /// behaviourally equivalent to fresh construction. The lazy source
+    /// **keeps** its interner and pair cache warm (the cache only
+    /// changes speed, never the trace), which is where the lazy
     /// engine's Monte-Carlo throughput comes from.
     ///
-    /// As with [`DenseExecutor::reset`], the executor stays bound to its
-    /// current graph; fault-plan runs with topology changes rebuild
-    /// executors instead.
+    /// Resets states, scheduler and counters only — the executor stays
+    /// bound to whichever graph it currently borrows, so executors that
+    /// ran a fault plan with topology changes should be rebuilt rather
+    /// than reset (the Monte-Carlo harness does exactly that).
     pub fn reset(&mut self, seed: u64) {
-        let n = self.graph.num_nodes();
-        if self.initial_ids.len() != n as usize {
-            // Node churn changed the population since the snapshot was
-            // taken; rebuild it for the current node count.
-            self.initial_ids.clear();
-            for v in 0..n {
-                let id = self.table.initial_id(v);
-                self.initial_ids.push(id);
-            }
-            if !self.linear {
-                self.initial_typed = self
-                    .initial_ids
-                    .iter()
-                    .map(|&id| self.table.state(id).clone())
-                    .collect();
-            }
-            self.initial_leaders = self
-                .initial_ids
-                .iter()
-                .filter(|&&id| self.table.role(id) == Role::Leader)
-                .count() as i64;
-        }
-        self.ids.clone_from(&self.initial_ids);
-        self.leaders = self.initial_leaders;
-        if !self.linear {
-            self.oracle
-                .recompute(&self.table.protocol, &self.initial_typed);
-        }
+        self.agents.load_initial(self.graph.num_nodes());
         self.scheduler.reset(seed);
         self.cursor = 0;
         self.filled = 0;
         self.applied = 0;
-        if self.census.is_some() {
-            self.census = None;
+        if self.agents.census.is_some() {
             self.enable_state_census();
         }
     }
 
     // ---- fault-injection primitives (see `crate::faults`) ------------
     //
-    // Mirrors of the dense executor's primitives; the lazy engine needs
-    // no compiled-size guard on joins — the new node's initial state is
-    // interned on demand.
-
-    /// Recomputes the derived leader/oracle state after a perturbation
-    /// (corruption or churn) that edited `ids` outside a transition.
-    fn resync_oracle(&mut self) {
-        self.leaders = self
-            .ids
-            .iter()
-            .filter(|&&id| self.table.role(id) == Role::Leader)
-            .count() as i64;
-        if !self.linear {
-            let typed: Vec<P::State> = self
-                .ids
-                .iter()
-                .map(|&id| self.table.state(id).clone())
-                .collect();
-            self.oracle.recompute(&self.table.protocol, &typed);
-        }
-    }
+    // Mirrors of the generic executor's primitives. Topology changes
+    // invalidate the per-graph edge decoder, so every rebind rebuilds it
+    // for the new graph; the scheduler keeps its RNG stream. Rebinds
+    // require the pair buffer to be drained — which it always is after
+    // a `run_steps` call, since bounded runs never draw past their
+    // budget.
 
     /// Rebinds scheduler and decoder to `graph` (states untouched).
     fn rebind(&mut self, graph: &'a Graph) {
@@ -1202,32 +877,31 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     pub fn set_graph(&mut self, graph: &'a Graph) {
         assert_eq!(
             graph.num_nodes() as usize,
-            self.ids.len(),
+            self.agents.ids.len(),
             "set_graph requires an equal node count (use join_node/leave_node)"
         );
         self.rebind(graph);
     }
 
     /// Rebinds to a graph with **one more node**: the new node is `n`
-    /// (the old node count) and starts in its initial state (interned on
-    /// demand — no pre-sized table to outgrow).
+    /// (the old node count) and starts in its initial state (the lazy
+    /// source interns it on demand).
     ///
     /// # Panics
     ///
-    /// Panics if `graph` does not have exactly one extra node.
+    /// Panics if `graph` does not have exactly one extra node, or if the
+    /// protocol was compiled (ahead of time) for fewer nodes than the
+    /// new graph has.
     pub fn join_node(&mut self, graph: &'a Graph) {
         assert_eq!(
             graph.num_nodes() as usize,
-            self.ids.len() + 1,
+            self.agents.ids.len() + 1,
             "join_node requires exactly one extra node"
         );
-        let id = self.table.initial_id(self.ids.len() as u32);
-        if let Some(census) = &mut self.census {
-            census.mark(id);
-        }
-        self.ids.push(id);
+        let joiner = self.agents.source.initial_id(graph.num_nodes() - 1);
+        self.agents.ids.push(joiner);
         self.rebind(graph);
-        self.resync_oracle();
+        self.agents.resync();
     }
 
     /// Rebinds to a graph with **one less node**: node `removed` leaves
@@ -1241,12 +915,12 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     pub fn leave_node(&mut self, graph: &'a Graph, removed: NodeId) {
         assert_eq!(
             graph.num_nodes() as usize,
-            self.ids.len() - 1,
+            self.agents.ids.len() - 1,
             "leave_node requires exactly one node less"
         );
-        self.ids.swap_remove(removed as usize);
+        self.agents.ids.swap_remove(removed as usize);
         self.rebind(graph);
-        self.resync_oracle();
+        self.agents.resync();
     }
 
     /// State corruption: resets node `v` to its initial state (a crash
@@ -1256,78 +930,43 @@ impl<'a, P: Protocol> LazyDenseExecutor<'a, P> {
     ///
     /// Panics if `v` is out of range.
     pub fn corrupt_to_initial(&mut self, v: NodeId) {
-        let id = self.table.initial_id(v);
-        if let Some(census) = &mut self.census {
-            census.mark(id);
-        }
-        self.ids[v as usize] = id;
-        self.resync_oracle();
+        self.agents.ids[v as usize] = self.agents.source.initial_id(v);
+        self.agents.resync();
     }
 
     /// Overwrites the whole configuration (an *arbitrary* start, in the
     /// self-stabilization sense — see [`crate::stabilize`]); mirrors
-    /// [`crate::Executor::set_configuration`]. Never-seen states are
-    /// interned on the spot — the lazy engine needs no pre-computed
-    /// closure over the sampler's support. The scheduler's RNG stream is
+    /// [`crate::Executor::set_configuration`]. The lazy source interns
+    /// never-seen states on the spot; the scheduler's RNG stream is
     /// untouched.
     ///
     /// # Panics
     ///
-    /// Panics if `states.len()` differs from the node count.
+    /// Panics if `states.len()` differs from the node count, or, on the
+    /// ahead-of-time source, if any state is not in the compiled table —
+    /// arbitrary-start tables must be built with
+    /// [`CompiledProtocol::compile_with_seeds`] over the sampler's
+    /// support.
     pub fn set_configuration(&mut self, states: &[P::State]) {
         assert_eq!(
             states.len(),
-            self.ids.len(),
+            self.agents.ids.len(),
             "configuration length must equal the node count"
         );
-        for (v, s) in states.iter().enumerate() {
-            let id = self.table.intern(s);
-            if let Some(census) = &mut self.census {
-                census.mark(id);
-            }
-            self.ids[v] = id;
+        for (slot, s) in self.agents.ids.iter_mut().zip(states) {
+            *slot = self.agents.source.start_id(s);
         }
-        self.resync_oracle();
-    }
-
-    /// Hands the execution to the generic engine mid-run. The generic
-    /// [`Executor`] gets the typed configuration, a clone of the
-    /// scheduler (same RNG position, `steps() == applied`), the typed
-    /// states of the census's seen ids, and an oracle recomputed once,
-    /// so it continues the trace exactly where this executor stands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair buffer still holds drawn-but-unapplied pairs:
-    /// the clone would then start past them. Bounded run calls drain it.
-    pub(crate) fn to_generic(&self) -> Executor<'_, P> {
-        assert_eq!(
-            self.cursor, self.filled,
-            "pair buffer must be drained before a hand-off"
-        );
-        debug_assert_eq!(self.scheduler.steps(), self.applied);
-        let states = self.ids.iter().map(|&id| self.table.state(id).clone());
-        let census = self.census.as_ref().map(|census| {
-            census
-                .seen
-                .iter()
-                .zip(&self.table.states)
-                .filter(|&(&seen, _)| seen)
-                .map(|(_, state)| state.clone())
-                .collect()
-        });
-        Executor::resume(
-            self.graph,
-            &self.table.protocol,
-            self.scheduler.clone(),
-            states.collect(),
-            census,
-        )
+        self.agents.resync();
     }
 
     #[cfg(test)]
     pub(crate) fn scheduler_steps(&self) -> u64 {
         self.scheduler.steps()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn decoder(&self) -> &EdgeDecoder {
+        &self.decoder
     }
 }
 
@@ -1424,8 +1063,11 @@ mod tests {
             let compiled = CompiledProtocol::compile_default(&Absorb, n).unwrap();
             let mut generic = Executor::new(&g, &Absorb, u64::from(n));
             let mut dense = DenseExecutor::new(&g, &compiled, u64::from(n));
+            let mut lazy = LazyDenseExecutor::new(&g, &Absorb, u64::from(n));
             for _ in 0..1200 {
-                assert_eq!(generic.step(), dense.step(), "clique({n})");
+                let step = generic.step();
+                assert_eq!(step, dense.step(), "clique({n})");
+                assert_eq!(step, lazy.step(), "clique({n}) (lazy)");
             }
         }
     }
@@ -1459,9 +1101,13 @@ mod tests {
         let g = Graph::from_edges(700_000, &[(0, 1), (699_998, 699_999)]).unwrap();
         let compiled = CompiledProtocol::compile_default(&Absorb, 700_000).unwrap();
         let mut dense = DenseExecutor::new(&g, &compiled, 9);
+        let mut lazy = LazyDenseExecutor::new(&g, &Absorb, 9);
+        assert_eq!(lazy.decoder().kind(), DecoderKind::Csr);
         let mut generic = Executor::new(&g, &Absorb, 9);
         for _ in 0..500 {
-            assert_eq!(generic.step(), dense.step());
+            let step = generic.step();
+            assert_eq!(step, dense.step());
+            assert_eq!(step, lazy.step(), "lazy");
         }
     }
 
@@ -1485,38 +1131,61 @@ mod tests {
 
     #[test]
     fn reset_restores_initial_configuration() {
-        let g = families::clique(8);
-        let compiled = CompiledProtocol::compile_default(&Absorb, 8).unwrap();
-        let mut exec = DenseExecutor::new(&g, &compiled, 1);
-        exec.enable_state_census();
-        exec.run_until_stable(1 << 20).unwrap();
-        assert_eq!(exec.leader_count(), 1);
-        exec.reset(2);
-        assert_eq!(exec.steps(), 0);
-        assert_eq!(exec.leader_count(), 8);
-        assert_eq!(exec.outcome().distinct_states, Some(1));
-        let out = exec.run_until_stable(1 << 20).unwrap();
-        assert_eq!(out.leader_count, 1);
+        // Census off and on: a reset restores the initial configuration,
+        // and the run after it is bit-identical to a fresh executor's
+        // with the new seed.
+        let g = families::clique(10);
+        let compiled = CompiledProtocol::compile_default(&Absorb, 10).unwrap();
+        for census in [false, true] {
+            let mut dense = DenseExecutor::new(&g, &compiled, 1);
+            if census {
+                dense.enable_state_census();
+            }
+            assert_eq!(dense.run_until_stable(1 << 20).unwrap().leader_count, 1);
+            dense.reset(2);
+            assert_restarted(&mut dense, DenseExecutor::new(&g, &compiled, 2), census);
+        }
     }
 
     #[test]
     fn lazy_reset_keeps_cache_and_reproduces_fresh_runs() {
+        // As above on the lazy source, which keeps its cache warm
+        // across the reset.
         let g = families::clique(10);
-        let mut warm = LazyDenseExecutor::new(&g, &Absorb, 1);
-        warm.run_until_stable(1 << 20).unwrap();
-        let cached = warm.table().num_cached_pairs();
-        assert!(cached > 0);
-        warm.reset(2);
-        assert_eq!(warm.steps(), 0);
-        assert_eq!(warm.leader_count(), 10);
-        // The cache survived the reset…
-        assert_eq!(warm.table().num_cached_pairs(), cached);
-        // …and the warm run is bit-identical to a cold one.
-        let warm_out = warm.run_until_stable(1 << 20).unwrap();
-        let cold_out = LazyDenseExecutor::new(&g, &Absorb, 2)
-            .run_until_stable(1 << 20)
-            .unwrap();
-        assert_eq!(warm_out, cold_out);
+        for census in [false, true] {
+            let mut lazy = LazyDenseExecutor::new(&g, &Absorb, 1);
+            if census {
+                lazy.enable_state_census();
+            }
+            assert_eq!(lazy.run_until_stable(1 << 20).unwrap().leader_count, 1);
+            let cached = lazy.table().num_cached_pairs();
+            assert!(cached > 0);
+            lazy.reset(2);
+            // The cache survived the reset…
+            assert_eq!(lazy.table().num_cached_pairs(), cached);
+            // …and the warm run is bit-identical to a cold one.
+            assert_restarted(&mut lazy, LazyDenseExecutor::new(&g, &Absorb, 2), census);
+        }
+    }
+
+    /// Checks that `exec`, just reset, stands where `fresh` starts and
+    /// runs to the same outcome.
+    fn assert_restarted<S: PairSource<Absorb>>(
+        exec: &mut PerAgentExecutor<'_, Absorb, S>,
+        mut fresh: PerAgentExecutor<'_, Absorb, S>,
+        census: bool,
+    ) {
+        if census {
+            fresh.enable_state_census();
+        }
+        assert_eq!(exec.steps(), 0);
+        assert_eq!(exec.leader_count(), exec.state_ids().len());
+        assert_eq!(exec.outcome().distinct_states, census.then_some(1));
+        assert_eq!(exec.outcome(), fresh.outcome());
+        assert!(exec.state_ids() == fresh.state_ids());
+        let out = exec.run_until_stable(1 << 20).unwrap();
+        assert_eq!(out.leader_count, 1);
+        assert_eq!(Ok(out), fresh.run_until_stable(1 << 20));
     }
 
     #[test]

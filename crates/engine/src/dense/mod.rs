@@ -18,12 +18,14 @@
 //!   whose state spaces overflow the ahead-of-time cap — the identifier
 //!   protocol at realistic `k` (Theorem 21), full-scale fast-protocol
 //!   instances (Theorem 24) — at a hot-loop cost of one extra hash.
-//! * [`decoder`] — the edge decoders and batched draw machinery both
-//!   engines share: raw scheduler indices are resolved into node pairs
+//! * [`decoder`] — the edge decoders and batched draw machinery of the
+//!   per-agent executor: raw scheduler indices are resolved into node pairs
 //!   through shape-specialized decoders (arithmetic clique decode,
 //!   16-bit packed lists, CSR split form) without ever deviating from
 //!   the scheduler's interaction sequence.
-//! * [`exec`] — the executors ([`DenseExecutor`], [`LazyDenseExecutor`])
+//! * [`exec`] — the per-agent executor ([`PerAgentExecutor`]), written
+//!   once over a [`PairSource`] — the compiled table
+//!   ([`DenseExecutor`]) or the lazy cache ([`LazyDenseExecutor`]) —
 //!   mirroring [`crate::Executor`] exactly: same scheduler, same seed
 //!   handling, same oracle semantics, same [`crate::Outcome`]s.
 //! * [`lanes`] — the **lane-parallel** executor
@@ -61,7 +63,7 @@ pub use count::{
     compile_for_count, count_supported, CountEngine, COUNT_MAX_COMPILED_STATES, COUNT_MIN_AGENTS,
 };
 pub use decoder::{DecoderKind, DECODER_MAX_EDGES, PACKED_MAX_NODES};
-pub use exec::{DenseExecutor, LazyDenseExecutor};
+pub use exec::{DenseExecutor, LazyDenseExecutor, PairSource, PerAgentExecutor};
 pub use lanes::{LaneDenseExecutor, LaneOutcome, LANE_BLOCK, MAX_LANES};
 pub use lazy::{LazyId, LazyTable};
 pub use table::{

@@ -26,7 +26,7 @@
 //! Fault-injected runs keep every guarantee of fault-free ones:
 //!
 //! * an **empty plan is trace-identical** to a plain
-//!   [`Executor::run_until_stable`] / [`DenseExecutor`] run (the session
+//!   [`Executor::run_until_stable`] / [`crate::DenseExecutor`] run (the session
 //!   adds no RNG draws and no extra scheduler activity);
 //! * the **generic, compiled and lazy engines produce identical
 //!   results** under any plan: the scheduler's RNG stream continues
@@ -92,7 +92,7 @@
 //! );
 //! ```
 
-use crate::dense::{DenseExecutor, LazyDenseExecutor};
+use crate::dense::{PairSource, PerAgentExecutor};
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::protocol::Protocol;
 use popele_graph::properties::is_connected;
@@ -503,10 +503,12 @@ pub struct ResolvedFaultPlan {
 }
 
 /// The executor surface the fault session and the Monte-Carlo trial
-/// driver run on — implemented by [`Executor`], [`DenseExecutor`] and
-/// [`LazyDenseExecutor`], which is what makes fault injection and trial
-/// running engine-agnostic (and lets the differential tests pin all
-/// engines to identical runs).
+/// driver run on — implemented by the generic reference [`Executor`]
+/// and by the per-agent dense [`PerAgentExecutor`] over either pair
+/// source ([`crate::DenseExecutor`], [`crate::LazyDenseExecutor`]),
+/// which is what makes fault injection and trial running
+/// engine-agnostic (and lets the differential tests pin all engines to
+/// identical runs).
 pub trait FaultTarget<'g> {
     /// The protocol's state type.
     type State;
@@ -549,59 +551,91 @@ pub trait FaultTarget<'g> {
     fn leave_node(&mut self, graph: &'g Graph, removed: NodeId);
 }
 
-/// Implements [`FaultTarget`] by delegating every method to the
-/// executor's inherent method of the same name. The engines expose
-/// identical fault-primitive surfaces by design; one definition serves
-/// all three, and a new trait method fails to compile until every
-/// engine grows the matching inherent counterpart.
-macro_rules! impl_fault_target {
-    ($($exec:ident),+ $(,)?) => {$(
-        impl<'g, P: Protocol> FaultTarget<'g> for $exec<'g, P> {
-            type State = P::State;
-            fn reset(&mut self, seed: u64) {
-                $exec::reset(self, seed);
-            }
-            fn enable_state_census(&mut self) {
-                $exec::enable_state_census(self);
-            }
-            fn set_configuration(&mut self, states: &[P::State]) {
-                $exec::set_configuration(self, states);
-            }
-            fn steps(&self) -> u64 {
-                $exec::steps(self)
-            }
-            fn run_steps(&mut self, k: u64) {
-                $exec::run_steps(self, k);
-            }
-            fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
-                $exec::run_until_stable(self, max_steps)
-            }
-            fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
-                $exec::run_while_stable(self, max_steps)
-            }
-            fn outcome(&self) -> Outcome {
-                $exec::outcome(self)
-            }
-            fn leader_count(&self) -> usize {
-                $exec::leader_count(self)
-            }
-            fn corrupt_to_initial(&mut self, v: NodeId) {
-                $exec::corrupt_to_initial(self, v);
-            }
-            fn set_graph(&mut self, graph: &'g Graph) {
-                $exec::set_graph(self, graph);
-            }
-            fn join_node(&mut self, graph: &'g Graph) {
-                $exec::join_node(self, graph);
-            }
-            fn leave_node(&mut self, graph: &'g Graph, removed: NodeId) {
-                $exec::leave_node(self, graph, removed);
-            }
-        }
-    )+};
+impl<'g, P: Protocol> FaultTarget<'g> for Executor<'g, P> {
+    type State = P::State;
+    fn reset(&mut self, seed: u64) {
+        Executor::reset(self, seed);
+    }
+    fn enable_state_census(&mut self) {
+        Executor::enable_state_census(self);
+    }
+    fn set_configuration(&mut self, states: &[P::State]) {
+        Executor::set_configuration(self, states);
+    }
+    fn steps(&self) -> u64 {
+        Executor::steps(self)
+    }
+    fn run_steps(&mut self, k: u64) {
+        Executor::run_steps(self, k);
+    }
+    fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
+        Executor::run_until_stable(self, max_steps)
+    }
+    fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
+        Executor::run_while_stable(self, max_steps)
+    }
+    fn outcome(&self) -> Outcome {
+        Executor::outcome(self)
+    }
+    fn leader_count(&self) -> usize {
+        Executor::leader_count(self)
+    }
+    fn corrupt_to_initial(&mut self, v: NodeId) {
+        Executor::corrupt_to_initial(self, v);
+    }
+    fn set_graph(&mut self, graph: &'g Graph) {
+        Executor::set_graph(self, graph);
+    }
+    fn join_node(&mut self, graph: &'g Graph) {
+        Executor::join_node(self, graph);
+    }
+    fn leave_node(&mut self, graph: &'g Graph, removed: NodeId) {
+        Executor::leave_node(self, graph, removed);
+    }
 }
 
-impl_fault_target!(Executor, DenseExecutor, LazyDenseExecutor);
+impl<'g, P: Protocol, S: PairSource<P>> FaultTarget<'g> for PerAgentExecutor<'g, P, S> {
+    type State = P::State;
+    fn reset(&mut self, seed: u64) {
+        PerAgentExecutor::reset(self, seed);
+    }
+    fn enable_state_census(&mut self) {
+        PerAgentExecutor::enable_state_census(self);
+    }
+    fn set_configuration(&mut self, states: &[P::State]) {
+        PerAgentExecutor::set_configuration(self, states);
+    }
+    fn steps(&self) -> u64 {
+        PerAgentExecutor::steps(self)
+    }
+    fn run_steps(&mut self, k: u64) {
+        PerAgentExecutor::run_steps(self, k);
+    }
+    fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
+        PerAgentExecutor::run_until_stable(self, max_steps)
+    }
+    fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
+        PerAgentExecutor::run_while_stable(self, max_steps)
+    }
+    fn outcome(&self) -> Outcome {
+        PerAgentExecutor::outcome(self)
+    }
+    fn leader_count(&self) -> usize {
+        PerAgentExecutor::leader_count(self)
+    }
+    fn corrupt_to_initial(&mut self, v: NodeId) {
+        PerAgentExecutor::corrupt_to_initial(self, v);
+    }
+    fn set_graph(&mut self, graph: &'g Graph) {
+        PerAgentExecutor::set_graph(self, graph);
+    }
+    fn join_node(&mut self, graph: &'g Graph) {
+        PerAgentExecutor::join_node(self, graph);
+    }
+    fn leave_node(&mut self, graph: &'g Graph, removed: NodeId) {
+        PerAgentExecutor::leave_node(self, graph, removed);
+    }
+}
 
 /// Leader count observed right after a fault was applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -773,7 +807,7 @@ pub(crate) fn drive_ops<'g, T: FaultTarget<'g>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::CompiledProtocol;
+    use crate::dense::{CompiledProtocol, DenseExecutor, LazyDenseExecutor};
     use crate::protocol::{LeaderCountOracle, Role};
     use popele_graph::families;
 

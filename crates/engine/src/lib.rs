@@ -14,16 +14,16 @@
 //! * [`Executor`] — applies a protocol under a scheduler and reports the
 //!   stabilization step, the elected leader, and (optionally) a census of
 //!   distinct states for space-complexity measurements;
-//! * [`CompiledProtocol`] / [`DenseExecutor`] — the ahead-of-time
-//!   compiled dense-state core: the reachable state space is enumerated
-//!   once into `u16` ids and the full `|Λ|²` transition table
-//!   precomputed, so the hot loop is two array reads, one table lookup
-//!   and two array writes;
-//! * [`LazyDenseExecutor`] — the lazily-compiling dense engine: states
+//! * [`dense::PerAgentExecutor`] — the dense-state core, one executor
+//!   over two pair sources. [`DenseExecutor`] runs it on a
+//!   [`CompiledProtocol`]: the reachable state space is enumerated once
+//!   into `u16` ids and the full `|Λ|²` transition table precomputed,
+//!   so the hot loop is two array reads, one table lookup and two array
+//!   writes. [`LazyDenseExecutor`] runs it on a [`LazyTable`]: states
 //!   interned into `u32` ids on first sight, pair successors memoized on
 //!   first use, which brings protocols whose state spaces overflow the
 //!   ahead-of-time cap (the identifier protocol at realistic `k`,
-//!   full-scale fast-protocol instances) onto the same dense hot loop;
+//!   full-scale fast-protocol instances) onto the same hot loop;
 //! * [`LaneDenseExecutor`] — the opt-in lane-parallel dense engine:
 //!   8–16 Monte-Carlo trials of one compiled cell stepped in lockstep
 //!   over structure-of-arrays state, per-trial trace-identical to

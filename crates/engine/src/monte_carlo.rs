@@ -27,9 +27,10 @@
 //! The first three run through one driver, written once over the
 //! executor surface every sequential tier implements
 //! ([`FaultTarget`]), on whichever tier their [`EngineSelection`] names:
-//! the generic reference [`Executor`], the ahead-of-time compiled
-//! [`crate::DenseExecutor`] over a shared [`CompiledProtocol`] table, or
-//! the lazily-compiling [`crate::LazyDenseExecutor`].
+//! the generic reference [`Executor`], or the per-agent dense executor
+//! over one of its two pair sources — a shared [`CompiledProtocol`]
+//! table ([`crate::DenseExecutor`]) or the lazily-compiling cache
+//! ([`crate::LazyDenseExecutor`]).
 //! [`EngineSelection::prepare`] picks the fastest applicable tier
 //! (AOT-compiled → lazy-compiled → generic);
 //! [`EngineSelection::generic`], [`EngineSelection::lazy`] and
@@ -80,11 +81,11 @@ pub enum Engine {
     /// The generic reference [`Executor`] (typed states, per-step
     /// transition evaluation).
     Generic,
-    /// The ahead-of-time compiled [`crate::DenseExecutor`] (`u16` ids,
-    /// full `|Λ|²` table).
+    /// The per-agent dense executor over the ahead-of-time compiled
+    /// source, [`crate::DenseExecutor`] (`u16` ids, full `|Λ|²` table).
     Dense,
-    /// The lazily-compiling [`crate::LazyDenseExecutor`] (`u32` ids,
-    /// on-demand pair cache).
+    /// The per-agent dense executor over the lazily-compiling source,
+    /// [`crate::LazyDenseExecutor`] (`u32` ids, on-demand pair cache).
     LazyDense,
     /// The count-based batch engine ([`crate::CountEngine`]):
     /// clique-only, `u64` count per compiled state, collision-free

@@ -26,15 +26,17 @@ mod harness;
 
 use harness::{assert_trace_identical, small_families};
 use popele::engine::dense::PROBE_EVAL_BUDGET;
-use popele::engine::dense::{probe_state_space, SpaceProbe, DEFAULT_MAX_COMPILED_STATES};
+use popele::engine::dense::{
+    probe_state_space, PairSource, PerAgentExecutor, SpaceProbe, DEFAULT_MAX_COMPILED_STATES,
+};
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
     lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared, Engine,
     TrialOptions,
 };
 use popele::engine::{
-    CompiledProtocol, EngineSelection, Executor, LazyDenseExecutor, LeaderCountOracle, Protocol,
-    Role,
+    CompiledProtocol, DenseExecutor, EngineSelection, Executor, LazyDenseExecutor,
+    LeaderCountOracle, Protocol, Role,
 };
 use popele::graph::{families, Graph};
 use popele::math::rng::SeedSeq;
@@ -522,4 +524,156 @@ fn handoff_census_equals_generic() {
         .all(|r| r.stabilization_step.is_some() && r.distinct_states.is_some()));
     assert_eq!(generic, lazy);
     assert!(lazy.iter().all(|r| r.engine == Engine::LazyDense));
+}
+
+/// Runs `exec` (fresh, seed 1) for `max_steps`, then resets it to each
+/// of three seeds and requires every restart to equal a fresh executor
+/// from `fresh` with that seed: the start outcome, the run's result and
+/// the end outcome (census included when `census` is on).
+fn assert_reset_is_fresh<'g, P: Protocol, S: PairSource<P>>(
+    mut exec: PerAgentExecutor<'g, P, S>,
+    fresh: impl Fn(u64) -> PerAgentExecutor<'g, P, S>,
+    census: bool,
+    max_steps: u64,
+    what: &str,
+) {
+    if census {
+        exec.enable_state_census();
+    }
+    let _ = exec.run_until_stable(max_steps);
+    for seed in [2u64, 3, 4] {
+        exec.reset(seed);
+        let mut cold = fresh(seed);
+        if census {
+            cold.enable_state_census();
+        }
+        assert_eq!(exec.outcome(), cold.outcome(), "{what}: start, seed {seed}");
+        assert_eq!(
+            exec.run_until_stable(max_steps),
+            cold.run_until_stable(max_steps),
+            "{what}: run, seed {seed}"
+        );
+        assert_eq!(exec.outcome(), cold.outcome(), "{what}: end, seed {seed}");
+    }
+}
+
+#[test]
+fn reset_equals_fresh_construction_on_both_sources() {
+    // Token's oracle is linear (the executor counts leaders itself);
+    // fast's and identifier's are not, and identifier's lazy runs skip
+    // `apply` on inert cached effects. Small budgets leave some runs
+    // unfinished, which the census then tells apart.
+    let fast = FastProtocol::new(FastParams::new(2, 3, 2));
+    let token = TokenProtocol::all_candidates();
+    for g in [
+        families::clique(24),
+        families::cycle(24),
+        families::torus(5, 5),
+    ] {
+        let n = g.num_nodes();
+        let identifier = realistic_identifier(n);
+        let token_table = CompiledProtocol::compile_default(&token, n).unwrap();
+        let fast_table = CompiledProtocol::compile_default(&fast, n).unwrap();
+        for census in [false, true] {
+            let what = |p: &str| format!("{p} on {g}, census {census}");
+            assert_reset_is_fresh(
+                DenseExecutor::new(&g, &token_table, 1),
+                |s| DenseExecutor::new(&g, &token_table, s),
+                census,
+                20_000,
+                &what("AOT token"),
+            );
+            assert_reset_is_fresh(
+                DenseExecutor::new(&g, &fast_table, 1),
+                |s| DenseExecutor::new(&g, &fast_table, s),
+                census,
+                20_000,
+                &what("AOT fast"),
+            );
+            assert_reset_is_fresh(
+                LazyDenseExecutor::new(&g, &token, 1),
+                |s| LazyDenseExecutor::new(&g, &token, s),
+                census,
+                20_000,
+                &what("lazy token"),
+            );
+            assert_reset_is_fresh(
+                LazyDenseExecutor::new(&g, &fast, 1),
+                |s| LazyDenseExecutor::new(&g, &fast, s),
+                census,
+                20_000,
+                &what("lazy fast"),
+            );
+            assert_reset_is_fresh(
+                LazyDenseExecutor::new(&g, &identifier, 1),
+                |s| LazyDenseExecutor::new(&g, &identifier, s),
+                census,
+                200_000,
+                &what("lazy identifier"),
+            );
+        }
+    }
+}
+
+#[test]
+fn reset_after_churn_equals_fresh_construction() {
+    // A reset re-initializes the population of the graph the executor
+    // is bound to now: after a join on the grown graph, after a leave
+    // on the shrunk one. The lazy source interns the joined node's
+    // initial state on demand; the AOT table was compiled for n + 1.
+    let p = realistic_identifier(24);
+    let token = TokenProtocol::all_candidates();
+    let (g, grown) = (families::cycle(24), families::cycle(25));
+    let token_table = CompiledProtocol::compile_default(&token, 25).unwrap();
+    for census in [false, true] {
+        let mut lazy = LazyDenseExecutor::new(&g, &p, 1);
+        let mut dense = DenseExecutor::new(&g, &token_table, 1);
+        if census {
+            lazy.enable_state_census();
+            dense.enable_state_census();
+        }
+        lazy.run_steps(3000);
+        dense.run_steps(3000);
+        lazy.join_node(&grown);
+        dense.join_node(&grown);
+        assert_reset_is_fresh(
+            lazy,
+            |s| LazyDenseExecutor::new(&grown, &p, s),
+            census,
+            200_000,
+            "lazy identifier after a join",
+        );
+        assert_reset_is_fresh(
+            dense,
+            |s| DenseExecutor::new(&grown, &token_table, s),
+            census,
+            20_000,
+            "AOT token after a join",
+        );
+
+        let mut lazy = LazyDenseExecutor::new(&grown, &p, 1);
+        let mut dense = DenseExecutor::new(&grown, &token_table, 1);
+        if census {
+            lazy.enable_state_census();
+            dense.enable_state_census();
+        }
+        lazy.run_steps(3000);
+        dense.run_steps(3000);
+        lazy.leave_node(&g, 7);
+        dense.leave_node(&g, 7);
+        assert_reset_is_fresh(
+            lazy,
+            |s| LazyDenseExecutor::new(&g, &p, s),
+            census,
+            200_000,
+            "lazy identifier after a leave",
+        );
+        assert_reset_is_fresh(
+            dense,
+            |s| DenseExecutor::new(&g, &token_table, s),
+            census,
+            20_000,
+            "AOT token after a leave",
+        );
+    }
 }
