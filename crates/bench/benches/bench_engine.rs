@@ -21,15 +21,6 @@
 //!   row races the driver on the forced lazy tier against the forced
 //!   generic tier and records the lazy executor without the hand-off
 //!   beside them.
-//! * **scalar dense vs lane-parallel dense** ([`LaneDenseExecutor`]):
-//!   8- and 16-lane packs against a scalar [`DenseExecutor`] over the
-//!   same trial seeds — full token elections on `clique(1000)` (fused
-//!   branchless path; the scalar side runs through the trial driver on
-//!   the forced AOT tier) and fixed-step throughput of a near-cap AOT fast
-//!   instance on `cycle(1000)` (packed decoder, non-linear oracle).
-//!   Both sides run the identical trial set sequentially vs in
-//!   lockstep, so the speedup *is* the aggregate trials/sec ratio the
-//!   sweep's `--lanes` flag buys.
 //! * **count-based batch engine** ([`CountEngine`]): clique workloads at
 //!   populations no per-agent engine can represent — full fast-protocol
 //!   elections (clique-tuned parameters) at `n = 10⁷` and `n = 10⁸`,
@@ -71,10 +62,10 @@
 use criterion::{black_box, take_measurements, BenchmarkId, Criterion, Measurement};
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, TokenProtocol};
-use popele_engine::monte_carlo::{run_trials_auto_prepared, TrialOptions, TrialResult};
+use popele_engine::monte_carlo::{run_trials_auto_prepared, TrialOptions};
 use popele_engine::{
     compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, EngineSelection, Executor,
-    LaneDenseExecutor, LazyDenseExecutor, Protocol,
+    LazyDenseExecutor,
 };
 use popele_graph::{families, Graph};
 use popele_lab::sweep::{
@@ -84,7 +75,6 @@ use popele_lab::sweep::{
 use popele_lab::workloads::{broadcast_guess, Family};
 use popele_math::rng::SeedSeq;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 const FIXED_STEPS: u64 = 2_000_000;
@@ -385,146 +375,6 @@ fn bench_implicit_clique(c: &mut Criterion) {
     group.finish();
 }
 
-/// Step budget per trial for the lane fixed-step workloads: safely
-/// below the fast instance's earliest observed stabilization on
-/// `cycle(1000)` (~2M steps), so neither side ever stabilizes early and
-/// both apply exactly `trials × LANE_FIXED_STEPS` interactions.
-const LANE_FIXED_STEPS: u64 = 1_000_000;
-
-/// Lane-tier workload manifest: `(workload name, lane count)`. Shared
-/// with `lanes_workloads` for the same rename protection as
-/// [`FAST_STEPS_WORKLOAD`]. Each workload runs
-/// `lanes * LANE_TRIAL_FACTOR` trials on both sides — a retiring lane
-/// immediately reloads from the trial pool, the shape every sweep cell
-/// has — so the measured ratio is the aggregate trials/sec gain at
-/// sustained occupancy, with the wind-down tail amortized over the
-/// pool rather than dominating a single pack.
-const LANE_WORKLOADS: [(&str, usize); 4] = [
-    ("token_clique_1000_8", 8),
-    ("token_clique_1000_16", 16),
-    ("fast_cycle_1000_8", 8),
-    ("fast_cycle_1000_16", 16),
-];
-
-/// Trials per lane in the lane-tier workloads: enough of a refill pool
-/// that retire-and-refill keeps the pack near full occupancy for most
-/// of the run (election lengths are ragged; with a pool a lane's early
-/// retirement admits the next trial instead of idling the slot).
-const LANE_TRIAL_FACTOR: usize = 3;
-
-/// Master seed of the lane-tier election trials (both sides).
-const LANE_MASTER_SEED: u64 = 1;
-
-/// Summed stabilization steps of a batch of elections that must all
-/// stabilize.
-fn total_steps(results: &[TrialResult]) -> u64 {
-    results
-        .iter()
-        .map(|r| r.stabilization_step.expect("election stabilizes"))
-        .sum()
-}
-
-/// The elections of `TrialOptions { trials, .. }` under master seed
-/// [`LANE_MASTER_SEED`] — the trial set the scalar side runs through the
-/// trial driver — as one retire-and-refill pack (the
-/// [`run_trials_lanes`] loop shape, inlined so the bench controls the
-/// lane count).
-///
-/// [`run_trials_lanes`]: popele_engine::monte_carlo::run_trials_lanes
-fn lane_elections<P: Protocol>(lanes: &mut LaneDenseExecutor<'_, P>, trials: usize) -> u64 {
-    let seeds = SeedSeq::new(LANE_MASTER_SEED);
-    let mut total = 0u64;
-    let mut next = 0usize;
-    let mut done = 0usize;
-    while done < trials {
-        while next < trials && lanes.has_free_lane() {
-            lanes.load(next, seeds.child(next as u64));
-            next += 1;
-        }
-        lanes.run_block(ELECTION_MAX);
-        while let Some(out) = lanes.take_finished() {
-            total += out.stabilization_step.expect("election stabilizes");
-            done += 1;
-        }
-    }
-    total
-}
-
-/// Fixed-step lane throughput: every trial exhausts the same budget
-/// (retiring as a timeout), mirroring the scalar `run_steps` workloads;
-/// retired generations refill from the trial pool like the elections.
-fn lane_fixed_steps<P: Protocol>(lanes: &mut LaneDenseExecutor<'_, P>, trials: usize) -> usize {
-    let mut next = 1usize;
-    let mut done = 0usize;
-    while done < trials {
-        while next <= trials && lanes.has_free_lane() {
-            lanes.load(next, next as u64);
-            next += 1;
-        }
-        lanes.run_block(LANE_FIXED_STEPS);
-        while lanes.take_finished().is_some() {
-            done += 1;
-        }
-    }
-    done
-}
-
-/// Lane-tier races: scalar dense vs the lane engine over identical
-/// trial seeds. Token elections on the clique take the fused branchless
-/// path; the fast instance (`h = 8`, `L = 17` — 1016 states, just under
-/// the AOT cap) on the cycle takes the packed-decoder path with the
-/// non-linear fast oracle, fixed-step so election heavy-tails don't
-/// swamp the throughput comparison.
-fn bench_lanes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/lanes");
-    let token = TokenProtocol::all_candidates();
-    let token_graph = families::clique(1000);
-    let token_compiled = Arc::new(CompiledProtocol::compile_default(&token, 1000).unwrap());
-    let token_dense = EngineSelection::dense(Arc::clone(&token_compiled));
-    let fast = FastProtocol::new(FastParams::new(8, 17, 4));
-    let fast_graph = families::cycle(1000);
-    let fast_compiled = CompiledProtocol::compile_default(&fast, 1000)
-        .expect("h=8, L=17 fast params must fit the AOT cap");
-    for (name, num_lanes) in LANE_WORKLOADS {
-        let trials = num_lanes * LANE_TRIAL_FACTOR;
-        if name.starts_with("token_clique") {
-            let opts = TrialOptions {
-                trials,
-                max_steps: ELECTION_MAX,
-                threads: 1,
-                ..TrialOptions::default()
-            };
-            group.bench_with_input(BenchmarkId::new("dense", name), &token_graph, |b, g| {
-                b.iter(|| {
-                    let results =
-                        run_trials_auto_prepared(g, &token, &token_dense, LANE_MASTER_SEED, opts);
-                    black_box(total_steps(&results))
-                });
-            });
-            group.bench_with_input(BenchmarkId::new("lanes", name), &token_graph, |b, g| {
-                let mut lanes = LaneDenseExecutor::new(g, &token_compiled, num_lanes);
-                b.iter(|| black_box(lane_elections(&mut lanes, trials)));
-            });
-        } else {
-            group.bench_with_input(BenchmarkId::new("dense", name), &fast_graph, |b, g| {
-                let mut exec = DenseExecutor::new(g, &fast_compiled, 0);
-                b.iter(|| {
-                    for seed in 1..=trials as u64 {
-                        exec.reset(seed);
-                        exec.run_steps(LANE_FIXED_STEPS);
-                    }
-                    black_box(exec.leader_count())
-                });
-            });
-            group.bench_with_input(BenchmarkId::new("lanes", name), &fast_graph, |b, g| {
-                let mut lanes = LaneDenseExecutor::new(g, &fast_compiled, num_lanes);
-                b.iter(|| black_box(lane_fixed_steps(&mut lanes, trials)));
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Count-tier workloads: clique populations past every per-agent
 /// engine's reach. Elections run the fast protocol at its
 /// clique-tuned parameterization ([`FastParams::clique_tuned`] — the
@@ -752,8 +602,7 @@ fn bench_campaign(c: &mut Criterion) {
 }
 
 /// The machine the numbers come from: logical CPUs, CPU model and
-/// AVX-512 support (the lane tier's fused kernel needs it), read from
-/// `/proc/cpuinfo` where it exists.
+/// AVX-512 support, read from `/proc/cpuinfo` where it exists.
 fn host_json() -> String {
     let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
@@ -788,14 +637,6 @@ fn json_workloads() -> Vec<(&'static str, String, &'static str)> {
     }
     rows.push(("engine/steps", FAST_STEPS_WORKLOAD.to_string(), "lazy"));
     rows
-}
-
-/// Lane-tier rows, straight from the bench manifest: `(workload name,
-/// lane count)`. The scalar dense engine is the baseline of each row
-/// (racing against the *generic* engine would double-count the
-/// dense-vs-generic gain already reported above).
-fn lanes_workloads() -> Vec<(&'static str, usize)> {
-    LANE_WORKLOADS.to_vec()
 }
 
 /// Count-tier rows: `(workload name, population, interactions per
@@ -895,28 +736,6 @@ fn render_json(ms: &[Measurement]) -> (String, Vec<String>) {
                 "engine/steps/{IMPLICIT_CLIQUE_WORKLOAD} (implicit)"
             ));
         }
-    }
-    for (name, num_lanes) in lanes_workloads() {
-        let dense = median_of(ms, &format!("engine/lanes/dense/{name}"));
-        let lanes = median_of(ms, &format!("engine/lanes/lanes/{name}"));
-        let (Some(dense), Some(lanes)) = (dense, lanes) else {
-            missing.push(format!("engine/lanes/{name} (lanes)"));
-            continue;
-        };
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        // Both sides run the identical trial set per iteration, so the
-        // median ratio is the aggregate trials/sec speedup.
-        let speedup = dense.median_ns / lanes.median_ns;
-        let _ = write!(
-            out,
-            "    {{\"workload\": \"engine/lanes/{name}\", \"engine\": \"lanes\", \
-             \"num_lanes\": {num_lanes}, \"dense_median_ns\": {:.0}, \
-             \"lanes_median_ns\": {:.0}, \"speedup\": {:.2}}}",
-            dense.median_ns, lanes.median_ns, speedup
-        );
     }
     for (name, agents, fixed_steps) in count_workloads() {
         let Some(m) = median_of(ms, &format!("engine/count/count/{name}")) else {
@@ -1031,7 +850,6 @@ fn main() {
     bench_handoff(&mut c);
     bench_fixed_steps(&mut c);
     bench_implicit_clique(&mut c);
-    bench_lanes(&mut c);
     bench_count(&mut c);
     bench_compile(&mut c);
     bench_campaign(&mut c);

@@ -231,42 +231,12 @@ impl EdgeDecoder {
                     *slot = orient(u, v, r);
                 });
             }
-            EdgeDecoder::Packed(_) | EdgeDecoder::Csr { .. } => {
+            EdgeDecoder::Packed(packed) => {
                 // Two-phase: the raw draws are batched first, then the
                 // gathers run as independent loads the memory system can
                 // overlap.
                 let raw = &mut raw[..pairs.len()];
                 scheduler.fill_raw(raw);
-                self.gather(scheduler, raw, pairs);
-            }
-            EdgeDecoder::Scheduler => scheduler.fill_pairs(pairs),
-        }
-    }
-
-    /// Resolves pre-drawn raw scheduler indices into ordered pairs — the
-    /// gather half of [`Self::fill_batch`], for callers that draw the
-    /// raw stream themselves (the lane engine interleaves its draws
-    /// across trials before gathering per lane). Produces exactly the
-    /// pairs [`EdgeScheduler::next_pair`] would for the same raws.
-    /// `scheduler` (one drawing from the same graph) is consulted only
-    /// by the [`EdgeDecoder::Scheduler`] fallback, which resolves
-    /// through it (the indexed decoders own their tables).
-    pub(crate) fn gather(
-        &self,
-        scheduler: &EdgeScheduler<'_>,
-        raw: &[usize],
-        pairs: &mut [(NodeId, NodeId)],
-    ) {
-        debug_assert_eq!(raw.len(), pairs.len());
-        match self {
-            EdgeDecoder::Clique(index) => {
-                let (n, shift, row_hint) = index.parts();
-                for (slot, &r) in pairs.iter_mut().zip(raw.iter()) {
-                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                    *slot = orient(u, v, r);
-                }
-            }
-            EdgeDecoder::Packed(packed) => {
                 for (slot, &r) in pairs.iter_mut().zip(raw.iter()) {
                     let e = packed[r >> 1];
                     *slot = orient(e >> 16, e & 0xFFFF, r);
@@ -278,8 +248,11 @@ impl EdgeDecoder {
                 row_delta,
                 col,
             } => {
-                // The hint table stays cache-resident, so reconstructing
-                // the row costs one in-cache read and an add.
+                // Two-phase as above. The hint table stays
+                // cache-resident, so reconstructing the row costs one
+                // in-cache read and an add.
+                let raw = &mut raw[..pairs.len()];
+                scheduler.fill_raw(raw);
                 for (slot, &r) in pairs.iter_mut().zip(raw.iter()) {
                     let e = r >> 1;
                     let u = row_hint[e >> *shift] + u32::from(row_delta[e]);
@@ -287,11 +260,7 @@ impl EdgeDecoder {
                     *slot = orient(u, v, r);
                 }
             }
-            EdgeDecoder::Scheduler => {
-                for (slot, &r) in pairs.iter_mut().zip(raw.iter()) {
-                    *slot = scheduler.pair_of(r);
-                }
-            }
+            EdgeDecoder::Scheduler => scheduler.fill_pairs(pairs),
         }
     }
 }

@@ -28,13 +28,6 @@
 //!   ([`DenseExecutor`]) or the lazy cache ([`LazyDenseExecutor`]) —
 //!   mirroring [`crate::Executor`] exactly: same scheduler, same seed
 //!   handling, same oracle semantics, same [`crate::Outcome`]s.
-//! * [`lanes`] — the **lane-parallel** executor
-//!   ([`LaneDenseExecutor`]): 8–16 trials of one compiled cell stepped
-//!   in lockstep over structure-of-arrays state, one RNG stream per
-//!   lane, so independent per-trial dependency chains overlap in the
-//!   pipeline. Per trial it is trace-identical to [`DenseExecutor`] —
-//!   each lane consumes exactly the scheduler stream its seed would
-//!   produce scalar.
 //! * [`count`] — the **count-based batch engine** ([`CountEngine`]):
 //!   clique-only, stores a `u64` count per compiled state instead of a
 //!   per-agent configuration and draws interactions in collision-free
@@ -55,7 +48,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub mod count;
 pub mod decoder;
 pub mod exec;
-pub mod lanes;
 pub mod lazy;
 pub mod table;
 
@@ -64,7 +56,6 @@ pub use count::{
 };
 pub use decoder::{DecoderKind, DECODER_MAX_EDGES, PACKED_MAX_NODES};
 pub use exec::{DenseExecutor, LazyDenseExecutor, PairSource, PerAgentExecutor};
-pub use lanes::{LaneDenseExecutor, LaneOutcome, LANE_BLOCK, MAX_LANES};
 pub use lazy::{LazyId, LazyTable};
 pub use table::{
     probe_state_space, CompileError, CompiledProtocol, SpaceProbe, StateId,

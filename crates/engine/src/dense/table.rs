@@ -665,13 +665,6 @@ impl<P: Protocol> CompiledProtocol<P> {
     pub fn table_bytes(&self) -> usize {
         self.table.len() * std::mem::size_of::<u32>()
     }
-
-    /// Materializes the typed configuration corresponding to `ids`.
-    pub(crate) fn typed_config(&self, ids: &[StateId]) -> Vec<P::State> {
-        ids.iter()
-            .map(|&id| self.states[id as usize].clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -8,10 +8,13 @@
 //! the incremental [`crate::StabilityOracle`]s on tiny instances (`n ≤ 6`,
 //! small state spaces).
 
-use crate::dense::{CompiledProtocol, StateId};
+use crate::dense::{CompiledProtocol, DenseExecutor, StateId};
+use crate::executor::Executor;
 use crate::protocol::{Protocol, Role};
 use popele_graph::Graph;
 use std::collections::{HashSet, VecDeque};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 /// Maximum number of configurations explored before giving up.
 pub const DEFAULT_CONFIG_LIMIT: usize = 2_000_000;
@@ -43,46 +46,13 @@ pub fn check_stability<P: Protocol>(
     config: &[P::State],
     limit: usize,
 ) -> Verdict {
-    assert_eq!(
-        config.len(),
-        graph.num_nodes() as usize,
-        "configuration size must match graph"
-    );
-    let base_outputs: Vec<Role> = config.iter().map(|s| protocol.output(s)).collect();
-
-    let mut seen: HashSet<Vec<P::State>> = HashSet::new();
-    let mut queue: VecDeque<Vec<P::State>> = VecDeque::new();
-    seen.insert(config.to_vec());
-    queue.push_back(config.to_vec());
-
-    while let Some(current) = queue.pop_front() {
-        // Compare outputs of this configuration with the base.
-        for (s, &expected) in current.iter().zip(&base_outputs) {
-            if protocol.output(s) != expected {
-                return Verdict::Unstable;
-            }
-        }
-        // Expand: every ordered adjacent pair.
-        for &(u, v) in graph.edges() {
-            for (a, b) in [(u, v), (v, u)] {
-                let (ia, ib) = (a as usize, b as usize);
-                let (na, nb) = protocol.transition(&current[ia], &current[ib]);
-                if na == current[ia] && nb == current[ib] {
-                    continue;
-                }
-                let mut next = current.clone();
-                next[ia] = na;
-                next[ib] = nb;
-                if seen.insert(next.clone()) {
-                    if seen.len() > limit {
-                        return Verdict::Inconclusive;
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-    Verdict::Stable
+    search(
+        graph,
+        config,
+        limit,
+        |s| protocol.output(s),
+        |a, b| protocol.transition(a, b),
+    )
 }
 
 /// Checks whether `config` is stable **and correct** (exactly one leader).
@@ -93,14 +63,13 @@ pub fn check_stable_and_correct<P: Protocol>(
     config: &[P::State],
     limit: usize,
 ) -> Verdict {
-    let leaders = config
-        .iter()
-        .filter(|s| protocol.output(s) == Role::Leader)
-        .count();
-    if leaders != 1 {
-        return Verdict::Unstable;
-    }
-    check_stability(protocol, graph, config, limit)
+    search_correct(
+        graph,
+        config,
+        limit,
+        |s| protocol.output(s),
+        |a, b| protocol.transition(a, b),
+    )
 }
 
 /// Exhaustively verifies that the protocol's own oracle agrees with the
@@ -121,31 +90,16 @@ pub fn validate_oracle_on_execution<P: Protocol>(
     max_steps: u64,
     limit: usize,
 ) -> u64 {
-    use crate::executor::Executor;
-
-    let mut exec = Executor::new(graph, protocol, seed);
-    for step in 0..=max_steps {
-        let exhaustive = check_stable_and_correct(protocol, graph, exec.states(), limit);
-        let oracle = exec.is_stable();
-        match exhaustive {
-            Verdict::Inconclusive => panic!("exhaustive search inconclusive at step {step}"),
-            Verdict::Stable => assert!(
-                oracle,
-                "oracle says unstable but configuration is stable at step {step}: {:?}",
-                exec.states()
-            ),
-            Verdict::Unstable => assert!(
-                !oracle,
-                "oracle says stable but configuration is not at step {step}: {:?}",
-                exec.states()
-            ),
-        }
-        if oracle {
-            return step;
-        }
-        exec.step();
-    }
-    max_steps
+    validate(
+        Executor::new(graph, protocol, seed),
+        max_steps,
+        Executor::states,
+        Executor::is_stable,
+        |exec| {
+            exec.step();
+        },
+        |config| check_stable_and_correct(protocol, graph, config, limit),
+    )
 }
 
 /// Dense-id fast path of [`check_stability`]: identical search, but
@@ -167,28 +121,94 @@ pub fn check_stability_compiled<P: Protocol>(
     config: &[StateId],
     limit: usize,
 ) -> Verdict {
+    search(
+        graph,
+        config,
+        limit,
+        |&s| compiled.role(s),
+        |&a, &b| compiled.successor(a, b),
+    )
+}
+
+/// Dense-id fast path of [`check_stable_and_correct`].
+#[must_use]
+pub fn check_stable_and_correct_compiled<P: Protocol>(
+    compiled: &CompiledProtocol<P>,
+    graph: &Graph,
+    config: &[StateId],
+    limit: usize,
+) -> Verdict {
+    search_correct(
+        graph,
+        config,
+        limit,
+        |&s| compiled.role(s),
+        |&a, &b| compiled.successor(a, b),
+    )
+}
+
+/// Dense-id fast path of [`validate_oracle_on_execution`]: drives a
+/// [`DenseExecutor`] and validates the protocol's oracle against the
+/// compiled reachability search at every step. Returns the number of
+/// steps checked.
+///
+/// # Panics
+///
+/// Panics (with a descriptive message) on the first disagreement, or if
+/// the exhaustive search is inconclusive.
+pub fn validate_oracle_on_execution_compiled<P: Protocol>(
+    compiled: &CompiledProtocol<P>,
+    graph: &Graph,
+    seed: u64,
+    max_steps: u64,
+    limit: usize,
+) -> u64 {
+    validate(
+        DenseExecutor::new(graph, compiled, seed),
+        max_steps,
+        DenseExecutor::state_ids,
+        DenseExecutor::is_stable,
+        |exec| {
+            exec.step();
+        },
+        |config| check_stable_and_correct_compiled(compiled, graph, config, limit),
+    )
+}
+
+/// The breadth-first search behind both stability checkers, over any
+/// state type: `role` reads a state's output, `successor` applies the
+/// transition to an ordered pair.
+fn search<S: Clone + Eq + Hash>(
+    graph: &Graph,
+    config: &[S],
+    limit: usize,
+    role: impl Fn(&S) -> Role,
+    successor: impl Fn(&S, &S) -> (S, S),
+) -> Verdict {
     assert_eq!(
         config.len(),
         graph.num_nodes() as usize,
         "configuration size must match graph"
     );
-    let base_outputs: Vec<Role> = config.iter().map(|&s| compiled.role(s)).collect();
+    let base_outputs: Vec<Role> = config.iter().map(&role).collect();
 
-    let mut seen: HashSet<Vec<StateId>> = HashSet::new();
-    let mut queue: VecDeque<Vec<StateId>> = VecDeque::new();
+    let mut seen: HashSet<Vec<S>> = HashSet::new();
+    let mut queue: VecDeque<Vec<S>> = VecDeque::new();
     seen.insert(config.to_vec());
     queue.push_back(config.to_vec());
 
     while let Some(current) = queue.pop_front() {
-        for (&s, &expected) in current.iter().zip(&base_outputs) {
-            if compiled.role(s) != expected {
+        // Compare outputs of this configuration with the base.
+        for (s, &expected) in current.iter().zip(&base_outputs) {
+            if role(s) != expected {
                 return Verdict::Unstable;
             }
         }
+        // Expand: every ordered adjacent pair.
         for &(u, v) in graph.edges() {
             for (a, b) in [(u, v), (v, u)] {
                 let (ia, ib) = (a as usize, b as usize);
-                let (na, nb) = compiled.successor(current[ia], current[ib]);
+                let (na, nb) = successor(&current[ia], &current[ib]);
                 if na == current[ia] && nb == current[ib] {
                     continue;
                 }
@@ -207,64 +227,52 @@ pub fn check_stability_compiled<P: Protocol>(
     Verdict::Stable
 }
 
-/// Dense-id fast path of [`check_stable_and_correct`].
-#[must_use]
-pub fn check_stable_and_correct_compiled<P: Protocol>(
-    compiled: &CompiledProtocol<P>,
+/// [`search`] behind the exactly-one-leader gate of both
+/// stable-and-correct checkers.
+fn search_correct<S: Clone + Eq + Hash>(
     graph: &Graph,
-    config: &[StateId],
+    config: &[S],
     limit: usize,
+    role: impl Fn(&S) -> Role,
+    successor: impl Fn(&S, &S) -> (S, S),
 ) -> Verdict {
-    let leaders = config
-        .iter()
-        .filter(|&&s| compiled.role(s) == Role::Leader)
-        .count();
-    if leaders != 1 {
+    if config.iter().filter(|s| role(s) == Role::Leader).count() != 1 {
         return Verdict::Unstable;
     }
-    check_stability_compiled(compiled, graph, config, limit)
+    search(graph, config, limit, role, successor)
 }
 
-/// Dense-id fast path of [`validate_oracle_on_execution`]: drives a
-/// [`crate::DenseExecutor`] and validates the protocol's oracle against
-/// the compiled reachability search at every step. Returns the number of
-/// steps checked.
-///
-/// # Panics
-///
-/// Panics (with a descriptive message) on the first disagreement, or if
-/// the exhaustive search is inconclusive.
-pub fn validate_oracle_on_execution_compiled<P: Protocol>(
-    compiled: &CompiledProtocol<P>,
-    graph: &Graph,
-    seed: u64,
+/// The loop behind both oracle validators: at every step up to
+/// `max_steps`, the oracle's verdict `is_stable` on `exec` must match
+/// the exhaustive `check` of the configuration `config` reads off it.
+fn validate<E, S: Debug>(
+    mut exec: E,
     max_steps: u64,
-    limit: usize,
+    config: impl Fn(&E) -> &[S],
+    is_stable: impl Fn(&E) -> bool,
+    step: impl Fn(&mut E),
+    check: impl Fn(&[S]) -> Verdict,
 ) -> u64 {
-    use crate::dense::DenseExecutor;
-
-    let mut exec = DenseExecutor::new(graph, compiled, seed);
-    for step in 0..=max_steps {
-        let exhaustive =
-            check_stable_and_correct_compiled(compiled, graph, exec.state_ids(), limit);
-        let oracle = exec.is_stable();
+    for t in 0..=max_steps {
+        let exhaustive = check(config(&exec));
+        let oracle = is_stable(&exec);
         match exhaustive {
-            Verdict::Inconclusive => panic!("exhaustive search inconclusive at step {step}"),
+            Verdict::Inconclusive => panic!("exhaustive search inconclusive at step {t}"),
             Verdict::Stable => assert!(
                 oracle,
-                "oracle says unstable but configuration is stable at step {step}: {:?}",
-                exec.state_ids()
+                "oracle says unstable but configuration is stable at step {t}: {:?}",
+                config(&exec)
             ),
             Verdict::Unstable => assert!(
                 !oracle,
-                "oracle says stable but configuration is not at step {step}: {:?}",
-                exec.state_ids()
+                "oracle says stable but configuration is not at step {t}: {:?}",
+                config(&exec)
             ),
         }
         if oracle {
-            return step;
+            return t;
         }
-        exec.step();
+        step(&mut exec);
     }
     max_steps
 }

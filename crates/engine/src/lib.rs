@@ -24,11 +24,6 @@
 //!   first use, which brings protocols whose state spaces overflow the
 //!   ahead-of-time cap (the identifier protocol at realistic `k`,
 //!   full-scale fast-protocol instances) onto the same hot loop;
-//! * [`LaneDenseExecutor`] — the opt-in lane-parallel dense engine:
-//!   8–16 Monte-Carlo trials of one compiled cell stepped in lockstep
-//!   over structure-of-arrays state, per-trial trace-identical to
-//!   [`DenseExecutor`] (see [`dense::lanes`] and
-//!   [`monte_carlo::run_trials_lanes`]);
 //! * [`exhaustive`] — a brute-force reachability checker implementing the
 //!   *definition* of stability (every reachable configuration has the same
 //!   output) on tiny instances, used to validate the incremental oracles
@@ -114,8 +109,8 @@ pub mod stabilize;
 
 pub use dense::{
     compile_for_count, count_supported, CompileError, CompiledProtocol, CountEngine, DenseExecutor,
-    LaneDenseExecutor, LaneOutcome, LazyDenseExecutor, LazyTable, StateId,
-    COUNT_MAX_COMPILED_STATES, COUNT_MIN_AGENTS, DEFAULT_MAX_COMPILED_STATES,
+    LazyDenseExecutor, LazyTable, StateId, COUNT_MAX_COMPILED_STATES, COUNT_MIN_AGENTS,
+    DEFAULT_MAX_COMPILED_STATES,
 };
 pub use executor::{Executor, NotStabilized, Outcome};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, ResolvedFaultPlan};

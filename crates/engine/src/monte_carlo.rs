@@ -5,7 +5,7 @@
 //! Trial `i` of a given master seed always produces the same result
 //! regardless of thread count, so experiment outputs are reproducible.
 //!
-//! Five entry points share that contract:
+//! Four entry points share that contract:
 //!
 //! * [`run_trials_auto_with_faults_prepared`] — clean-start elections,
 //!   optionally under a [`FaultPlan`];
@@ -16,13 +16,7 @@
 //!   engine ([`crate::CountEngine`]), graph-free: the population size
 //!   alone describes the clique, which is what lets it reach `10⁷–10⁹`
 //!   agents. Deterministic per seed like the others, but exact in
-//!   *distribution* rather than trace-identical to them;
-//! * [`run_trials_lanes`] — the lane-parallel dense engine
-//!   ([`crate::LaneDenseExecutor`]): 8–16 trials of one compiled cell
-//!   stepped in lockstep per worker, retire-and-refill as trials
-//!   finish. Per trial trace-identical to the scalar AOT tier — each
-//!   lane consumes exactly the RNG stream its trial seed would produce
-//!   scalar — and opt-in via [`TrialOptions::lanes`].
+//!   *distribution* rather than trace-identical to them.
 //!
 //! The first three run through one driver, written once over the
 //! executor surface every sequential tier implements
@@ -49,8 +43,8 @@
 
 use crate::dense::table::{overflow_walk, WalkVerdict};
 use crate::dense::{
-    CompiledProtocol, CountEngine, DenseExecutor, LaneDenseExecutor, LazyDenseExecutor,
-    DEFAULT_MAX_COMPILED_STATES, PROBE_EVAL_BUDGET,
+    CompiledProtocol, CountEngine, DenseExecutor, LazyDenseExecutor, DEFAULT_MAX_COMPILED_STATES,
+    PROBE_EVAL_BUDGET,
 };
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::faults::{
@@ -92,12 +86,6 @@ pub enum Engine {
     /// `O(√n)` interaction batches. Exact in distribution rather than
     /// trace-identical (see [`crate::dense::count`]).
     Count,
-    /// The lane-parallel dense engine ([`crate::LaneDenseExecutor`]):
-    /// 8–16 trials of one compiled cell stepped in lockstep, each lane
-    /// consuming exactly the RNG stream its trial seed would produce on
-    /// the scalar [`crate::DenseExecutor`] — per-trial trace-identical
-    /// to the sequential engines (see [`crate::dense::lanes`]).
-    Lanes,
 }
 
 impl Engine {
@@ -109,7 +97,6 @@ impl Engine {
             Engine::Dense => "dense",
             Engine::LazyDense => "lazy",
             Engine::Count => "count",
-            Engine::Lanes => "lanes",
         }
     }
 }
@@ -178,13 +165,11 @@ pub struct TrialOptions {
     pub max_steps: u64,
     /// Whether to record the distinct-state census (slower).
     pub census: bool,
-    /// Opt into the lane-parallel dense engine: when set, fault-free
-    /// elections on an AOT selection run through [`run_trials_lanes`] —
-    /// provided the census is off and at least [`LANE_MIN_TRIALS`]
-    /// trials are requested. Per-trial results are identical either way
-    /// (the lane engine is trace-identical to the scalar dense engine);
-    /// only the wall-clock time and the recorded [`TrialResult::engine`]
-    /// differ.
+    /// Has no effect. It once opted into a lane-parallel dense engine,
+    /// since removed. The field stays only because the campaign
+    /// benchmark (`perfbench/`) names it in `TrialOptions` struct
+    /// literals (see "The frozen surface" in ARCHITECTURE.md); the next
+    /// change to that benchmark removes it.
     pub lanes: bool,
     /// Worker threads; `0` = one per available core.
     pub threads: usize,
@@ -311,8 +296,7 @@ fn election_census(
 /// The trial driver behind [`run_trials_auto_with_faults_prepared`] and
 /// [`crate::stabilize::run_trials_stabilize_auto_prepared`]: runs
 /// `options.trials` trials of `goal` under `plan` on the tier
-/// `selection` names. Fault-free elections on an AOT selection take the
-/// lane tier when [`EngineSelection::engine_for`] says so.
+/// `selection` names.
 pub(crate) fn drive<P: Protocol + Clone>(
     graph: &Graph,
     protocol: &P,
@@ -322,13 +306,7 @@ pub(crate) fn drive<P: Protocol + Clone>(
     master_seed: u64,
     options: TrialOptions,
 ) -> Vec<TrialResult> {
-    let clean_election = matches!(goal, Goal::Elect) && plan.is_empty();
     match &selection.kind {
-        Selected::Dense(compiled)
-            if clean_election && selection.engine_for(&options) == Engine::Lanes =>
-        {
-            run_trials_lanes(graph, compiled, master_seed, options)
-        }
         Selected::Dense(compiled) => drive_on(&**compiled, graph, plan, goal, master_seed, options),
         Selected::Lazy => drive_on(&LazyTier(protocol), graph, plan, goal, master_seed, options),
         Selected::Generic => drive_on(
@@ -569,152 +547,6 @@ pub fn run_trials_count_prepared<P: Protocol + Clone>(
     let fresh_engine = || CountEngine::new(compiled, num_agents, 0);
 
     fan_out(options.trials, threads, fresh_engine, run_one)
-}
-
-/// Fewest trials for which a fault-free election considers the lane
-/// engine worth engaging: below a full minimum pack the lockstep
-/// interleave has too few independent chains to overlap and the scalar
-/// dense engine is at least as fast.
-pub const LANE_MIN_TRIALS: usize = 8;
-
-/// Most lanes [`run_trials_lanes`] packs into one
-/// [`LaneDenseExecutor`]: past 16 interleaved chains the per-lane state
-/// rows start spilling out of the close caches and the marginal overlap
-/// gain is gone (the executor itself accepts up to
-/// [`crate::dense::MAX_LANES`]).
-pub const LANE_MAX_LANES: usize = 16;
-
-/// Runs `options.trials` independent executions on the lane-parallel
-/// dense engine: each worker thread owns one [`LaneDenseExecutor`]
-/// pack of up to [`LANE_MAX_LANES`] lanes, claims global trial indices
-/// work-stealing style, and retire-and-refills lanes as trials finish —
-/// a lane that stabilizes frees its slot for the next `first_trial`
-/// offset instead of stalling the pack.
-///
-/// Seed derivation matches the other entry points exactly (child seed
-/// `first_trial + i` of `master_seed`, one private scheduler per lane),
-/// and the lane engine is trace-identical to the scalar
-/// [`DenseExecutor`] per trial, so for any thread count, lane count and
-/// sharding the results equal the AOT tier's except for the
-/// [`TrialResult::engine`] tag (which equality ignores). The distinct
-/// states field is always `None`.
-///
-/// # Panics
-///
-/// Panics if `options.census` is set — the lane engine does not census
-/// (callers wanting the census take the scalar path, which is what the
-/// lane gate of [`run_trials_auto_prepared`] arranges).
-///
-/// # Examples
-///
-/// ```
-/// use popele_engine::monte_carlo::{
-///     run_trials_auto_prepared, run_trials_lanes, EngineSelection, TrialOptions,
-/// };
-/// use popele_engine::CompiledProtocol;
-/// use std::sync::Arc;
-/// # use popele_engine::{LeaderCountOracle, Protocol, Role};
-/// # #[derive(Clone, Copy)]
-/// # struct Absorb;
-/// # impl Protocol for Absorb {
-/// #     type State = bool;
-/// #     type Oracle = LeaderCountOracle;
-/// #     fn initial_state(&self, _node: u32) -> bool { true }
-/// #     fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-/// #         if *a && *b { (true, false) } else { (*a, *b) }
-/// #     }
-/// #     fn output(&self, s: &bool) -> Role {
-/// #         if *s { Role::Leader } else { Role::Follower }
-/// #     }
-/// #     fn oracle(&self) -> LeaderCountOracle { LeaderCountOracle::new() }
-/// # }
-///
-/// let g = popele_graph::families::clique(12);
-/// let compiled = Arc::new(CompiledProtocol::compile_default(&Absorb, 12).unwrap());
-/// let dense = EngineSelection::dense(Arc::clone(&compiled));
-/// let opts = TrialOptions { trials: 9, max_steps: 1 << 22, ..TrialOptions::default() };
-/// // The lane engine is trace-identical to the scalar dense engine.
-/// assert_eq!(
-///     run_trials_lanes(&g, &compiled, 7, opts),
-///     run_trials_auto_prepared(&g, &Absorb, &dense, 7, opts),
-/// );
-/// ```
-#[must_use]
-pub fn run_trials_lanes<P: Protocol>(
-    graph: &Graph,
-    compiled: &CompiledProtocol<P>,
-    master_seed: u64,
-    options: TrialOptions,
-) -> Vec<TrialResult> {
-    assert!(
-        !options.census,
-        "the lane engine does not support the state census"
-    );
-    let seq = SeedSeq::new(master_seed);
-    // One worker per prospective minimum pack, so every worker's
-    // executor has at least LANE_MIN_TRIALS trials to interleave.
-    let threads = resolve_threads(
-        options.threads,
-        options.trials.div_ceil(LANE_MIN_TRIALS).max(1),
-    );
-    let lanes = options.trials.clamp(2, LANE_MAX_LANES);
-
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<TrialResult>>> =
-        (0..options.trials).map(|_| Mutex::new(None)).collect();
-    let worker = || {
-        let mut exec = LaneDenseExecutor::new(graph, compiled, lanes);
-        loop {
-            // Refill free lanes from the shared trial counter. A trial
-            // that is stable at step 0 retires inside `load` without
-            // occupying the slot, so keep claiming while slots stay
-            // free.
-            while exec.has_free_lane() {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= options.trials {
-                    break;
-                }
-                let trial = options.first_trial + i;
-                exec.load(trial, seq.child(trial as u64));
-            }
-            while let Some(done) = exec.take_finished() {
-                let slot = done.trial - options.first_trial;
-                *results[slot].lock().expect("result slot poisoned") = Some(TrialResult {
-                    trial: done.trial,
-                    stabilization_step: done.stabilization_step,
-                    leader: done.leader,
-                    distinct_states: None,
-                    recovery: None,
-                    holding: None,
-                    engine: Engine::Lanes,
-                });
-            }
-            // The refill loop only leaves every lane idle once the trial
-            // counter is exhausted, so an empty pack means this worker
-            // is done.
-            if exec.num_active() == 0 {
-                break;
-            }
-            exec.run_block(options.max_steps);
-        }
-    };
-    if threads <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(worker);
-            }
-        });
-    }
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every trial completed")
-        })
-        .collect()
 }
 
 /// The tier an [`EngineSelection`] resolved to; the compiled table
@@ -980,8 +812,7 @@ impl<P: Protocol> EngineSelection<P> {
     }
 
     /// The sequential-tier engine this selection resolved to —
-    /// [`Engine::Dense`], [`Engine::LazyDense`] or [`Engine::Generic`]
-    /// (never the opt-in lane tier; see [`Self::engine_for`]).
+    /// [`Engine::Dense`], [`Engine::LazyDense`] or [`Engine::Generic`].
     #[must_use]
     pub fn engine(&self) -> Engine {
         match &self.kind {
@@ -990,28 +821,11 @@ impl<P: Protocol> EngineSelection<P> {
             Selected::Generic => Engine::Generic,
         }
     }
-
-    /// The engine a fault-free election will actually run on under
-    /// `options`: [`Self::engine`] upgraded to [`Engine::Lanes`] when
-    /// the AOT tier won and the options qualify for the lane pack
-    /// (lanes opted in, census off, at least [`LANE_MIN_TRIALS`]
-    /// trials) — the exact gate the run path applies.
-    #[must_use]
-    pub fn engine_for(&self, options: &TrialOptions) -> Engine {
-        match self.engine() {
-            Engine::Dense
-                if options.lanes && !options.census && options.trials >= LANE_MIN_TRIALS =>
-            {
-                Engine::Lanes
-            }
-            engine => engine,
-        }
-    }
 }
 
 /// Runs `options.trials` clean-start elections of `protocol` on `graph`
 /// on the tier `selection` names — [`run_trials_auto_with_faults_prepared`]
-/// with an empty plan, including its lane gate.
+/// with an empty plan.
 ///
 /// # Examples
 ///
@@ -1074,7 +888,7 @@ pub fn run_trials_auto_prepared<P: Protocol + Clone>(
 /// trial `i` resolves `plan` with [`fault_seed`] of its own trial seed
 /// and reports recovery metrics; give such runs a finite budget, since
 /// a run whose unique leader is lost never restabilizes. An empty plan
-/// runs the fault-free path, the only one that reaches the lane tier.
+/// runs the fault-free path.
 ///
 /// # Examples
 ///
@@ -1356,8 +1170,8 @@ mod tests {
             first_trial,
             max_steps: 1 << 22,
             census: false,
-            lanes: false,
             threads: 2,
+            ..TrialOptions::default()
         };
         let whole = elect(&g, &generic, 77, opts(0, 9));
         let mut sharded = Vec::new();
@@ -1383,8 +1197,8 @@ mod tests {
             first_trial,
             max_steps: 1 << 22,
             census: false,
-            lanes: false,
             threads: 2,
+            ..TrialOptions::default()
         };
         for first_trial in [0, 3] {
             assert_eq!(
@@ -1434,36 +1248,6 @@ mod tests {
         assert_eq!(
             run_trials_count_prepared(&fresh, num_agents, 5, opts),
             first
-        );
-    }
-
-    #[test]
-    fn engine_for_mirrors_lane_gate() {
-        let selection = EngineSelection::prepare(&Absorb, 64);
-        let base = TrialOptions {
-            trials: LANE_MIN_TRIALS,
-            max_steps: 1 << 22,
-            ..TrialOptions::default()
-        };
-        assert_eq!(selection.engine_for(&base), Engine::Dense);
-        let lanes = TrialOptions {
-            lanes: true,
-            ..base
-        };
-        assert_eq!(selection.engine_for(&lanes), Engine::Lanes);
-        let few = TrialOptions {
-            trials: LANE_MIN_TRIALS - 1,
-            ..lanes
-        };
-        assert_eq!(selection.engine_for(&few), Engine::Dense);
-        let census = TrialOptions {
-            census: true,
-            ..lanes
-        };
-        assert_eq!(selection.engine_for(&census), Engine::Dense);
-        assert_eq!(
-            EngineSelection::<Absorb>::lazy().engine_for(&lanes),
-            Engine::LazyDense
         );
     }
 

@@ -92,7 +92,7 @@ impl<'g> EdgeScheduler<'g> {
     /// Resolves a raw index (edge `r >> 1`, orientation `r & 1`) into
     /// the ordered pair [`Self::next_pair`] returns for it.
     #[inline]
-    pub(crate) fn pair_of(&self, r: usize) -> (NodeId, NodeId) {
+    fn pair_of(&self, r: usize) -> (NodeId, NodeId) {
         let (u, v) = match self.edges {
             Edges::List(edges) => edges[r >> 1],
             Edges::Clique(index) => index.edge((r >> 1) as u64),
@@ -169,22 +169,6 @@ impl<'g> EdgeScheduler<'g> {
     #[must_use]
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Crate-internal access to the generator for bulk steppers (the
-    /// lane engine's vectorized draw pass) that advance this
-    /// scheduler's stream out-of-band — reproducing it draw for draw —
-    /// and hand the state back via [`SmallRng::set_state`], accounting
-    /// the draws with [`Self::add_steps`].
-    pub(crate) fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    /// Accounts `k` out-of-band draws taken through [`Self::rng_mut`],
-    /// keeping [`Self::steps`] equal to the number of pairs consumed
-    /// from the stream.
-    pub(crate) fn add_steps(&mut self, k: u64) {
-        self.steps += k;
     }
 
     /// Number of undirected edges `m` of the underlying graph.

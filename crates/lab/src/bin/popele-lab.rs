@@ -6,7 +6,7 @@
 //! popele-lab sweep [--quick|--full] [--name NAME] [--protocols P,..] [--families F,..]
 //!                  [--sizes N,..] [--faults F,..] [--trials N] [--shard N] [--max-steps N]
 //!                  [--max-edges N] [--seed N] [--threads N] [--workers N] [--out DIR]
-//!                  [--max-shards N] [--lanes] [--fresh]
+//!                  [--max-shards N] [--fresh]
 //! ```
 //!
 //! The experiment, protocol, family and fault-profile vocabularies are
@@ -33,7 +33,7 @@ fn usage() -> ! {
          \x20                       [--families F,..] [--sizes N,..] [--faults F,..] [--trials N]\n\
          \x20                       [--shard N] [--max-steps N] [--max-edges N] [--seed N]\n\
          \x20                       [--threads N] [--workers N] [--out DIR] [--max-shards N]\n\
-         \x20                       [--lanes] [--fresh]\n\
+         \x20                       [--fresh]\n\
          experiments: all {}\n\
          sweep protocols: {}\n\
          sweep families: {}\n\
@@ -179,11 +179,6 @@ fn sweep_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                 options.interrupt_after =
                     Some(value("--max-shards").parse().unwrap_or_else(|_| usage()));
             }
-            // Opt into the lane-parallel dense engine for eligible
-            // shards; outputs are byte-identical either way (the lane
-            // engine is per-trial trace-identical to the scalar one),
-            // so the flag only changes wall-clock time.
-            "--lanes" => options.lanes = true,
             "--fresh" => fresh = true,
             "--help" | "-h" => usage(),
             other => {

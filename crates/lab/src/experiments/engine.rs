@@ -23,17 +23,13 @@ use crate::report::{fmt_num, Table};
 use crate::RunConfig;
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, MajorityProtocol, TokenProtocol};
-use popele_engine::monte_carlo::{
-    run_trials_auto_prepared, run_trials_lanes, Engine, EngineSelection, TrialOptions,
-    LANE_MIN_TRIALS,
-};
+use popele_engine::monte_carlo::{Engine, EngineSelection};
 use popele_engine::{
     compile_for_count, CompiledProtocol, CountEngine, DenseExecutor, Executor, LazyDenseExecutor,
     Protocol,
 };
 use popele_graph::{families, Graph};
 use popele_math::rng::SeedSeq;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs the engine-comparison experiment.
@@ -148,46 +144,6 @@ fn race_count<P: Protocol + Clone>(
     )
 }
 
-/// Times the scalar dense engine against the lane-parallel engine on
-/// identical trial seeds, single-threaded so the comparison isolates
-/// lane-level parallelism. The lane engine is per-trial
-/// *trace-identical* to the scalar one, so `equal` compares the full
-/// per-trial result vectors — step counts and leaders, not just
-/// aggregate success. Returns `(scalar_ns, lane_ns, states, steps,
-/// equal)`.
-fn race_lanes<P: Protocol + Clone>(
-    g: &Graph,
-    p: &P,
-    master_seed: u64,
-    trials: usize,
-) -> (f64, f64, usize, u64, bool) {
-    let compiled = Arc::new(
-        CompiledProtocol::compile_default(p, g.num_nodes())
-            .expect("lane rows need an AOT-compiling protocol"),
-    );
-    let dense = EngineSelection::dense(Arc::clone(&compiled));
-    let options = TrialOptions {
-        trials,
-        max_steps: u64::MAX,
-        threads: 1,
-        ..TrialOptions::default()
-    };
-    let t0 = Instant::now();
-    let scalar = run_trials_auto_prepared(g, p, &dense, master_seed, options);
-    let scalar_ns = t0.elapsed().as_nanos() as f64;
-    let t1 = Instant::now();
-    let lanes = run_trials_lanes(g, &compiled, master_seed, options);
-    let lane_ns = t1.elapsed().as_nanos() as f64;
-    // TrialResult equality ignores the engine-provenance tag, so this
-    // is an exact per-trial trace-identity check.
-    let equal = scalar == lanes;
-    let steps = scalar
-        .iter()
-        .filter_map(|r| r.stabilization_step)
-        .sum::<u64>();
-    (scalar_ns, lane_ns, compiled.num_states(), steps, equal)
-}
-
 fn comparison_table(cfg: &RunConfig) -> Table {
     let n = *cfg.pick(&64u32, &512u32);
     let trials = cfg.trials(3, 10);
@@ -200,9 +156,7 @@ fn comparison_table(cfg: &RunConfig) -> Table {
          misses, short generation-dominated ones (identifier on clique/torus at these sizes) \
          stay below 1× — see BENCH.md. Count rows race the graph-free count engine (exact in \
          distribution, not trace-identical): 'outcomes equal' there means both sides elected a \
-         unique leader, and speedup is wall-time to stability. Lanes rows race scalar dense vs \
-         the lane-parallel dense engine (per-trial trace-identical; speedup is aggregate \
-         trials-to-completion wall time)",
+         unique leader, and speedup is wall-time to stability",
         &[
             "workload",
             "engine",
@@ -296,26 +250,6 @@ fn comparison_table(cfg: &RunConfig) -> Table {
         seq.child(8),
         trials,
     );
-    // The lane tier: same AOT table, 8+ trials stepped in lockstep.
-    // These rows race scalar-dense against lane-dense (not against the
-    // generic engine), so the speedup column reads as "what the
-    // `--lanes` sweep flag buys over the engine the sweep would
-    // otherwise use".
-    let lane_trials = trials.max(LANE_MIN_TRIALS);
-    for (label, g, seed) in [
-        (
-            format!("token/clique({n})"),
-            families::clique(n),
-            seq.child(9),
-        ),
-        (
-            format!("token/cycle({n})"),
-            families::cycle(n),
-            seq.child(10),
-        ),
-    ] {
-        push_lanes_row(&mut table, &label, &g, &token, seed, lane_trials);
-    }
     table
 }
 
@@ -344,31 +278,6 @@ fn push_race_row<P: Protocol + Clone>(
         fmt_num(msteps(generic_ns)),
         fmt_num(msteps(dense_ns)),
         fmt_num(generic_ns / dense_ns),
-        equal.to_string(),
-    ]);
-}
-
-fn push_lanes_row<P: Protocol + Clone>(
-    table: &mut Table,
-    label: &str,
-    g: &Graph,
-    p: &P,
-    seed: u64,
-    trials: usize,
-) {
-    let (scalar_ns, lane_ns, states, steps, equal) = race_lanes(g, p, seed, trials);
-    let msteps = |ns: f64| steps as f64 / ns * 1e3;
-    table.push_row(vec![
-        label.to_string(),
-        Engine::Lanes.label().to_string(),
-        g.num_nodes().to_string(),
-        states.to_string(),
-        steps.to_string(),
-        // For lane rows the "generic" column holds the *scalar dense*
-        // throughput — the engine the lane tier displaces.
-        fmt_num(msteps(scalar_ns)),
-        fmt_num(msteps(lane_ns)),
-        fmt_num(scalar_ns / lane_ns),
         equal.to_string(),
     ]);
 }
@@ -408,16 +317,13 @@ mod tests {
         // most expensive lab test; don't run them twice).
         let cfg = RunConfig::default();
         let t = comparison_table(&cfg);
-        assert!(t.num_rows() >= 11);
+        assert_eq!(t.num_rows(), 9);
         let mut lazy_rows = 0;
         let mut count_rows = 0;
-        let mut lane_rows = 0;
         for row in 0..t.num_rows() {
             assert_eq!(t.cell(row, 8), "true", "row {row}: outcomes diverged");
             if t.cell(row, 1) == "count" {
                 count_rows += 1;
-            } else if t.cell(row, 1) == "lanes" {
-                lane_rows += 1;
             } else if t.cell(row, 0).starts_with("identifier/") {
                 assert_eq!(t.cell(row, 1), "lazy", "row {row}");
                 lazy_rows += 1;
@@ -427,7 +333,6 @@ mod tests {
         }
         assert_eq!(lazy_rows, 3);
         assert_eq!(count_rows, 2);
-        assert_eq!(lane_rows, 2);
     }
 
     #[test]

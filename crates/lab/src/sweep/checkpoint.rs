@@ -512,9 +512,11 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// I/O errors propagate. A header fingerprint mismatch and
-    /// mid-file corruption surface as [`io::ErrorKind::InvalidData`]
-    /// (mirroring the checkpoint's fingerprint policy).
+    /// I/O errors other than a missing file propagate. A header
+    /// fingerprint mismatch and mid-file corruption — a terminated line
+    /// that is not UTF-8 or not a valid entry — surface as
+    /// [`io::ErrorKind::InvalidData`] (mirroring the checkpoint's
+    /// fingerprint policy) and leave the file untouched.
     pub fn open(path: &Path, fingerprint: &str) -> io::Result<(Self, Vec<JournalEntry>)> {
         let invalid = |e: String| {
             io::Error::new(
@@ -522,34 +524,36 @@ impl Journal {
                 format!("{}: {e}", path.display()),
             )
         };
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        // Only terminated lines count. An unterminated tail is the
+        // append in flight when the previous run died, and is dropped;
+        // a header without its newline is a kill during journal
+        // creation, so nothing was journaled yet and the file starts
+        // over.
+        let mut lines = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .map_while(|line| line.strip_suffix(b"\n"))
+            .map(|line| {
+                std::str::from_utf8(line).map_err(|e| invalid(format!("corrupt journal line: {e}")))
+            });
         let mut entries = Vec::new();
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let mut lines = text.split_inclusive('\n');
-            match lines.next() {
-                Some(header) if header.ends_with('\n') => {
-                    let header = Json::parse(header).map_err(&invalid)?;
-                    let found = header.get("fingerprint").and_then(Json::as_str);
-                    if found != Some(fingerprint) {
-                        return Err(invalid(format!(
-                            "journal fingerprint {found:?} does not match the campaign"
-                        )));
-                    }
-                }
-                // A header without its newline is a kill during journal
-                // creation: nothing was journaled yet, start over.
-                _ => lines = "".split_inclusive('\n'),
+        if let Some(header) = lines.next() {
+            let header = Json::parse(header?).map_err(&invalid)?;
+            let found = header.get("fingerprint").and_then(Json::as_str);
+            if found != Some(fingerprint) {
+                return Err(invalid(format!(
+                    "journal fingerprint {found:?} does not match the campaign"
+                )));
             }
             for line in lines {
-                match line.strip_suffix('\n') {
-                    Some(complete) => entries.push(
-                        JournalEntry::from_line(complete)
-                            .map_err(|e| invalid(format!("corrupt journal line: {e}")))?,
-                    ),
-                    // An unterminated tail is the append in flight when
-                    // the previous run died; drop it. (A malformed
-                    // *terminated* line above is refused instead.)
-                    None => break,
-                }
+                entries.push(
+                    JournalEntry::from_line(line?)
+                        .map_err(|e| invalid(format!("corrupt journal line: {e}")))?,
+                );
             }
         }
         // Rewrite rather than append-after-truncation: this atomically
@@ -818,6 +822,23 @@ mod tests {
         std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
         let err = Journal::open(&path, &fp).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // So is a byte that is not UTF-8 inside a terminated line: it
+        // is refused, and the file is left as it was.
+        let mut bytes = rewritten.clone().into_bytes();
+        let first_entry = rewritten.find('\n').unwrap() + 1;
+        bytes[first_entry + 5] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Journal::open(&path, &fp).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        // An unterminated tail is dropped even when it is not UTF-8.
+        let mut bytes = rewritten.into_bytes();
+        bytes.extend_from_slice(b"{\"shard\xFF");
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, replayed) = Journal::open(&path, &fp).unwrap();
+        assert_eq!(replayed, all[..all.len() - 1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -68,14 +68,6 @@ pub struct CampaignOptions {
     pub interrupt_after: Option<usize>,
     /// Print per-shard progress (with the selected engine) to stderr.
     pub progress: bool,
-    /// Opt into the lane-parallel dense engine for eligible shards
-    /// (fault-free cells whose protocol wins the AOT tier, with at
-    /// least `popele_engine::monte_carlo::LANE_MIN_TRIALS` trials in
-    /// the shard — see [`TrialOptions::lanes`]). The engines are
-    /// trace-identical per trial, so `checkpoint.json` and
-    /// `summary.json` are byte-identical with the flag on or off; only
-    /// wall-clock time changes.
-    pub lanes: bool,
     /// Concurrent shard workers; `1` (the default) runs shards
     /// serially, `0` uses one worker per available core. Workers steal
     /// shards from the deterministic shard list and merge results into
@@ -93,7 +85,6 @@ impl Default for CampaignOptions {
             out_dir: PathBuf::from("results"),
             interrupt_after: None,
             progress: false,
-            lanes: false,
             workers: 1,
         }
     }
@@ -359,8 +350,8 @@ fn run_one_shard(
         first_trial: shard.first_trial,
         max_steps: spec.max_steps,
         census: false,
-        lanes: options.lanes,
         threads: spec.threads,
+        ..TrialOptions::default()
     };
     let meta = match graph.as_deref() {
         Some(g) => CellMeta {
@@ -379,7 +370,7 @@ fn run_one_shard(
             display + 1,
             meta.n,
             meta.m,
-            runner.engine(&trial_options).label(),
+            runner.engine().label(),
         );
     }
     let results = runner.run(graph.as_deref(), spec.cell_seed(&shard.cell), trial_options);
@@ -522,9 +513,8 @@ impl ArtifactCache {
 /// resolved fault plan, and the engine selection (with any compiled
 /// table) — everything shards of the cell would otherwise re-derive.
 trait PreparedRunner: Send + Sync {
-    /// The engine a shard will run on under `options` (including the
-    /// opt-in lane upgrade, which requires a fault-free cell).
-    fn engine(&self, options: &TrialOptions) -> Engine;
+    /// The engine the cell's shards run on.
+    fn engine(&self) -> Engine;
     /// Runs one shard's trials; `graph` is `Some` exactly for
     /// non-count cells.
     fn run(&self, graph: Option<&Graph>, seed: u64, options: TrialOptions) -> Vec<TrialResult>;
@@ -538,12 +528,8 @@ struct PreparedCell<P: Protocol + Clone> {
 }
 
 impl<P: Protocol + Clone + Send> PreparedRunner for PreparedCell<P> {
-    fn engine(&self, options: &TrialOptions) -> Engine {
-        if self.plan.is_empty() {
-            self.selection.engine_for(options)
-        } else {
-            self.selection.engine()
-        }
+    fn engine(&self) -> Engine {
+        self.selection.engine()
     }
 
     fn run(&self, graph: Option<&Graph>, seed: u64, options: TrialOptions) -> Vec<TrialResult> {
@@ -570,8 +556,7 @@ struct PreparedStabCell<P: ArbitraryInit + Clone> {
 }
 
 impl<P: ArbitraryInit + Clone + Send> PreparedRunner for PreparedStabCell<P> {
-    fn engine(&self, _options: &TrialOptions) -> Engine {
-        // The stabilize path has no lane tier; the selection is final.
+    fn engine(&self) -> Engine {
         self.selection.engine()
     }
 
@@ -596,7 +581,7 @@ struct PreparedCountCell<P: Protocol + Clone> {
 }
 
 impl<P: Protocol + Clone + Send> PreparedRunner for PreparedCountCell<P> {
-    fn engine(&self, _options: &TrialOptions) -> Engine {
+    fn engine(&self) -> Engine {
         Engine::Count
     }
 
@@ -879,7 +864,6 @@ mod tests {
             max_edges: 1 << 20,
             ..SweepSpec::default()
         };
-        let options = TrialOptions::default();
         let cell = |protocol, family, size| CellSpec {
             protocol,
             family,
@@ -891,19 +875,19 @@ mod tests {
         assert!(spec.cell_skip_reason(&aot).is_none());
         let graph = Family::Clique.generate(64, 1);
         let runner = prepare_cell(&spec, &aot, Some(&graph));
-        assert_eq!(runner.engine(&options), Engine::Dense);
+        assert_eq!(runner.engine(), Engine::Dense);
 
         let count = cell(ProtocolSpec::SpaceOpt, Family::Clique, 40_000);
         assert!(spec.cell_is_count(&count));
         assert!(spec.cell_skip_reason(&count).is_none());
         let runner = prepare_cell(&spec, &count, None);
-        assert_eq!(runner.engine(&options), Engine::Count);
+        assert_eq!(runner.engine(), Engine::Count);
 
         let lazy = cell(ProtocolSpec::RingTimeOpt, Family::Cycle, 2000);
         assert!(spec.cell_skip_reason(&lazy).is_none());
         let graph = Family::Cycle.generate(2000, 1);
         let runner = prepare_cell(&spec, &lazy, Some(&graph));
-        assert_eq!(runner.engine(&options), Engine::LazyDense);
+        assert_eq!(runner.engine(), Engine::LazyDense);
 
         // Off their home families both protocols are skipped, not run.
         assert!(spec

@@ -2,7 +2,7 @@
 //! list, yet every layer must behave exactly as on the CSR graph of the
 //! same complete edge list — the same scheduler streams, the same
 //! per-trial results from every per-agent tier (generic, AOT, lazy with
-//! and without its generic hand-off, lanes), the same faulted and
+//! and without its generic hand-off), the same faulted and
 //! self-stabilizing runs, and the same graph statistics and cell
 //! parameters. Each case runs at n ∈ {2, 3, 37, 256, 4096}; the CSR
 //! forms are built once and shared.
@@ -11,8 +11,7 @@ mod harness;
 
 use harness::clique_forms;
 use popele::engine::monte_carlo::{
-    lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared,
-    run_trials_lanes, TrialOptions,
+    lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared, TrialOptions,
 };
 use popele::engine::stabilize::{prepare_stabilize_engine, run_trials_stabilize_auto_prepared};
 use popele::engine::{
@@ -23,7 +22,7 @@ use popele::graph::Graph;
 use popele::protocols::params::{identifier_bits, FastParams};
 use popele::protocols::{FastProtocol, IdentifierProtocol, LooseProtocol, TokenProtocol};
 use popele_lab::workloads::broadcast_guess;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const SIZES: [u32; 5] = [2, 3, 37, 256, 4096];
 
@@ -116,18 +115,11 @@ fn trial_results_are_identical_on_every_tier() {
             run_trials_auto_prepared(csr, &token, &generic, 3, opts),
             "{csr} generic"
         );
-        let compiled = Arc::new(CompiledProtocol::compile_default(&token, n).unwrap());
-        let dense = EngineSelection::dense(Arc::clone(&compiled));
+        let dense = EngineSelection::dense(CompiledProtocol::compile_default(&token, n).unwrap());
         assert_eq!(
             run_trials_auto_prepared(implicit, &token, &dense, 3, opts),
             run_trials_auto_prepared(csr, &token, &dense, 3, opts),
             "{csr} AOT"
-        );
-        let lanes = options(9, budget(n));
-        assert_eq!(
-            run_trials_lanes(implicit, &compiled, 3, lanes),
-            run_trials_lanes(csr, &compiled, 3, lanes),
-            "{csr} lanes"
         );
         let identifier = IdentifierProtocol::new(identifier_bits(n, false));
         assert_eq!(
@@ -284,13 +276,11 @@ fn statistics_and_equality_agree_without_materializing() {
         );
         // A whole trial on each tier leaves it unmaterialized too.
         let token = TokenProtocol::all_candidates();
-        let compiled = Arc::new(CompiledProtocol::compile_default(&token, n).unwrap());
         let identifier = IdentifierProtocol::new(identifier_bits(n, false));
         let (generic, lazy) = (EngineSelection::generic(), EngineSelection::lazy());
-        let dense = EngineSelection::dense(Arc::clone(&compiled));
+        let dense = EngineSelection::dense(CompiledProtocol::compile_default(&token, n).unwrap());
         let _ = run_trials_auto_prepared(&fresh, &token, &generic, 1, options(1, 5_000));
         let _ = run_trials_auto_prepared(&fresh, &token, &dense, 1, options(1, 5_000));
-        let _ = run_trials_lanes(&fresh, &compiled, 1, options(9, 5_000));
         let _ = run_trials_auto_prepared(&fresh, &identifier, &lazy, 1, options(1, 5_000));
         assert!(!fresh.is_materialized(), "{csr}: a trial built the arrays");
     }

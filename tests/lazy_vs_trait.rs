@@ -211,8 +211,8 @@ fn lazy_trials_bit_identical_across_threads_and_shards() {
         first_trial,
         max_steps: 1 << 22,
         census: false,
-        lanes: false,
         threads,
+        ..TrialOptions::default()
     };
     let generic = run_trials_auto_prepared(&g, &p, &generic_tier, 0xBEEF, opts(1, 0, 8));
     let lazy1 = run_trials_auto_prepared(&g, &p, &lazy_tier, 0xBEEF, opts(1, 0, 8));
@@ -472,8 +472,8 @@ fn handoff_trials_equal_generic_on_csr_families() {
         first_trial,
         max_steps: HANDOFF_BUDGET,
         census,
-        lanes: false,
         threads,
+        ..TrialOptions::default()
     };
     for g in csr_identifier_graphs() {
         let p = realistic_identifier(g.num_nodes());

@@ -123,8 +123,8 @@ fn stabilize_trials_are_thread_and_shard_invariant() {
         first_trial,
         max_steps: 1 << 19,
         census: false,
-        lanes: false,
         threads,
+        ..TrialOptions::default()
     };
     let (auto, empty) = (prepare_stabilize_engine(&p, 36), FaultPlan::empty());
     let whole = hold_trials(&g, &p, &auto, 9, opts(0, 9, 1), &empty);
@@ -294,7 +294,10 @@ fn driver_run(
 /// budget some elections miss, so the timed-out census snapshot is
 /// compared) and off, on 1 and 3 threads over 7 trials (so workers
 /// reuse their executors), and across `first_trial` shards that
-/// concatenate to the whole run.
+/// concatenate to the whole run. The inert `TrialOptions::lanes` flag
+/// changes nothing: on the forced AOT tier, eight trials (enough to
+/// have engaged the removed lane engine) with it set equal the same
+/// trials without it, all run on the dense tier.
 #[test]
 fn trial_driver_forced_tiers_equal_auto() {
     let n = 16;
@@ -312,8 +315,8 @@ fn trial_driver_forced_tiers_equal_auto() {
                         first_trial,
                         max_steps,
                         census,
-                        lanes: false,
                         threads,
+                        ..TrialOptions::default()
                     };
                     let case = format!(
                         "{goal:?} faults={} census={census} threads={threads}",
@@ -347,6 +350,19 @@ fn trial_driver_forced_tiers_equal_auto() {
                             ));
                         }
                         assert_eq!(sharded, whole, "{case} {label} sharded");
+                        if *label == "dense" {
+                            let flagged = TrialOptions {
+                                lanes: true,
+                                ..opts(0, 8)
+                            };
+                            let lanes = driver_run(goal, &g, &p, selection, flagged, &plan);
+                            let plain = driver_run(goal, &g, &p, selection, opts(0, 8), &plan);
+                            assert_eq!(lanes, plain, "{case} lanes");
+                            assert!(
+                                lanes.iter().all(|r| r.engine == Engine::Dense),
+                                "{case} lanes"
+                            );
+                        }
                     }
                 }
             }
