@@ -1107,6 +1107,55 @@ mod tests {
         assert_eq!(stats.max_distinct_states, Some(2));
     }
 
+    /// The lane tier is gone, so its gate is always shut: whatever the
+    /// `lanes` flag, census or trial count, every trial runs on (and
+    /// reports) the sequential tier the selection resolved to, with
+    /// outcomes identical to the flag-off run.
+    #[test]
+    fn engine_for_mirrors_lane_gate() {
+        let g = families::clique(64);
+        let base = TrialOptions {
+            trials: 8,
+            max_steps: 1 << 22,
+            threads: 2,
+            ..TrialOptions::default()
+        };
+        let variants = [
+            TrialOptions {
+                lanes: true,
+                ..base
+            },
+            TrialOptions {
+                lanes: true,
+                trials: 3,
+                ..base
+            },
+            TrialOptions {
+                lanes: true,
+                census: true,
+                ..base
+            },
+        ];
+        for selection in [
+            EngineSelection::prepare(&Absorb, 64),
+            EngineSelection::lazy(),
+            EngineSelection::generic(),
+        ] {
+            let tier = selection.engine();
+            let reference = elect(&g, &selection, 5, base);
+            for opts in variants {
+                let results = elect(&g, &selection, 5, opts);
+                assert_eq!(results.len(), opts.trials);
+                assert!(results.iter().all(|r| r.engine == tier));
+                for (r, want) in results.iter().zip(&reference) {
+                    assert_eq!(r.stabilization_step, want.stabilization_step);
+                    assert_eq!(r.leader, want.leader);
+                }
+            }
+        }
+        assert_eq!(EngineSelection::prepare(&Absorb, 64).engine(), Engine::Dense);
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let g = families::cycle(10);
