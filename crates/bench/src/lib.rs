@@ -1,6 +1,6 @@
 //! Shared fixtures for the Criterion benchmarks in `benches/`.
 //!
-//! Every bench target corresponds to one experiment of DESIGN.md §4 and
+//! Every bench target corresponds to one `popele-lab` experiment and
 //! measures the *wall-clock* cost of regenerating that experiment's rows
 //! at a fixed, bench-sized scale; the step-count reproduction itself lives
 //! in `popele-lab` (`cargo run --release -p popele-lab`).

@@ -1057,18 +1057,30 @@ mod tests {
     fn clique_decoder_exact_for_many_sizes() {
         // The arithmetic clique decode must reproduce the scheduler's
         // edge-array pairs exactly for every size (row-boundary and
-        // final-edge cases included).
-        for n in [2u32, 3, 4, 5, 8, 13, 37, 100, 257] {
+        // final-edge cases included). `clique(92_683)` has 4 295 022 903
+        // edges, past `DECODER_MAX_EDGES`: the one graph a per-agent tier
+        // can reach the `Scheduler` fallback on, where the scheduler
+        // decodes the implicit clique itself.
+        for n in [2u32, 3, 4, 5, 8, 13, 37, 100, 257, 92_683] {
             let g = families::clique(n);
             let compiled = CompiledProtocol::compile_default(&Absorb, n).unwrap();
             let mut generic = Executor::new(&g, &Absorb, u64::from(n));
             let mut dense = DenseExecutor::new(&g, &compiled, u64::from(n));
             let mut lazy = LazyDenseExecutor::new(&g, &Absorb, u64::from(n));
+            let expected = if n == 92_683 {
+                assert_eq!(g.num_edges(), 4_295_022_903);
+                DecoderKind::Scheduler
+            } else {
+                DecoderKind::Clique
+            };
+            assert_eq!(dense.decoder().kind(), expected, "clique({n})");
+            assert_eq!(lazy.decoder().kind(), expected, "clique({n}) (lazy)");
             for _ in 0..1200 {
                 let step = generic.step();
                 assert_eq!(step, dense.step(), "clique({n})");
                 assert_eq!(step, lazy.step(), "clique({n}) (lazy)");
             }
+            assert!(!g.is_materialized(), "clique({n}) built its edge list");
         }
     }
 

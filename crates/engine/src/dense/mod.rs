@@ -58,8 +58,8 @@ pub use decoder::{DecoderKind, DECODER_MAX_EDGES, PACKED_MAX_NODES};
 pub use exec::{DenseExecutor, LazyDenseExecutor, PairSource, PerAgentExecutor};
 pub use lazy::{LazyId, LazyTable};
 pub use table::{
-    probe_state_space, CompileError, CompiledProtocol, SpaceProbe, StateId,
-    DEFAULT_MAX_COMPILED_STATES, MAX_STATE_IDS, PROBE_EVAL_BUDGET,
+    CompileError, CompiledProtocol, StateId, DEFAULT_MAX_COMPILED_STATES, MAX_STATE_IDS,
+    PROBE_EVAL_BUDGET,
 };
 
 /// Multiply-fold hasher for both state interners (an FxHash-style

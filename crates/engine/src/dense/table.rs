@@ -16,11 +16,12 @@
 //!   ([`super::FoldHasher`]), which is sound for plain state data and
 //!   much cheaper than SipHash; ids are assigned in discovery order, so
 //!   the hasher never shows in ids or tables.
-//! * [`probe_state_space`] answers "would compilation fit the cap?"
-//!   with a bounded amount of work — the fast-rejection path that keeps
-//!   engine selection cheap for protocols (like the identifier protocol
-//!   at realistic `k`) whose closure overflows the cap only after many
-//!   transition evaluations.
+//! * Before compiling, [`crate::EngineSelection::prepare`] runs a
+//!   bounded overflow walk that certifies "compilation would exceed the
+//!   cap" within [`PROBE_EVAL_BUDGET`] transition evaluations — the
+//!   fast-rejection path that keeps engine selection cheap for
+//!   protocols (like the identifier protocol at realistic `k`) whose
+//!   closure overflows the cap only after many transition evaluations.
 //!
 //! # When compilation fails
 //!
@@ -77,10 +78,10 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// The reachable-state enumeration shared by [`CompiledProtocol::compile`]
-/// and [`probe_state_space`]: a BFS closure under `transition` over all
-/// ordered pairs, starting from the per-node initial states (plus any
-/// extra seed states, for arbitrary-initialization runs).
+/// The reachable-state enumeration behind [`CompiledProtocol::compile`]:
+/// a BFS closure under `transition` over all ordered pairs, starting
+/// from the per-node initial states (plus any extra seed states, for
+/// arbitrary-initialization runs).
 struct Enumeration<S> {
     states: Vec<S>,
     ids: HashMap<S, StateId, FoldHashBuilder>,
@@ -125,26 +126,14 @@ fn assemble_table(rounds: Vec<Round>, k: usize) -> Vec<u32> {
     table
 }
 
-/// Why [`enumerate`] stopped before closing the state set.
-enum EnumerateStop {
-    /// More than `max_states` distinct states exist (exact verdict).
-    CapExceeded,
-    /// The transition-evaluation budget ran out first (no verdict).
-    BudgetExhausted,
-}
-
-/// Runs the BFS closure with a state cap and a transition-evaluation
-/// budget. `Ok` means the set closed within both limits; the eval budget
-/// is what makes the probe's bounded-frontier rejection cheap (a closure
-/// on `k ≤ max_states` states needs at most `k²` evaluations, so
-/// `usize::MAX` makes the budget vacuous for full compilation).
+/// Runs the BFS closure with a state cap. `Ok` means the set closed
+/// within `max_states` states.
 fn enumerate<P: Protocol>(
     protocol: &P,
     num_nodes: u32,
     max_states: usize,
-    mut eval_budget: usize,
     extra_seeds: &[P::State],
-) -> Result<Enumeration<P::State>, EnumerateStop> {
+) -> Result<Enumeration<P::State>, CompileError> {
     assert!(
         (1..=MAX_STATE_IDS).contains(&max_states),
         "max_states must be in 1..={MAX_STATE_IDS}"
@@ -157,12 +146,12 @@ fn enumerate<P: Protocol>(
         states: &mut Vec<S>,
         ids: &mut HashMap<S, StateId, FoldHashBuilder>,
         max_states: usize,
-    ) -> Result<StateId, EnumerateStop> {
+    ) -> Result<StateId, CompileError> {
         if let Some(&id) = ids.get(s) {
             return Ok(id);
         }
         if states.len() >= max_states {
-            return Err(EnumerateStop::CapExceeded);
+            return Err(CompileError::StateSpaceTooLarge { limit: max_states });
         }
         let id = states.len() as StateId;
         states.push(s.clone());
@@ -193,10 +182,6 @@ fn enumerate<P: Protocol>(
         for a in 0..frontier_end {
             let first = if a < closed_upto { closed_upto } else { 0 };
             for b in first..frontier_end {
-                if eval_budget == 0 {
-                    return Err(EnumerateStop::BudgetExhausted);
-                }
-                eval_budget -= 1;
                 let (na, nb) = protocol.transition(&states[a], &states[b]);
                 let na = intern(&na, &mut states, &mut ids, max_states)?;
                 let nb = intern(&nb, &mut states, &mut ids, max_states)?;
@@ -218,113 +203,33 @@ fn enumerate<P: Protocol>(
     })
 }
 
-/// Default transition-evaluation budget of the engine-selection probe
-/// (see [`probe_state_space`]): enough for the bounded-frontier walk to
-/// certify a cap overflow for every progress-counter-driven protocol in
-/// the workspace (the identifier protocol mints two fresh states per
-/// self-pair evaluation, so overflowing the default cap needs ~2·cap of
-/// the ~3·cap walk evaluations) and for the small closures to complete
-/// (a `k`-state protocol closes within `k²` evaluations), while bounding
-/// the probe's worst case around a hundred microseconds — versus the
-/// 7–10 ms a full quadratic closure-until-overflow costs (identifier
-/// protocol at `n = 4000` against the default cap, on a 2-vCPU Xeon:
-/// probe 70–100 µs, closure 7–10 ms).
+/// Transition-evaluation budget of the overflow walk that
+/// [`crate::EngineSelection::prepare`] runs before compiling. The walk
+/// expands, per discovered state `s`, only the pair frontier `(s, s)`,
+/// `(s, s₀)`, `(s₀, s)` (with `s₀` the first initial state) — linear in
+/// the states discovered where the BFS closure is quadratic — and stops
+/// as soon as it has seen more than the cap. It spends at most three
+/// evaluations per state, so below the default cap it always finishes
+/// its frontier within budget, and every progress-counter-driven
+/// protocol in the workspace certifies its overflow well inside it (the
+/// identifier protocol mints two fresh states per self-pair
+/// evaluation, so overflowing the default cap needs ~2·cap of the
+/// ~3·cap walk evaluations). That bounds selection's rejection path
+/// around a hundred microseconds — versus the 7–10 ms a full quadratic
+/// closure-until-overflow costs (identifier protocol at `n = 4000`
+/// against the default cap, on a 2-vCPU Xeon: walk 70–100 µs, closure
+/// 7–10 ms). Sweep campaigns select an engine for every cell, so the
+/// difference adds up.
 pub const PROBE_EVAL_BUDGET: usize = 16 * DEFAULT_MAX_COMPILED_STATES;
 
-/// Verdict of [`probe_state_space`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpaceProbe {
-    /// The closure completed: exactly this many reachable states, all
-    /// within the cap — compilation is guaranteed to succeed.
-    Fits(usize),
-    /// More than `max_states` reachable states exist (exact verdict —
-    /// compilation is guaranteed to fail).
-    TooLarge,
-    /// The evaluation budget ran out before either verdict. Callers
-    /// that need an exact answer fall through to a full
-    /// [`CompiledProtocol::compile`]; callers that only need speed may
-    /// treat this as "do not compile ahead of time".
-    Inconclusive,
-}
-
-/// Bounded-frontier probe of the reachable state space: answers "would
-/// [`CompiledProtocol::compile`] fit `max_states`?" within `eval_budget`
-/// transition evaluations, in two phases.
-///
-/// **Phase 1 — overflow walk.** Discovering `max_states + 1` distinct
-/// states is enough to certify [`SpaceProbe::TooLarge`], and it does not
-/// require the full quadratic pair closure: the walk expands, per
-/// discovered state `s`, only the bounded pair frontier `(s, s)`,
-/// `(s, s₀)`, `(s₀, s)` (with `s₀` the first initial state) — linear in
-/// the states discovered. For the state spaces that actually overflow
-/// the cap — identifier generation (Theorem 21), clock/level counters of
-/// full-scale fast instances, and the related space-optimal
-/// constructions with the same "progress counter" shape — self-pairs
-/// mint fresh states on almost every evaluation, so the verdict arrives
-/// within a few thousand evaluations: **microseconds**, versus the
-/// 7–10 ms the quadratic closure needs to overflow the same cap. That
-/// difference is the point: sweep campaigns re-select the engine for
-/// every shard.
-///
-/// **Phase 2 — budgeted closure.** If the walk exhausts its frontier
-/// below the cap (it explores a subset of reachable pairs, so it cannot
-/// certify completeness), the remaining budget runs the same BFS closure
-/// as compilation. Small state spaces (every constant-state protocol)
-/// close here almost immediately, yielding an exact
-/// [`SpaceProbe::Fits`]; spaces that are large but not
-/// walk-discoverable return [`SpaceProbe::Inconclusive`] and the caller
-/// decides whether exactness is worth a full compile attempt.
-///
-/// Every state either phase discovers is genuinely reachable (everything
-/// derives from initial states by `transition`), so `TooLarge` is never
-/// a false positive; `Fits` comes only from a completed closure, so it
-/// is exact too.
-///
-/// # Panics
-///
-/// Panics if `max_states` is `0` or exceeds [`MAX_STATE_IDS`].
-#[must_use]
-pub fn probe_state_space<P: Protocol>(
-    protocol: &P,
-    num_nodes: u32,
-    max_states: usize,
-    eval_budget: usize,
-) -> SpaceProbe {
-    let (verdict, used) = overflow_walk(protocol, num_nodes, max_states, eval_budget);
-    match verdict {
-        WalkVerdict::Exceeds => SpaceProbe::TooLarge,
-        WalkVerdict::Budget => SpaceProbe::Inconclusive,
-        // Phase 2: budgeted closure (the walk's pair subset proves
-        // nothing about completeness). Restarting from the initial
-        // states is exactly `enumerate`; the walk's states are all
-        // rediscovered within its first rounds.
-        WalkVerdict::Exhausted => {
-            match enumerate(protocol, num_nodes, max_states, eval_budget - used, &[]) {
-                Ok(e) => SpaceProbe::Fits(e.states.len()),
-                Err(EnumerateStop::CapExceeded) => SpaceProbe::TooLarge,
-                Err(EnumerateStop::BudgetExhausted) => SpaceProbe::Inconclusive,
-            }
-        }
-    }
-}
-
-/// Outcome of the phase-1 overflow walk ([`overflow_walk`]).
-pub(crate) enum WalkVerdict {
-    /// More than `max_states` distinct states were discovered (exact:
-    /// everything the walk visits is reachable).
-    Exceeds,
-    /// The walk's bounded pair frontier closed below the cap — no
-    /// verdict about the full closure.
-    Exhausted,
-    /// The budget ran out while fresh states kept appearing.
-    Budget,
-}
-
-/// Phase-1 overflow walk, shared by [`probe_state_space`] and the
-/// engine-selection fast path (which, on anything but `Exceeds`, goes
-/// straight to a single [`CompiledProtocol::compile`] instead of paying
-/// the probe's closure *and* the compile's). Returns the verdict and the
-/// number of transition evaluations consumed.
+/// The overflow walk behind [`PROBE_EVAL_BUDGET`]: `true` when it
+/// discovers more than `max_states` distinct states within
+/// `eval_budget` transition evaluations. Every state it visits derives
+/// from the initial states by `transition`, so `true` is exact —
+/// compilation against the same cap is certain to fail. `false`
+/// certifies nothing (the walk's frontier is a subset of the reachable
+/// pairs, or its budget ran out), and engine selection falls through
+/// to a single [`CompiledProtocol::compile`].
 ///
 /// # Panics
 ///
@@ -334,7 +239,7 @@ pub(crate) fn overflow_walk<P: Protocol>(
     num_nodes: u32,
     max_states: usize,
     eval_budget: usize,
-) -> (WalkVerdict, usize) {
+) -> bool {
     assert!(
         (1..=MAX_STATE_IDS).contains(&max_states),
         "max_states must be in 1..={MAX_STATE_IDS}"
@@ -359,7 +264,7 @@ pub(crate) fn overflow_walk<P: Protocol>(
         let s = protocol.initial_state(v);
         intern(&s, &mut states);
         if states.len() > max_states {
-            return (WalkVerdict::Exceeds, eval_budget - budget);
+            return true;
         }
     }
 
@@ -372,17 +277,12 @@ pub(crate) fn overflow_walk<P: Protocol>(
             intern(&na, &mut states);
             intern(&nb, &mut states);
             if states.len() > max_states {
-                return (WalkVerdict::Exceeds, eval_budget - budget);
+                return true;
             }
         }
         i += 1;
     }
-    let verdict = if i < states.len() {
-        WalkVerdict::Budget
-    } else {
-        WalkVerdict::Exhausted
-    };
-    (verdict, eval_budget - budget)
+    false
 }
 
 /// A protocol lowered to dense ids with fully precomputed transition and
@@ -499,16 +399,12 @@ impl<P: Protocol + Clone> CompiledProtocol<P> {
         max_states: usize,
         extra_seeds: &[P::State],
     ) -> Result<Self, CompileError> {
-        // A set of k ≤ max_states states closes within k² ≤ max_states²
-        // evaluations, so the budget below never fires: compilation
-        // stops only at the cap, exactly as before the probe existed.
         let Enumeration {
             states,
             ids,
             initial,
             rounds,
-        } = enumerate(protocol, num_nodes, max_states, usize::MAX, extra_seeds)
-            .map_err(|_| CompileError::StateSpaceTooLarge { limit: max_states })?;
+        } = enumerate(protocol, num_nodes, max_states, extra_seeds)?;
 
         // The closure already evaluated every pair: its results are the
         // table, and the derived tables need no transition call.
@@ -800,31 +696,34 @@ mod tests {
     }
 
     #[test]
-    fn probe_fits_matches_compile() {
-        assert_eq!(
-            probe_state_space(&Absorb, 8, 16, PROBE_EVAL_BUDGET),
-            SpaceProbe::Fits(2)
-        );
-    }
-
-    #[test]
-    fn probe_rejects_unbounded_spaces_within_budget() {
+    fn overflow_walk_certifies_counter_overflow() {
         // The counter protocol mints a fresh state on every pair, so the
-        // probe reaches its exact TooLarge verdict long before the
-        // budget: overflowing a cap of 32 takes ≈ 32 evaluations.
+        // walk reaches its exact verdict long before the budget:
+        // overflowing a cap of 32 takes ≈ 32 evaluations.
+        assert!(overflow_walk(&Counter, 4, 32, PROBE_EVAL_BUDGET));
+        // No bound is declared, so selection skips both dense tiers.
         assert_eq!(
-            probe_state_space(&Counter, 4, 32, PROBE_EVAL_BUDGET),
-            SpaceProbe::TooLarge
+            crate::EngineSelection::prepare(&Counter, 4).engine(),
+            crate::Engine::Generic
         );
     }
 
     #[test]
-    fn probe_reports_inconclusive_on_budget_exhaustion() {
+    fn budget_exhausted_walk_falls_through_to_compile() {
         // With a 1-evaluation budget even the 2-state protocol cannot
-        // close its pair set.
+        // expand its frontier: the walk certifies nothing, and the
+        // compile it falls through to succeeds.
+        assert!(!overflow_walk(&Absorb, 8, 16, 1));
+        assert!(!overflow_walk(&Absorb, 8, 16, PROBE_EVAL_BUDGET));
         assert_eq!(
-            probe_state_space(&Absorb, 8, 16, 1),
-            SpaceProbe::Inconclusive
+            CompiledProtocol::compile(&Absorb, 8, 16)
+                .unwrap()
+                .num_states(),
+            2
+        );
+        assert_eq!(
+            crate::EngineSelection::prepare(&Absorb, 8).engine(),
+            crate::Engine::Dense
         );
     }
 }

@@ -41,7 +41,7 @@
 //! counts and shardings — extends to fault-injected campaigns, and
 //! recovery metrics are attached to each [`TrialResult`].
 
-use crate::dense::table::{overflow_walk, WalkVerdict};
+use crate::dense::table::overflow_walk;
 use crate::dense::{
     CompiledProtocol, CountEngine, DenseExecutor, LazyDenseExecutor, DEFAULT_MAX_COMPILED_STATES,
     PROBE_EVAL_BUDGET,
@@ -567,8 +567,8 @@ pub(crate) enum Selected<P: Protocol> {
 /// [`EngineSelection::dense`] force one, which is how differential tests
 /// pin the tiers to each other.
 ///
-/// Selection is not free: the rejection path runs a bounded state-space
-/// probe and the accept path compiles the full `|Λ|²` transition table.
+/// Selection is not free: the rejection path runs a bounded overflow
+/// walk and the accept path compiles the full `|Λ|²` transition table.
 /// A sweep campaign that shards a cell into many independently
 /// checkpointable slices would otherwise pay that cost once *per
 /// shard*; preparing once per cell and handing the same selection to
@@ -653,10 +653,10 @@ impl<P: Protocol> EngineSelection<P> {
     /// Selection is cheap on the rejection path: a bounded-frontier
     /// walk with [`PROBE_EVAL_BUDGET`] detects cap-overflowing state
     /// spaces in microseconds instead of running the full BFS closure
-    /// to overflow. Only the rare inconclusive case — a slow-closing
-    /// state space that might still fit — pays for a full compile
-    /// attempt, which keeps the AOT/non-AOT split bit-for-bit identical
-    /// to compiling unconditionally.
+    /// to overflow. Anything the walk does not certify — a state space
+    /// that fits, or a slow-closing one that might — pays for one
+    /// compile attempt, which keeps the AOT/non-AOT split bit-for-bit
+    /// identical to compiling unconditionally.
     ///
     /// # Examples
     ///
@@ -686,20 +686,16 @@ impl<P: Protocol> EngineSelection<P> {
     where
         P: Clone,
     {
-        // Phase-1 walk only (not the full probe): on the accept path the
-        // probe's closure and the compile's enumeration would be the same
-        // work twice, so anything short of a certified overflow goes
-        // straight to a single compile attempt.
-        let aot = match overflow_walk(
+        let exceeds = overflow_walk(
             protocol,
             num_nodes,
             DEFAULT_MAX_COMPILED_STATES,
             PROBE_EVAL_BUDGET,
-        ) {
-            (WalkVerdict::Exceeds, _) => None,
-            (WalkVerdict::Exhausted | WalkVerdict::Budget, _) => {
-                CompiledProtocol::compile_default(protocol, num_nodes).ok()
-            }
+        );
+        let aot = if exceeds {
+            None
+        } else {
+            CompiledProtocol::compile_default(protocol, num_nodes).ok()
         };
         let kind = match aot {
             Some(compiled) => Selected::Dense(Arc::new(compiled)),
@@ -1153,7 +1149,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(EngineSelection::prepare(&Absorb, 64).engine(), Engine::Dense);
+        assert_eq!(
+            EngineSelection::prepare(&Absorb, 64).engine(),
+            Engine::Dense
+        );
     }
 
     #[test]

@@ -378,10 +378,10 @@ pub fn run_to_hold_with_faults<'g, T: FaultTarget<'g>>(
 /// does not but the protocol declares a finite state-space bound,
 /// generic otherwise.
 ///
-/// No probe is needed on the rejection path: the support states are
-/// interned *before* the BFS closure starts, so supports beyond the cap
-/// (the large-timer instances that motivate the lazy engine) are
-/// rejected during seeding, in O(cap) work.
+/// No overflow walk is needed on the rejection path: the support
+/// states are interned *before* the BFS closure starts, so supports
+/// beyond the cap (the large-timer instances that motivate the lazy
+/// engine) are rejected during seeding, in O(cap) work.
 ///
 /// A selection prepared here is **not** interchangeable with one from
 /// [`EngineSelection::prepare`] — the fixed-start closure does not

@@ -1,4 +1,4 @@
-//! Ablations of the design choices called out in DESIGN.md.
+//! Ablations of the design choices behind the paper's protocols.
 //!
 //! 1. **Fast-protocol parameters** — Theorem 24 picks the streak length
 //!    `h` so ticks arrive every `Θ(B(G))` steps and runs the tournament

@@ -13,8 +13,8 @@
 use crate::report::{fmt_num, Table};
 use crate::RunConfig;
 use popele_dynamics::broadcast::{
-    estimate_broadcast_time, lower_bound_degree, upper_bound_diameter, upper_bound_expansion,
-    BroadcastConfig, SourceStrategy,
+    estimate_broadcast_time, lower_bound_degree, upper_bound_theorem6, BroadcastConfig,
+    SourceStrategy,
 };
 use popele_graph::properties::{diameter, KnownExpansion};
 use popele_graph::{families, Graph};
@@ -90,11 +90,7 @@ fn bounds_table(cfg: &RunConfig) -> Table {
         let d = diameter(g);
         let b = measure_b(g, seq.child(i as u64), cfg);
         let lower = lower_bound_degree(g.num_edges(), g.num_nodes(), g.max_degree());
-        let by_diam = upper_bound_diameter(g.num_edges(), g.num_nodes(), d);
-        let upper = match case.beta {
-            Some(beta) => by_diam.min(upper_bound_expansion(g.num_edges(), g.num_nodes(), beta)),
-            None => by_diam,
-        };
+        let upper = upper_bound_theorem6(g.num_edges(), g.num_nodes(), d, case.beta.unwrap_or(0.0));
         table.push_row(vec![
             case.label.to_string(),
             g.num_nodes().to_string(),

@@ -3,8 +3,8 @@
 //! (PODC 2022).
 //!
 //! Each experiment in [`experiments`] regenerates one display item or
-//! theorem-level claim of the paper (see DESIGN.md §4 for the full index
-//! and EXPERIMENTS.md for recorded outcomes):
+//! theorem-level claim of the paper (PROTOCOLS.md maps each claim to
+//! its code and its experiment):
 //!
 //! | id | paper item | module |
 //! |----|-----------|--------|
@@ -43,8 +43,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
     /// Quick mode shrinks sizes and trial counts (~seconds per
-    /// experiment); full mode reproduces the recorded EXPERIMENTS.md
-    /// numbers (~minutes).
+    /// experiment); full mode runs the full sizes and trial counts
+    /// (~minutes).
     pub quick: bool,
     /// Master seed; all randomness derives deterministically from it.
     pub master_seed: u64,

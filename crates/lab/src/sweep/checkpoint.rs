@@ -20,38 +20,6 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-/// Recovery metrics of one fault-injected trial, as persisted (a
-/// field-for-field mirror of [`Recovery`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryRecord {
-    /// Step of the last applied fault.
-    pub last_fault_step: u64,
-    /// Faults actually applied.
-    pub faults_applied: u32,
-    /// Steps from the last fault to renewed stability (`None`: budget
-    /// ran out first).
-    pub reconvergence: Option<u64>,
-    /// Peak leader count observed at fault boundaries / run end.
-    pub peak_leaders: u32,
-    /// Leader count at the end of the run.
-    pub final_leaders: u32,
-    /// The run ended unstable with zero leader outputs.
-    pub leader_lost: bool,
-}
-
-impl From<Recovery> for RecoveryRecord {
-    fn from(r: Recovery) -> Self {
-        Self {
-            last_fault_step: r.last_fault_step,
-            faults_applied: r.faults_applied,
-            reconvergence: r.reconvergence_steps,
-            peak_leaders: r.peak_leaders,
-            final_leaders: r.final_leaders,
-            leader_lost: r.leader_lost,
-        }
-    }
-}
-
 /// Loose-stabilization metrics of one arbitrarily-initialized trial,
 /// as persisted (the election step itself lives in
 /// [`TrialRecord::steps`], so only the holding phase is mirrored from
@@ -93,7 +61,7 @@ pub struct TrialRecord {
     /// Recovery metrics, for trials run under a nonempty fault plan.
     /// Rendered (and parsed) only when present, so fault-free
     /// checkpoints keep their exact pre-fault-axis byte format.
-    pub recovery: Option<RecoveryRecord>,
+    pub recovery: Option<Recovery>,
     /// Holding metrics, for self-stabilization trials (arbitrary
     /// starts). Rendered only when present, so pre-existing
     /// checkpoints keep their exact byte format and still resume.
@@ -106,7 +74,7 @@ impl From<&TrialResult> for TrialRecord {
             trial: r.trial,
             steps: r.stabilization_step,
             leader: r.leader,
-            recovery: r.recovery.map(Into::into),
+            recovery: r.recovery,
             holding: r.holding.map(Into::into),
         }
     }
@@ -306,7 +274,7 @@ fn record_to_json(r: &TrialRecord) -> Json {
                 ),
                 (
                     "reconvergence".into(),
-                    Json::from_opt_u64(rec.reconvergence),
+                    Json::from_opt_u64(rec.reconvergence_steps),
                 ),
                 (
                     "peak_leaders".into(),
@@ -360,7 +328,7 @@ fn record_from_json(row: &Json) -> Result<TrialRecord, String> {
             let u32_field = |name: &str| -> Result<u32, String> {
                 u32::try_from(u64_field(name)?).map_err(|e| e.to_string())
             };
-            let reconvergence = match rec.get("reconvergence") {
+            let reconvergence_steps = match rec.get("reconvergence") {
                 Some(Json::Null) | None => None,
                 Some(v) => Some(v.as_u64().ok_or("reconvergence must be an integer")?),
             };
@@ -368,10 +336,10 @@ fn record_from_json(row: &Json) -> Result<TrialRecord, String> {
                 Some(Json::Bool(b)) => *b,
                 _ => return Err("recovery missing leader_lost".into()),
             };
-            Some(RecoveryRecord {
+            Some(Recovery {
                 last_fault_step: u64_field("last_fault_step")?,
                 faults_applied: u32_field("faults_applied")?,
-                reconvergence,
+                reconvergence_steps,
                 peak_leaders: u32_field("peak_leaders")?,
                 final_leaders: u32_field("final_leaders")?,
                 leader_lost,
@@ -665,10 +633,10 @@ mod tests {
                     trial: 1,
                     steps: None,
                     leader: None,
-                    recovery: Some(RecoveryRecord {
+                    recovery: Some(Recovery {
                         last_fault_step: 9_000,
                         faults_applied: 3,
-                        reconvergence: None,
+                        reconvergence_steps: None,
                         peak_leaders: 7,
                         final_leaders: 0,
                         leader_lost: true,
@@ -686,10 +654,10 @@ mod tests {
                 trial: 2,
                 steps: Some(99),
                 leader: Some(0),
-                recovery: Some(RecoveryRecord {
+                recovery: Some(Recovery {
                     last_fault_step: 10,
                     faults_applied: 1,
-                    reconvergence: Some(89),
+                    reconvergence_steps: Some(89),
                     peak_leaders: 4,
                     final_leaders: 1,
                     leader_lost: false,

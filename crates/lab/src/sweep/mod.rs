@@ -71,13 +71,8 @@ pub mod runner;
 pub mod spec;
 pub mod summary;
 
-pub use checkpoint::{
-    CellMeta, Checkpoint, HoldingRecord, Journal, JournalEntry, RecoveryRecord, TrialRecord,
-};
+pub use checkpoint::{CellMeta, Checkpoint, HoldingRecord, Journal, JournalEntry, TrialRecord};
 pub use runner::{
     checkpoint_path, journal_path, run_campaign, summary_path, CampaignOptions, CampaignOutcome,
 };
-pub use spec::{
-    fault_plan_from_json, fault_plan_to_json, CellSpec, FaultSpec, ProtocolSpec, ShardSpec,
-    SweepSpec,
-};
+pub use spec::{CellSpec, FaultSpec, ProtocolSpec, ShardSpec, SweepSpec};

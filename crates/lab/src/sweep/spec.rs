@@ -10,9 +10,8 @@
 //! make the concatenation of shard results bit-identical to one
 //! monolithic run.
 
-use super::json::Json;
 use crate::workloads::Family;
-use popele_engine::faults::{FaultEvent, FaultKind, FaultPlan};
+use popele_engine::faults::{FaultKind, FaultPlan};
 use popele_math::rng::SeedSeq;
 use std::fmt;
 
@@ -216,80 +215,6 @@ impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// Serializes a [`FaultPlan`] as a deterministic [`Json`] tree (the
-/// canonical embedding of custom plans into sweep artifacts). The
-/// rendering is byte-stable: `render ∘ parse ∘ render = render`, and
-/// [`fault_plan_from_json`] inverts it exactly.
-#[must_use]
-pub fn fault_plan_to_json(plan: &FaultPlan) -> Json {
-    let events = plan
-        .events
-        .iter()
-        .map(|e| {
-            let mut members = vec![("step".to_string(), Json::from_u64(e.step))];
-            let kind = |k: &str| ("kind".to_string(), Json::Str(k.into()));
-            match e.kind {
-                FaultKind::CorruptNodes { count } => {
-                    members.push(kind("corrupt"));
-                    members.push(("count".into(), Json::from_u64(u64::from(count))));
-                }
-                FaultKind::AddEdge => members.push(kind("add-edge")),
-                FaultKind::RemoveEdge => members.push(kind("remove-edge")),
-                FaultKind::RewireEdge => members.push(kind("rewire-edge")),
-                FaultKind::JoinNode { degree } => {
-                    members.push(kind("join"));
-                    members.push(("degree".into(), Json::from_u64(u64::from(degree))));
-                }
-                FaultKind::LeaveNode => members.push(kind("leave")),
-            }
-            Json::Obj(members)
-        })
-        .collect();
-    Json::Obj(vec![("events".into(), Json::Arr(events))])
-}
-
-/// Parses the [`fault_plan_to_json`] representation back into a plan.
-///
-/// # Errors
-///
-/// Returns a message on a missing/mistyped field or an unknown kind.
-pub fn fault_plan_from_json(json: &Json) -> Result<FaultPlan, String> {
-    let rows = json
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or("fault plan missing events array")?;
-    let mut events = Vec::with_capacity(rows.len());
-    for row in rows {
-        let step = row
-            .get("step")
-            .and_then(Json::as_u64)
-            .ok_or("event missing step")?;
-        let u32_field = |name: &str| -> Result<u32, String> {
-            let raw = row
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or(format!("event missing {name}"))?;
-            u32::try_from(raw).map_err(|e| e.to_string())
-        };
-        let kind = match row.get("kind").and_then(Json::as_str) {
-            Some("corrupt") => FaultKind::CorruptNodes {
-                count: u32_field("count")?,
-            },
-            Some("add-edge") => FaultKind::AddEdge,
-            Some("remove-edge") => FaultKind::RemoveEdge,
-            Some("rewire-edge") => FaultKind::RewireEdge,
-            Some("join") => FaultKind::JoinNode {
-                degree: u32_field("degree")?,
-            },
-            Some("leave") => FaultKind::LeaveNode,
-            Some(other) => return Err(format!("unknown fault kind {other:?}")),
-            None => return Err("event missing kind".into()),
-        };
-        events.push(FaultEvent { step, kind });
-    }
-    Ok(FaultPlan { events })
 }
 
 /// A full campaign grid.
@@ -915,24 +840,5 @@ mod tests {
         let large = FaultSpec::Corrupt.plan(10_000);
         assert!(small.events[0].step < large.events[0].step);
         assert_eq!(FaultSpec::Churn.plan(64).max_joins(), 2);
-    }
-
-    #[test]
-    fn fault_plan_json_roundtrips() {
-        let plan = FaultPlan::at(5, FaultKind::CorruptNodes { count: 3 })
-            .and(10, FaultKind::AddEdge)
-            .and(15, FaultKind::RemoveEdge)
-            .and(20, FaultKind::RewireEdge)
-            .and(25, FaultKind::JoinNode { degree: 2 })
-            .and(30, FaultKind::LeaveNode);
-        let json = fault_plan_to_json(&plan);
-        let text = json.render();
-        let reparsed = Json::parse(&text).unwrap();
-        assert_eq!(fault_plan_from_json(&reparsed).unwrap(), plan);
-        assert_eq!(reparsed.render(), text, "rendering must be byte-stable");
-        assert!(fault_plan_from_json(&Json::Null).is_err());
-        assert!(
-            fault_plan_from_json(&Json::parse(r#"{"events": [{"step": 1}]}"#).unwrap()).is_err()
-        );
     }
 }

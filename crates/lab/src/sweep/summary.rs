@@ -50,7 +50,7 @@ fn digest(spec: &SweepSpec, checkpoint: &Checkpoint) -> Vec<CellDigest> {
             let timeouts = records.iter().filter(|r| r.steps.is_none()).count();
             let recoveries = || records.iter().filter_map(|r| r.recovery);
             let reconvergence: Summary = recoveries()
-                .filter_map(|r| r.reconvergence)
+                .filter_map(|r| r.reconvergence_steps)
                 .map(|s| s as f64)
                 .collect();
             let holdings = || records.iter().filter_map(|r| r.holding);

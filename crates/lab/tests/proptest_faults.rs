@@ -1,46 +1,21 @@
 //! Property tests for the sweep layer's fault plumbing.
 //!
-//! * **JSON round trip**: any [`FaultPlan`] embedded into sweep
-//!   artifacts via `sweep/json.rs` must come back value-identical, and
-//!   its rendering must be byte-stable (`render ∘ parse ∘ render =
-//!   render`) — the same canonical-serialization discipline the
-//!   checkpoint/summary byte-identity guarantees rest on.
 //! * **Stable fault seeds**: a faulted cell's seeds (and hence its
 //!   fault realizations) derive from its stable cell key, exactly like
 //!   trial seeds — independent of grid composition.
+//! * **Journal round trip**: journal lines of the corner protocols come
+//!   back value-identical through `sweep/json.rs`, with byte-stable
+//!   rendering — the canonical-serialization discipline the
+//!   checkpoint/summary byte-identity guarantees rest on.
 
-use popele_engine::faults::{fault_seed, FaultEvent, FaultKind, FaultPlan};
+use popele_engine::faults::fault_seed;
 use popele_lab::sweep::{
-    fault_plan_from_json, fault_plan_to_json, CellMeta, CellSpec, FaultSpec, HoldingRecord,
-    JournalEntry, ProtocolSpec, SweepSpec, TrialRecord,
+    CellMeta, CellSpec, FaultSpec, HoldingRecord, JournalEntry, ProtocolSpec, SweepSpec,
+    TrialRecord,
 };
 use popele_lab::workloads::Family;
 use popele_math::rng::SeedSeq;
 use proptest::prelude::*;
-
-fn arbitrary_kind() -> impl Strategy<Value = FaultKind> {
-    // The vendored proptest shim has no `prop_oneof!`; select the
-    // variant from an index and reuse one parameter draw.
-    (0usize..6, 1u32..=1000).prop_map(|(variant, param)| match variant {
-        0 => FaultKind::CorruptNodes { count: param },
-        1 => FaultKind::AddEdge,
-        2 => FaultKind::RemoveEdge,
-        3 => FaultKind::RewireEdge,
-        4 => FaultKind::JoinNode {
-            degree: param % 16 + 1,
-        },
-        _ => FaultKind::LeaveNode,
-    })
-}
-
-fn arbitrary_plan() -> impl Strategy<Value = FaultPlan> {
-    prop::collection::vec((0u64..=1 << 40, arbitrary_kind()), 0..24).prop_map(|events| FaultPlan {
-        events: events
-            .into_iter()
-            .map(|(step, kind)| FaultEvent { step, kind })
-            .collect(),
-    })
-}
 
 /// Strategy: one trial record as a sweep shard produces it (fault-free
 /// cell, so no recovery block; holding attached per the protocol's
@@ -69,19 +44,6 @@ fn arbitrary_record() -> impl Strategy<Value = TrialRecord> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Serialize → render → parse → deserialize is the identity, and
-    /// rendering is byte-stable.
-    #[test]
-    fn fault_plan_roundtrips_byte_identically(plan in arbitrary_plan()) {
-        let json = fault_plan_to_json(&plan);
-        let text = json.render();
-        let reparsed = popele_lab::sweep::json::Json::parse(&text)
-            .expect("canonical rendering parses");
-        prop_assert_eq!(&reparsed.render(), &text, "rendering drifted");
-        let back = fault_plan_from_json(&reparsed).expect("canonical representation decodes");
-        prop_assert_eq!(back, plan);
-    }
 
     /// Fault-profile plans are pure functions of (profile, n).
     #[test]

@@ -1,7 +1,7 @@
 //! Exact samplers for the distributions used by the paper's analyses.
 //!
 //! The workspace deliberately depends only on `rand` for uniform bits;
-//! everything else (geometric, Poisson, binomial, weighted choice) is
+//! everything else (geometric, Poisson, hypergeometric) is
 //! implemented here so the sampling logic is auditable and deterministic
 //! across `rand` versions.
 
@@ -130,67 +130,6 @@ fn knuth_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
             return k;
         }
         k += 1;
-    }
-}
-
-/// Binomial distribution `Bin(n, p)`.
-///
-/// Uses the exact geometric-skip method (O(np) expected time), which is fast
-/// for every parameter range appearing in this workspace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Binomial {
-    n: u64,
-    p: f64,
-}
-
-impl Binomial {
-    /// Creates a binomial distribution over `n` trials with success
-    /// probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    #[must_use]
-    pub fn new(n: u64, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "binomial requires 0 ≤ p ≤ 1");
-        Self { n, p }
-    }
-
-    /// Mean `n·p`.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p == 0.0 || self.n == 0 {
-            return 0;
-        }
-        if self.p == 1.0 {
-            return self.n;
-        }
-        // Exploit symmetry so the expected work is n·min(p, 1−p).
-        let (p, flip) = if self.p > 0.5 {
-            (1.0 - self.p, true)
-        } else {
-            (self.p, false)
-        };
-        let geo = Geometric::new(p);
-        let mut successes = 0u64;
-        let mut position = 0u64;
-        loop {
-            position = position.saturating_add(geo.sample(rng));
-            if position > self.n {
-                break;
-            }
-            successes += 1;
-        }
-        if flip {
-            self.n - successes
-        } else {
-            successes
-        }
     }
 }
 
@@ -370,105 +309,6 @@ impl Hypergeometric {
     }
 }
 
-/// Multinomial distribution: `trials` independent categorical draws with
-/// probabilities proportional to `weights`, returning the per-category
-/// counts.
-///
-/// This is the *with-replacement* counterpart of chained
-/// [`Hypergeometric`] draws and converges to it when the population
-/// dwarfs the batch. Sampling uses the exact conditional-binomial chain:
-/// category `i` receives `Bin(remaining, wᵢ/Σ_{j≥i} wⱼ)`.
-///
-/// # Examples
-///
-/// ```
-/// use popele_math::dist::Multinomial;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = SmallRng::seed_from_u64(2);
-/// let m = Multinomial::new(100, vec![1.0, 1.0, 2.0]);
-/// let counts = m.sample(&mut rng);
-/// assert_eq!(counts.iter().sum::<u64>(), 100);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Multinomial {
-    trials: u64,
-    weights: Vec<f64>,
-}
-
-impl Multinomial {
-    /// Creates a multinomial distribution over `weights.len()`
-    /// categories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, contains a negative or non-finite
-    /// value, or sums to 0.
-    #[must_use]
-    pub fn new(trials: u64, weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty(), "multinomial weights must be nonempty");
-        let mut total = 0.0f64;
-        for &w in &weights {
-            assert!(
-                w >= 0.0 && w.is_finite(),
-                "multinomial weights must be finite and nonnegative"
-            );
-            total += w;
-        }
-        assert!(total > 0.0, "multinomial weights must not all be zero");
-        Self { trials, weights }
-    }
-
-    /// Number of categorical draws.
-    #[must_use]
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
-    /// Mean count per category, `trials·wᵢ/Σw`.
-    #[must_use]
-    pub fn means(&self) -> Vec<f64> {
-        let total: f64 = self.weights.iter().sum();
-        self.weights
-            .iter()
-            .map(|w| self.trials as f64 * w / total)
-            .collect()
-    }
-
-    /// Draws one count vector (sums to `trials`).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
-        let mut out = vec![0u64; self.weights.len()];
-        self.sample_into(rng, &mut out);
-        out
-    }
-
-    /// Draws one count vector into `out` (resized to the category count).
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(self.weights.len(), 0);
-        let mut remaining = self.trials;
-        let mut weight_left: f64 = self.weights.iter().sum();
-        for (i, &w) in self.weights.iter().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            if i + 1 == self.weights.len() {
-                out[i] = remaining;
-                break;
-            }
-            let p = (w / weight_left).clamp(0.0, 1.0);
-            let k = Binomial::new(remaining, p).sample(rng);
-            out[i] = k;
-            remaining -= k;
-            weight_left -= w;
-            if weight_left <= 0.0 {
-                break;
-            }
-        }
-    }
-}
-
 /// Lanczos approximation of `ln Γ(x)` for `x > 0`, accurate to ~1e-13 —
 /// the same f64 standard as the library's logarithmic inversions.
 fn ln_gamma(x: f64) -> f64 {
@@ -533,34 +373,6 @@ fn ln_choose(n: u64, k: u64) -> f64 {
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
-/// Samples an index from `0..weights.len()` proportionally to `weights`.
-///
-/// Linear scan; intended for small weight vectors (e.g. picking an
-/// experiment arm), not hot loops.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty, contains a negative value, or sums to 0.
-pub fn weighted_index<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
-    assert!(!weights.is_empty(), "weights must be nonempty");
-    let total: f64 = weights
-        .iter()
-        .map(|&w| {
-            assert!(w >= 0.0, "weights must be nonnegative");
-            w
-        })
-        .sum();
-    assert!(total > 0.0, "weights must not all be zero");
-    let mut target = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        if target < w {
-            return i;
-        }
-        target -= w;
-    }
-    weights.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,58 +424,6 @@ mod tests {
         let (mean, var) = sample_mean_var(|r| p.sample(r) as f64, 20_000, 17);
         assert!((mean - lam).abs() < 1.0, "mean {mean}");
         assert!((var - lam).abs() / lam < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn binomial_moments() {
-        let b = Binomial::new(100, 0.3);
-        let (mean, var) = sample_mean_var(|r| b.sample(r) as f64, 40_000, 19);
-        assert!((mean - 30.0).abs() < 0.3, "mean {mean}");
-        assert!((var - 21.0).abs() < 1.0, "var {var}");
-    }
-
-    #[test]
-    fn binomial_high_p_uses_symmetry() {
-        let b = Binomial::new(50, 0.9);
-        let (mean, _) = sample_mean_var(|r| b.sample(r) as f64, 40_000, 23);
-        assert!((mean - 45.0).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_edge_cases() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(Binomial::new(10, 0.0).sample(&mut rng), 0);
-        assert_eq!(Binomial::new(10, 1.0).sample(&mut rng), 10);
-        assert_eq!(Binomial::new(0, 0.5).sample(&mut rng), 0);
-    }
-
-    #[test]
-    fn binomial_within_support() {
-        let b = Binomial::new(20, 0.5);
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..1000 {
-            assert!(b.sample(&mut rng) <= 20);
-        }
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[weighted_index(&weights, &mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "nonempty")]
-    fn weighted_index_empty_panics() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let _ = weighted_index(&[], &mut rng);
     }
 
     /// Pearson χ² statistic of observed counts against expected
@@ -969,283 +729,38 @@ mod tests {
     }
 
     #[test]
-    fn multinomial_moments() {
-        let m = Multinomial::new(100, vec![1.0, 2.0, 3.0, 4.0]);
-        for (i, expected) in m.means().iter().enumerate() {
-            let (mean, var) = sample_mean_var(|r| m.sample(r)[i] as f64, 20_000, 43 + i as u64);
-            assert!(
-                (mean - expected).abs() / expected < 0.03,
-                "mean[{i}] {mean}"
-            );
-            let p = expected / 100.0;
-            let expected_var = 100.0 * p * (1.0 - p);
-            assert!(
-                (var - expected_var).abs() / expected_var < 0.1,
-                "var[{i}] {var}"
-            );
-        }
-    }
-
-    #[test]
-    fn multinomial_chi_square_goodness_of_fit() {
-        // Aggregate all cell counts across many draws: each of the
-        // trials·samples categorical draws is i.i.d. with law w/Σw.
-        let weights = vec![0.5, 1.5, 2.0, 1.0];
-        let m = Multinomial::new(25, weights.clone());
-        let mut rng = SmallRng::seed_from_u64(47);
-        let mut counts = vec![0u64; 4];
-        for _ in 0..4_000 {
-            for (c, k) in counts.iter_mut().zip(m.sample(&mut rng)) {
-                *c += k;
-            }
-        }
-        let total: f64 = weights.iter().sum();
-        let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
-        let stat = chi_square(&counts, &probs);
-        assert!(stat < 17.0, "χ² = {stat}, counts {counts:?}"); // χ²₀.₉₉₉(3) ≈ 16.3
-    }
-
-    #[test]
-    fn multinomial_counts_sum_to_trials() {
-        let m = Multinomial::new(77, vec![1.0, 0.0, 2.5, 0.1]);
-        let mut rng = SmallRng::seed_from_u64(53);
-        for _ in 0..500 {
-            let counts = m.sample(&mut rng);
-            assert_eq!(counts.iter().sum::<u64>(), 77);
-            assert_eq!(counts[1], 0, "zero-weight category must stay empty");
-        }
-    }
-
-    #[test]
-    fn multinomial_boundary_cases() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        // Single category takes everything.
-        assert_eq!(Multinomial::new(42, vec![3.0]).sample(&mut rng), vec![42]);
-        // Zero trials.
-        assert_eq!(
-            Multinomial::new(0, vec![1.0, 1.0]).sample(&mut rng),
-            vec![0, 0]
-        );
-    }
-
-    #[test]
-    fn multinomial_deterministic_across_seeds() {
-        let m = Multinomial::new(60, vec![1.0, 2.0, 3.0]);
-        let mut a = SmallRng::seed_from_u64(11);
-        let mut b = SmallRng::seed_from_u64(11);
-        let xs: Vec<Vec<u64>> = (0..50).map(|_| m.sample(&mut a)).collect();
-        let ys: Vec<Vec<u64>> = (0..50).map(|_| m.sample(&mut b)).collect();
-        assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn multinomial_agrees_with_chained_hypergeometric_limit() {
-        // With the population far larger than the batch, without-
-        // replacement (hypergeometric chain) and with-replacement
-        // (multinomial) batch composition must agree in mean.
+    fn chained_hypergeometric_means_match_exact_at_count_scale() {
+        // The count tier's batch composition: a chain of conditional
+        // hypergeometrics over the state classes, each drawing from
+        // what the earlier classes left. Each class's count is
+        // marginally Hypergeometric(total, cᵢ, draws), so its mean is
+        // exactly draws·cᵢ/total.
         let population = [600_000_000u64, 300_000_000, 100_000_000];
         let total: u64 = population.iter().sum();
         let draws = 1_000u64;
-        let m = Multinomial::new(draws, population.iter().map(|&c| c as f64).collect());
+        let samples = 2_000u64;
         let mut rng = SmallRng::seed_from_u64(59);
-        let mut hyper_sum = [0u64; 3];
-        let mut multi_sum = [0u64; 3];
-        for _ in 0..2_000 {
+        let mut sums = [0u64; 3];
+        for _ in 0..samples {
             let (mut pool, mut need) = (total, draws);
-            for (i, &c) in population.iter().enumerate() {
+            for (sum, &c) in sums.iter_mut().zip(&population) {
                 let k = Hypergeometric::new(pool, c, need).sample(&mut rng);
-                hyper_sum[i] += k;
+                *sum += k;
                 pool -= c;
                 need -= k;
             }
-            for (s, k) in multi_sum.iter_mut().zip(m.sample(&mut rng)) {
-                *s += k;
-            }
+            assert_eq!(need, 0, "the chain must place every draw");
         }
-        for i in 0..3 {
-            let (h, m) = (hyper_sum[i] as f64, multi_sum[i] as f64);
-            assert!((h - m).abs() / m < 0.01, "category {i}: {h} vs {m}");
+        for (i, (&sum, &c)) in sums.iter().zip(&population).enumerate() {
+            let p = c as f64 / total as f64;
+            let exact = draws as f64 * p;
+            // Four standard errors of the sample mean.
+            let tol = 4.0 * (draws as f64 * p * (1.0 - p) / samples as f64).sqrt();
+            let mean = sum as f64 / samples as f64;
+            assert!(
+                (mean - exact).abs() < tol,
+                "class {i}: mean {mean}, exact {exact}"
+            );
         }
-    }
-
-    /// Exact binomial pmf over `0..=n` via u128 binomial coefficients
-    /// (small parameters only).
-    fn exact_binom_pmf(n: u64, p: f64) -> Vec<f64> {
-        fn choose(n: u64, k: u64) -> u128 {
-            let k = k.min(n - k);
-            let mut acc: u128 = 1;
-            for i in 0..k {
-                acc = acc * u128::from(n - i) / u128::from(i + 1);
-            }
-            acc
-        }
-        (0..=n)
-            .map(|k| choose(n, k) as f64 * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32))
-            .collect()
-    }
-
-    #[test]
-    fn multinomial_marginals_match_exact_binomial_chi_square() {
-        // The chained-binomial sampler must give each category its
-        // exact marginal law Bin(trials, wᵢ/Σw) — not just the right
-        // aggregate frequencies. This pins the conditional chain itself:
-        // an error in the renormalization `wᵢ/Σ_{j≥i} wⱼ` preserves the
-        // aggregate means but skews the per-category histograms.
-        let weights = vec![0.2, 1.3, 2.5];
-        let total: f64 = weights.iter().sum();
-        let trials = 12u64;
-        let m = Multinomial::new(trials, weights.clone());
-        let mut rng = SmallRng::seed_from_u64(61);
-        let mut hists = vec![vec![0u64; trials as usize + 1]; weights.len()];
-        for _ in 0..30_000 {
-            for (hist, k) in hists.iter_mut().zip(m.sample(&mut rng)) {
-                hist[k as usize] += 1;
-            }
-        }
-        for (i, (hist, w)) in hists.iter().zip(&weights).enumerate() {
-            let pmf = exact_binom_pmf(trials, w / total);
-            let stat = chi_square(hist, &pmf);
-            // df ≤ 12; χ²₀.₉₉₉(12) ≈ 32.9 — allow slack for pooling.
-            assert!(stat < 36.0, "category {i}: χ² = {stat}, hist {hist:?}");
-        }
-    }
-
-    #[test]
-    fn multinomial_joint_chi_square_small_support() {
-        // Joint goodness of fit over *whole count vectors*: 3 draws
-        // into 3 categories has only 10 compositions, so the exact
-        // joint pmf trials!/(∏kᵢ!)·∏pᵢ^kᵢ is enumerable. Marginals
-        // cannot see a broken dependence structure between categories;
-        // this can.
-        let weights = [1.0f64, 2.0, 1.0];
-        let total: f64 = weights.iter().sum();
-        let m = Multinomial::new(3, weights.to_vec());
-        let mut support = Vec::new(); // (composition, probability)
-        for a in 0..=3u64 {
-            for b in 0..=(3 - a) {
-                let c = 3 - a - b;
-                let coeff = (6 / (fact(a) * fact(b) * fact(c))) as f64;
-                let p = coeff
-                    * (weights[0] / total).powi(a as i32)
-                    * (weights[1] / total).powi(b as i32)
-                    * (weights[2] / total).powi(c as i32);
-                support.push(([a, b, c], p));
-            }
-        }
-        fn fact(k: u64) -> u64 {
-            (1..=k).product::<u64>().max(1)
-        }
-        let mut rng = SmallRng::seed_from_u64(67);
-        let mut counts = vec![0u64; support.len()];
-        for _ in 0..40_000 {
-            let s = m.sample(&mut rng);
-            let idx = support
-                .iter()
-                .position(|(comp, _)| comp[..] == s[..])
-                .expect("sample outside enumerated support");
-            counts[idx] += 1;
-        }
-        let probs: Vec<f64> = support.iter().map(|&(_, p)| p).collect();
-        let stat = chi_square(&counts, &probs);
-        // df ≤ 9; χ²₀.₉₉₉(9) ≈ 27.9.
-        assert!(stat < 30.0, "joint χ² = {stat}, counts {counts:?}");
-    }
-
-    #[test]
-    fn multinomial_covariance_is_negative_product() {
-        // Cov(Xᵢ, Xⱼ) = −n·pᵢ·pⱼ for i ≠ j: the categories compete for
-        // the same draws. A sampler that drew categories independently
-        // (right marginals, zero covariance) passes every marginal test
-        // and fails this one.
-        let m = Multinomial::new(40, vec![1.0, 1.0, 2.0]);
-        let mut rng = SmallRng::seed_from_u64(71);
-        let samples = 40_000;
-        let (mut sx, mut sy, mut sxy) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..samples {
-            let s = m.sample(&mut rng);
-            let (x, y) = (s[0] as f64, s[1] as f64);
-            sx += x;
-            sy += y;
-            sxy += x * y;
-        }
-        let nf = samples as f64;
-        let cov = sxy / nf - (sx / nf) * (sy / nf);
-        let expected = -40.0 * 0.25 * 0.25; // = −2.5
-        assert!(
-            (cov - expected).abs() < 0.15,
-            "cov {cov}, expected {expected}"
-        );
-    }
-
-    #[test]
-    fn multinomial_interleaved_zero_weight_categories() {
-        // Zero-weight categories in leading, interior and trailing
-        // positions: the leading one exercises Bin(n, 0) draws, the
-        // trailing one the weight-exhaustion break — and none of them
-        // may ever receive a count or disturb their neighbours' means.
-        let m = Multinomial::new(50, vec![0.0, 2.0, 0.0, 1.0, 0.0]);
-        let mut rng = SmallRng::seed_from_u64(73);
-        let mut sums = [0u64; 5];
-        let draws = 20_000;
-        for _ in 0..draws {
-            let s = m.sample(&mut rng);
-            assert_eq!(s.iter().sum::<u64>(), 50);
-            for (acc, k) in sums.iter_mut().zip(s) {
-                *acc += k;
-            }
-        }
-        assert_eq!(sums[0], 0);
-        assert_eq!(sums[2], 0);
-        assert_eq!(sums[4], 0);
-        let mean1 = sums[1] as f64 / draws as f64;
-        let mean3 = sums[3] as f64 / draws as f64;
-        assert!((mean1 - 50.0 * 2.0 / 3.0).abs() < 0.2, "mean1 {mean1}");
-        assert!((mean3 - 50.0 / 3.0).abs() < 0.2, "mean3 {mean3}");
-    }
-
-    #[test]
-    fn multinomial_sample_into_matches_sample_and_resizes() {
-        // `sample_into` is the count engine's allocation-free entry
-        // point: same RNG stream ⇒ same counts as `sample`, and any
-        // stale buffer contents (wrong length, old values) are
-        // overwritten.
-        let m = Multinomial::new(33, vec![1.0, 4.0, 2.0]);
-        let mut a = SmallRng::seed_from_u64(79);
-        let mut b = SmallRng::seed_from_u64(79);
-        let mut out = vec![999u64; 7];
-        for _ in 0..100 {
-            m.sample_into(&mut a, &mut out);
-            assert_eq!(out, m.sample(&mut b));
-            assert_eq!(out.len(), 3);
-            out.push(999); // stale garbage for the next round
-        }
-    }
-
-    #[test]
-    fn multinomial_zero_trials_edge_cases() {
-        // trials = 0 across category shapes, including zero weights:
-        // every count vector is all-zero with the right length, and no
-        // RNG draws are consumed (the stream stays untouched).
-        let mut rng = SmallRng::seed_from_u64(83);
-        let before = rng.clone();
-        for weights in [vec![1.0], vec![0.0, 1.0], vec![2.0, 0.0, 5.0]] {
-            let len = weights.len();
-            let counts = Multinomial::new(0, weights).sample(&mut rng);
-            assert_eq!(counts, vec![0u64; len]);
-        }
-        let mut before = before;
-        assert_eq!(rng.random::<u64>(), before.random::<u64>());
-    }
-
-    #[test]
-    #[should_panic(expected = "nonempty")]
-    fn multinomial_empty_weights_panics() {
-        let _ = Multinomial::new(1, vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not all be zero")]
-    fn multinomial_zero_weights_panic() {
-        let _ = Multinomial::new(1, vec![0.0, 0.0]);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * [`bounds`] — the concentration inequalities of Lemmas 1–3 and the
 //!   edge-sequence bound of Lemma 5, as directly evaluable functions;
-//! * [`dist`] — exact samplers for geometric, Poisson, binomial and
-//!   categorical distributions (the workspace only depends on `rand` for raw
-//!   uniform bits);
+//! * [`dist`] — exact samplers for geometric, Poisson and hypergeometric
+//!   distributions (the workspace only depends on `rand` for raw uniform
+//!   bits);
 //! * [`stats`] — streaming summary statistics, quantiles and confidence
 //!   intervals used by the experiment harness;
 //! * [`fit`] — least-squares fitting, in particular log–log exponent fits

@@ -1,7 +1,7 @@
 //! Property-based tests for the numerics crate.
 
 use popele_math::bounds::{harmonic, rate_c};
-use popele_math::dist::{Binomial, Geometric};
+use popele_math::dist::Geometric;
 use popele_math::fit::{linear_fit, power_fit};
 use popele_math::linalg::Matrix;
 use popele_math::rng::{small_rng, SeedSeq};
@@ -105,16 +105,6 @@ proptest! {
         let se = ((1.0 - p).max(0.0)).sqrt() / p / f64::from(n).sqrt();
         prop_assert!((mean - expected).abs() < 5.0 * se + 0.05,
             "mean {} expected {}", mean, expected);
-    }
-
-    /// Binomial samples stay in the support.
-    #[test]
-    fn binomial_support(n in 0u64..200, p in 0.0f64..=1.0, seed in any::<u64>()) {
-        let b = Binomial::new(n, p);
-        let mut rng = small_rng(seed);
-        for _ in 0..100 {
-            prop_assert!(b.sample(&mut rng) <= n);
-        }
     }
 
     /// Gaussian elimination: A·solve(A, b) = b for diagonally dominant A.

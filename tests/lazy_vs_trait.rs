@@ -16,7 +16,8 @@
 //! 3. **Engine selection**: `run_trials_auto` must pick the documented
 //!    engine for each of the workspace's protocols at representative
 //!    sizes, record that choice in `TrialResult::engine`, and reach the
-//!    cap-overflow verdict through the bounded probe (cheap selection).
+//!    cap-overflow verdict through the bounded overflow walk (cheap
+//!    selection).
 //! 4. **Mid-run hand-off**: a lazy trial whose pair cache stops paying
 //!    moves to the generic engine mid-run; the hand-off must fire on the
 //!    miss-bound cells, spare the cache-friendly ones, and leave results
@@ -25,10 +26,7 @@
 mod harness;
 
 use harness::{assert_trace_identical, small_families};
-use popele::engine::dense::PROBE_EVAL_BUDGET;
-use popele::engine::dense::{
-    probe_state_space, PairSource, PerAgentExecutor, SpaceProbe, DEFAULT_MAX_COMPILED_STATES,
-};
+use popele::engine::dense::{PairSource, PerAgentExecutor, PROBE_EVAL_BUDGET};
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
     lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared, Engine,
@@ -44,6 +42,7 @@ use popele::protocols::params::{identifier_bits, FastParams};
 use popele::protocols::{
     FastProtocol, IdentifierProtocol, MajorityProtocol, StarProtocol, TokenProtocol,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Identifier protocol at the simulation-realistic bit count for `n` —
 /// the parameterization every sweep cell uses, whose state space
@@ -393,38 +392,67 @@ fn engine_tag_is_provenance_not_identity() {
     assert_ne!(a, b);
 }
 
+/// Forwards every call to `inner` and counts `transition` calls — the
+/// work engine selection spends on a protocol.
+#[derive(Clone)]
+struct CountingTransitions<'a, P> {
+    inner: P,
+    calls: &'a AtomicUsize,
+}
+
+impl<P: Protocol> Protocol for CountingTransitions<'_, P> {
+    type State = P::State;
+    type Oracle = LeaderCountOracle;
+
+    fn initial_state(&self, node: u32) -> P::State {
+        self.inner.initial_state(node)
+    }
+
+    fn transition(&self, a: &P::State, b: &P::State) -> (P::State, P::State) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.transition(a, b)
+    }
+
+    fn output(&self, s: &P::State) -> Role {
+        self.inner.output(s)
+    }
+
+    fn oracle(&self) -> LeaderCountOracle {
+        LeaderCountOracle::new()
+    }
+
+    fn state_space_bound(&self) -> Option<u64> {
+        self.inner.state_space_bound()
+    }
+}
+
 #[test]
 fn cap_overflow_verdict_is_reached_within_the_probe_budget() {
-    // The regression the early-bail probe exists for: selecting the
-    // generic/lazy path for the identifier protocol must not re-run the
-    // BFS closure to overflow. An exact `TooLarge` within
-    // PROBE_EVAL_BUDGET transition evaluations bounds the selection cost
-    // at microseconds; `Inconclusive` here would mean selection silently
-    // fell back to the expensive full compile on every sweep shard.
+    // The regression the overflow walk exists for: selecting the lazy
+    // tier for the identifier protocol must not re-run the BFS closure
+    // to overflow. Selection certifies the overflow within
+    // PROBE_EVAL_BUDGET transition evaluations, which bounds its cost at
+    // microseconds; more evaluations here would mean it fell back to the
+    // expensive full compile on every sweep cell.
     for n in [2000u32, 80_000] {
-        let p = realistic_identifier(n);
-        assert_eq!(
-            probe_state_space(&p, n, DEFAULT_MAX_COMPILED_STATES, PROBE_EVAL_BUDGET),
-            SpaceProbe::TooLarge,
-            "identifier at n = {n}"
+        let calls = AtomicUsize::new(0);
+        let p = CountingTransitions {
+            inner: realistic_identifier(n),
+            calls: &calls,
+        };
+        let selected = EngineSelection::prepare(&p, n).engine();
+        let spent = calls.load(Ordering::Relaxed);
+        assert_eq!(selected, Engine::LazyDense, "identifier at n = {n}");
+        assert!(
+            spent <= PROBE_EVAL_BUDGET,
+            "identifier at n = {n}: {spent} evaluations"
         );
     }
-    // And the probe must never mis-classify a compilable protocol: the
-    // token protocol's closure (5 reachable of its 6 nominal states)
-    // completes within the budget, with the same count compilation
-    // enumerates.
-    let token = TokenProtocol::all_candidates();
-    let reachable = CompiledProtocol::compile_default(&token, 80_000)
-        .unwrap()
-        .num_states();
+    // And the walk must never turn away a compilable protocol: the
+    // token protocol's closure fits, so selection compiles it.
     assert_eq!(
-        probe_state_space(
-            &token,
-            80_000,
-            DEFAULT_MAX_COMPILED_STATES,
-            PROBE_EVAL_BUDGET
-        ),
-        SpaceProbe::Fits(reachable)
+        EngineSelection::prepare(&TokenProtocol::all_candidates(), 80_000).engine(),
+        Engine::Dense
     );
 }
 

@@ -12,9 +12,11 @@
 # the file must exist and actually have that many lines. This is what
 # catches concordance rows whose file was split/renamed away (the
 # motivating bug: refs into the pre-split `crates/engine/src/compiled.rs`)
-# or whose target drifted past the end of the file. In-range line drift
-# within a live file is tolerated — the module paths are the stable part
-# of the concordance contract.
+# or whose target drifted past the end of the file. Where a ref follows
+# a backtick-quoted symbol, `` `Symbol` (`path:line`) ``, the symbol's
+# last `::` segment must also appear within 3 lines of the cited line:
+# that catches in-range drift, where a ref still names a live line that
+# is no longer the symbol's.
 #
 # External links (http/https/mailto) are intentionally skipped — CI and
 # the dev environment are offline. Usage:
@@ -114,6 +116,42 @@ for file in $FILES; do
             status=1
         fi
     done
+
+    # `Symbol` (`path:line`) pairs: the symbol's last `::` segment
+    # (argument lists and generics dropped; any name of a `{a,b}` group)
+    # must appear as a word within 3 lines of the cited line, so a ref
+    # that drifted onto unrelated code fails even inside the file.
+    pairs=$(grep -oE '`[^`]+` \(`[A-Za-z0-9_./-]+\.[A-Za-z0-9]+:[0-9]+`' "$file" | sort -u || true)
+    IFS='
+'
+    for pair in $pairs; do
+        IFS=$old_ifs
+        sym=$(printf '%s\n' "$pair" | sed -E 's/^`([^`]+)` \(`.*$/\1/')
+        ref=$(printf '%s\n' "$pair" | sed -E 's/^.*\(`([^`]+)`$/\1/')
+        ref_path=${ref%:*}
+        ref_line=${ref##*:}
+        [ -f "$ref_path" ] || continue  # reported above
+        # Only Rust-path-shaped symbols (`a::b`, `a::{b,c}`, `f(x)`);
+        # prose such as `n = 10⁹` is not a symbol.
+        printf '%s\n' "$sym" |
+            grep -qE '^[A-Za-z_][A-Za-z0-9_:{},]*(\(.*\)|<.*>)?$' || continue
+        names=$(printf '%s\n' "${sym##*::}" | sed -E 's/[(<].*$//' |
+            grep -oE '[A-Za-z_][A-Za-z0-9_]*' || true)
+        [ -n "$names" ] || continue
+        lo=$((ref_line > 3 ? ref_line - 3 : 1))
+        window=$(sed -n "${lo},$((ref_line + 3))p" "$ref_path")
+        found=0
+        for name in $names; do
+            if printf '%s\n' "$window" | grep -qwF -- "$name"; then
+                found=1
+            fi
+        done
+        if [ "$found" -eq 0 ]; then
+            echo "$file: \`$sym\` not within 3 lines of $ref" >&2
+            status=1
+        fi
+    done
+    IFS=$old_ifs
 done
 
 if [ "$status" -eq 0 ]; then
