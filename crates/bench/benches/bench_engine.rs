@@ -24,7 +24,10 @@
 //! * **count-based batch engine** ([`CountEngine`]): clique workloads at
 //!   populations no per-agent engine can represent — full fast-protocol
 //!   elections (clique-tuned parameters) at `n = 10⁷` and `n = 10⁸`,
-//!   and fixed-step token-protocol throughput at `n = 10⁹`.
+//!   fixed-step token-protocol throughput at `n = 10⁹`, and the
+//!   construction of a token-protocol count engine at `n = 10⁹` (its
+//!   initial count vector comes from the protocol's census, so it must
+//!   not grow with `n`).
 //!   These rows are *standalone* (no generic baseline): a clique at
 //!   `n = 10⁷` has ~5·10¹³ edges, so the graph-backed engines cannot
 //!   even construct the workload. The JSON reports absolute medians and
@@ -94,6 +97,7 @@ const COUNT_ELECTION_1E8_WORKLOAD: &str = "fast_clique_1e8";
 const COUNT_ELECTION_1E8_AGENTS: u64 = 100_000_000;
 const COUNT_STEPS_WORKLOAD: &str = "token_clique_1e9";
 const COUNT_STEPS_AGENTS: u64 = 1_000_000_000;
+const COUNT_NEW_WORKLOAD: &str = "new_token_clique_1e9";
 /// Step budget for count-tier elections, in parallel-time units.
 /// Clique-tuned fast elections finish in tens of parallel units
 /// (occasionally a few hundred when the last two contenders keep
@@ -382,7 +386,9 @@ fn bench_implicit_clique(c: &mut Criterion) {
 /// full elections at `n = 10⁷` and `n = 10⁸` exercise the whole
 /// epoch/replay machinery down to the exact first-stable step.
 /// Fixed-step throughput of the 6-state token protocol at `n = 10⁹`
-/// isolates the batch samplers. Election seeds rotate across
+/// isolates the batch samplers, and building its engine at the same
+/// population times the set-up every worker of a count cell pays.
+/// Election seeds rotate across
 /// iterations, so the reported median is a median *over seeds* of the
 /// full election time — election lengths are heavy-tailed (a duel
 /// between the last two contenders restarts on every tie), and a
@@ -427,6 +433,11 @@ fn bench_count(c: &mut Criterion) {
                     black_box(eng.leader_count())
                 });
             },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("count", COUNT_NEW_WORKLOAD),
+            &COUNT_STEPS_AGENTS,
+            |b, &n| b.iter(|| black_box(CountEngine::new(&compiled, n, 0).leader_count())),
         );
     }
     group.finish();
@@ -641,7 +652,8 @@ fn json_workloads() -> Vec<(&'static str, String, &'static str)> {
 
 /// Count-tier rows: `(workload name, population, interactions per
 /// iteration)` — `None` for full elections, whose step count is
-/// workload-determined rather than fixed.
+/// workload-determined rather than fixed, and for engine construction,
+/// which runs none.
 fn count_workloads() -> Vec<(&'static str, u64, Option<u64>)> {
     vec![
         (COUNT_ELECTION_WORKLOAD, COUNT_ELECTION_AGENTS, None),
@@ -651,6 +663,7 @@ fn count_workloads() -> Vec<(&'static str, u64, Option<u64>)> {
             COUNT_STEPS_AGENTS,
             Some(COUNT_FIXED_STEPS),
         ),
+        (COUNT_NEW_WORKLOAD, COUNT_STEPS_AGENTS, None),
     ]
 }
 

@@ -131,6 +131,13 @@ impl Protocol for FastProtocol {
         }
     }
 
+    fn initial_census(&self, n: u64) -> Vec<(FastState, u64)> {
+        // Uniform start: one run of the same state.
+        std::iter::once((self.initial_state(0), n))
+            .filter(|&(_, count)| count > 0)
+            .collect()
+    }
+
     fn transition(&self, a: &FastState, b: &FastState) -> (FastState, FastState) {
         let h = self.params.h;
         let big_l = self.params.big_l;

@@ -142,6 +142,14 @@ impl Protocol for MajorityProtocol {
         }
     }
 
+    fn initial_census(&self, n: u64) -> Vec<(Opinion, u64)> {
+        let a = u64::from(self.initial_a).min(n);
+        [(Opinion::StrongA, a), (Opinion::StrongB, n - a)]
+            .into_iter()
+            .filter(|&(_, count)| count > 0)
+            .collect()
+    }
+
     fn transition(&self, a: &Opinion, b: &Opinion) -> (Opinion, Opinion) {
         // Swap first: opinions walk like the Theorem 16 tokens.
         let (x, y) = (*b, *a);

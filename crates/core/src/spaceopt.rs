@@ -261,6 +261,13 @@ impl Protocol for SpaceOptimalProtocol {
         }
     }
 
+    fn initial_census(&self, n: u64) -> Vec<(SpaceOptState, u64)> {
+        // Uniform start: one run of the same state.
+        std::iter::once((self.initial_state(0), n))
+            .filter(|&(_, count)| count > 0)
+            .collect()
+    }
+
     fn transition(&self, a: &SpaceOptState, b: &SpaceOptState) -> (SpaceOptState, SpaceOptState) {
         self.interact(a, b)
     }

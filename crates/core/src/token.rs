@@ -177,6 +177,27 @@ impl Protocol for TokenProtocol {
         }
     }
 
+    fn initial_census(&self, n: u64) -> Vec<(TokenState, u64)> {
+        let (candidates, node_0_is_candidate) = match &self.input {
+            CandidateInput::All => (n, true),
+            CandidateInput::Set(set) => {
+                let mut ids: Vec<NodeId> =
+                    set.iter().copied().filter(|&v| u64::from(v) < n).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                (ids.len() as u64, ids.first() == Some(&0))
+            }
+        };
+        let candidate = (TokenState::candidate(), candidates);
+        let follower = (TokenState::follower(), n - candidates);
+        let runs = if node_0_is_candidate {
+            [candidate, follower]
+        } else {
+            [follower, candidate]
+        };
+        runs.into_iter().filter(|&(_, count)| count > 0).collect()
+    }
+
     fn transition(&self, a: &TokenState, b: &TokenState) -> (TokenState, TokenState) {
         Self::interact(a, b)
     }

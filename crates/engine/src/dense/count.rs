@@ -68,10 +68,6 @@ pub const COUNT_MAX_COMPILED_STATES: usize = 4096;
 /// sequential dense engines win on per-step constants.
 pub const COUNT_MIN_AGENTS: u64 = 1 << 15;
 
-/// How many node ids are probed from each end of `0..num_agents` when
-/// compiling for the count engine (see [`compile_for_count`]).
-const INITIAL_PROBES: u64 = 256;
-
 /// Whether a protocol's stability oracle can be evaluated from a state
 /// census alone, which is what the count engine requires.
 ///
@@ -86,13 +82,15 @@ pub fn count_supported<P: Protocol>(protocol: &P) -> bool {
 
 /// Compiles a protocol for the count engine.
 ///
-/// The compiled `initial` vector is per-node, so compiling at the real
-/// population (`n = 10⁹` ⇒ gigabytes) is out of the question; instead
-/// the table is compiled at a small representative node count and the
-/// enumeration is seeded with the initial states probed at the first and
-/// last `INITIAL_PROBES` (256) node ids of the *real* range, which covers
-/// every prefix/suffix-describable initialization in the workspace
-/// (uniform starts, `v < split` majority inputs, small candidate sets).
+/// The per-agent compile interns every node's initial state, which at
+/// the count tier's populations (`n = 10⁹`) is out of the question;
+/// instead the closure is seeded with the states of
+/// [`Protocol::initial_census`]`(num_agents)`, in census order, so ids
+/// follow the states' first occurrence by node id. The result covers
+/// every initial state of the real range and has no per-node initial
+/// vector ([`CompiledProtocol::num_nodes`] is 0). The census costs what
+/// the protocol's implementation costs: `O(1)` for the workspace's
+/// count-eligible protocols, a scan of every agent for the default.
 ///
 /// # Errors
 ///
@@ -112,15 +110,12 @@ pub fn compile_for_count<P: Protocol + Clone>(
         num_agents <= u64::from(u32::MAX),
         "count engine node ids are 32-bit; got {num_agents} agents"
     );
-    let mut seeds = Vec::new();
-    for v in 0..num_agents.min(INITIAL_PROBES) {
-        seeds.push(protocol.initial_state(v as u32));
-    }
-    for v in num_agents.saturating_sub(INITIAL_PROBES)..num_agents {
-        seeds.push(protocol.initial_state(v as u32));
-    }
-    let num_nodes = num_agents.min(INITIAL_PROBES) as u32;
-    CompiledProtocol::compile_with_seeds(protocol, num_nodes, COUNT_MAX_COMPILED_STATES, &seeds)
+    let seeds: Vec<P::State> = protocol
+        .initial_census(num_agents)
+        .into_iter()
+        .map(|(state, _)| state)
+        .collect();
+    CompiledProtocol::compile_with_seeds(protocol, 0, COUNT_MAX_COMPILED_STATES, &seeds)
 }
 
 /// The count-based batch executor (see the [module docs](self)).
@@ -133,7 +128,7 @@ pub struct CountEngine<'c, P: Protocol> {
     num_agents: u64,
     num_states: usize,
     /// Initial count vector, cached so `reset` is `O(|Λ|)` rather than
-    /// a rescan of all `n` initial states.
+    /// a fresh census.
     initial_counts: Vec<u64>,
     counts: Vec<u64>,
     /// Ids with (possibly) nonzero count, compacted and sorted by
@@ -165,17 +160,17 @@ pub struct CountEngine<'c, P: Protocol> {
 impl<'c, P: Protocol> CountEngine<'c, P> {
     /// Creates a count engine over `num_agents` clique agents.
     ///
-    /// Scans `initial_state(v)` for every `v` once (with an
-    /// equal-to-previous fast path, so uniform initializations cost one
-    /// state comparison per agent) and caches the resulting count
-    /// vector for [`CountEngine::reset`].
+    /// Maps [`Protocol::initial_census`]`(num_agents)` through the
+    /// compiled ids — `O(|census|)` on top of the census itself, which
+    /// is `O(1)` for the workspace's count-eligible protocols — and
+    /// caches the resulting count vector for [`CountEngine::reset`].
     ///
     /// # Panics
     ///
     /// Panics if `num_agents < 2` or exceeds `u32::MAX`, if the
     /// protocol's oracle is neither linear nor census-capable (see
-    /// [`count_supported`]), or if some agent's initial state is
-    /// outside the compiled closure (compile via [`compile_for_count`]).
+    /// [`count_supported`]), or if some initial state is outside the
+    /// compiled closure (compile via [`compile_for_count`]).
     #[must_use]
     pub fn new(compiled: &'c CompiledProtocol<P>, num_agents: u64, seed: u64) -> Self {
         assert!(num_agents >= 2, "count engine requires at least two agents");
@@ -192,22 +187,14 @@ impl<'c, P: Protocol> CountEngine<'c, P> {
         );
         let k = compiled.num_states();
         let mut initial_counts = vec![0u64; k];
-        let mut prev: Option<(P::State, usize)> = None;
-        for v in 0..num_agents {
-            let s = protocol.initial_state(v as u32);
-            match &prev {
-                Some((ps, idx)) if *ps == s => initial_counts[*idx] += 1,
-                _ => {
-                    let idx = compiled.state_id(&s).unwrap_or_else(|| {
-                        panic!(
-                            "initial state of agent {v} is outside the compiled closure; \
-                             compile with seeds covering every initial state"
-                        )
-                    }) as usize;
-                    initial_counts[idx] += 1;
-                    prev = Some((s, idx));
-                }
-            }
+        for (state, count) in protocol.initial_census(num_agents) {
+            let id = compiled.state_id(&state).unwrap_or_else(|| {
+                panic!(
+                    "initial state {state:?} is outside the compiled closure; \
+                     compile with compile_for_count"
+                )
+            });
+            initial_counts[usize::from(id)] += count;
         }
         // √n epochs balance the collision-free horizon (birthday bound)
         // against per-epoch overhead; 2·cap ≤ n keeps the delegate set
@@ -912,7 +899,7 @@ mod tests {
     #[test]
     fn large_population_initialization_is_cheap_and_exact() {
         // 10⁷ agents, non-uniform initial split: counts must reflect
-        // the exact prefix/suffix structure without per-agent storage.
+        // the exact census without per-agent storage.
         let protocol = Absorb { candidates: 3 };
         let compiled = compile_for_count(&protocol, 10_000_000).expect("compiles");
         let engine = CountEngine::new(&compiled, 10_000_000, 0);

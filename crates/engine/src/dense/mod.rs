@@ -59,7 +59,6 @@ pub use exec::{DenseExecutor, LazyDenseExecutor, PairSource, PerAgentExecutor};
 pub use lazy::{LazyId, LazyTable};
 pub use table::{
     CompileError, CompiledProtocol, StateId, DEFAULT_MAX_COMPILED_STATES, MAX_STATE_IDS,
-    PROBE_EVAL_BUDGET,
 };
 
 /// Multiply-fold hasher for both state interners (an FxHash-style

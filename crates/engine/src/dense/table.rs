@@ -16,10 +16,10 @@
 //!   ([`super::FoldHasher`]), which is sound for plain state data and
 //!   much cheaper than SipHash; ids are assigned in discovery order, so
 //!   the hasher never shows in ids or tables.
-//! * Before compiling, [`crate::EngineSelection::prepare`] runs a
-//!   bounded overflow walk that certifies "compilation would exceed the
-//!   cap" within [`PROBE_EVAL_BUDGET`] transition evaluations — the
-//!   fast-rejection path that keeps engine selection cheap for
+//! * Before compiling, [`crate::EngineSelection::prepare`] runs an
+//!   overflow walk that certifies "compilation would exceed the cap"
+//!   within at most three transition evaluations per state it sees —
+//!   the fast-rejection path that keeps engine selection cheap for
 //!   protocols (like the identifier protocol at realistic `k`) whose
 //!   closure overflows the cap only after many transition evaluations.
 //!
@@ -203,50 +203,37 @@ fn enumerate<P: Protocol>(
     })
 }
 
-/// Transition-evaluation budget of the overflow walk that
-/// [`crate::EngineSelection::prepare`] runs before compiling. The walk
-/// expands, per discovered state `s`, only the pair frontier `(s, s)`,
-/// `(s, s₀)`, `(s₀, s)` (with `s₀` the first initial state) — linear in
-/// the states discovered where the BFS closure is quadratic — and stops
-/// as soon as it has seen more than the cap. It spends at most three
-/// evaluations per state, so below the default cap it always finishes
-/// its frontier within budget, and every progress-counter-driven
-/// protocol in the workspace certifies its overflow well inside it (the
-/// identifier protocol mints two fresh states per self-pair
-/// evaluation, so overflowing the default cap needs ~2·cap of the
-/// ~3·cap walk evaluations). That bounds selection's rejection path
-/// around a hundred microseconds — versus the 7–10 ms a full quadratic
-/// closure-until-overflow costs (identifier protocol at `n = 4000`
-/// against the default cap, on a 2-vCPU Xeon: walk 70–100 µs, closure
-/// 7–10 ms). Sweep campaigns select an engine for every cell, so the
-/// difference adds up.
-pub const PROBE_EVAL_BUDGET: usize = 16 * DEFAULT_MAX_COMPILED_STATES;
-
-/// The overflow walk behind [`PROBE_EVAL_BUDGET`]: `true` when it
-/// discovers more than `max_states` distinct states within
-/// `eval_budget` transition evaluations. Every state it visits derives
-/// from the initial states by `transition`, so `true` is exact —
-/// compilation against the same cap is certain to fail. `false`
-/// certifies nothing (the walk's frontier is a subset of the reachable
-/// pairs, or its budget ran out), and engine selection falls through
-/// to a single [`CompiledProtocol::compile`].
+/// The overflow walk [`crate::EngineSelection::prepare`] runs before
+/// compiling: `true` when it discovers more than `max_states` distinct
+/// states. It expands, per discovered state `s`, only the pair frontier
+/// `(s, s)`, `(s, s₀)`, `(s₀, s)` (with `s₀` the first initial state) —
+/// linear in the states discovered where the BFS closure is quadratic —
+/// and stops as soon as it has seen more than the cap. So it spends at
+/// most `3·max_states` transition evaluations whatever the protocol (the
+/// identifier protocol mints two fresh states per self-pair evaluation,
+/// so it overflows the default cap in about `2·cap`). That bounds
+/// selection's rejection path around a hundred microseconds — versus the
+/// 7–10 ms a full quadratic closure-until-overflow costs (identifier
+/// protocol at `n = 4000` against the default cap, on a 2-vCPU Xeon:
+/// walk 70–100 µs, closure 7–10 ms). Sweep campaigns select an engine
+/// for every cell, so the difference adds up.
+///
+/// Every state the walk visits derives from the initial states by
+/// `transition`, so `true` is exact — compilation against the same cap
+/// is certain to fail. `false` certifies nothing (the walk's frontier
+/// is a subset of the reachable pairs), and engine selection falls
+/// through to a single [`CompiledProtocol::compile`].
 ///
 /// # Panics
 ///
 /// Panics if `max_states` is `0` or exceeds [`MAX_STATE_IDS`].
-pub(crate) fn overflow_walk<P: Protocol>(
-    protocol: &P,
-    num_nodes: u32,
-    max_states: usize,
-    eval_budget: usize,
-) -> bool {
+pub(crate) fn overflow_walk<P: Protocol>(protocol: &P, num_nodes: u32, max_states: usize) -> bool {
     assert!(
         (1..=MAX_STATE_IDS).contains(&max_states),
         "max_states must be in 1..={MAX_STATE_IDS}"
     );
     let mut states: Vec<P::State> = Vec::new();
     let mut ids: HashMap<P::State, StateId, FoldHashBuilder> = HashMap::default();
-    let mut budget = eval_budget;
 
     // Local intern without the cap bail: the walk *wants* to exceed the
     // cap (that is the verdict), it only stops at `max_states + 1`.
@@ -269,10 +256,9 @@ pub(crate) fn overflow_walk<P: Protocol>(
     }
 
     let mut i = 0usize;
-    while i < states.len() && budget >= 3 {
+    while i < states.len() {
         let pairs = [(i, i), (i, 0), (0, i)];
         for (a, b) in pairs {
-            budget -= 1;
             let (na, nb) = protocol.transition(&states[a], &states[b]);
             intern(&na, &mut states);
             intern(&nb, &mut states);
@@ -698,9 +684,9 @@ mod tests {
     #[test]
     fn overflow_walk_certifies_counter_overflow() {
         // The counter protocol mints a fresh state on every pair, so the
-        // walk reaches its exact verdict long before the budget:
-        // overflowing a cap of 32 takes ≈ 32 evaluations.
-        assert!(overflow_walk(&Counter, 4, 32, PROBE_EVAL_BUDGET));
+        // walk reaches its exact verdict in ≈ 32 evaluations, well
+        // inside its 3·32 bound.
+        assert!(overflow_walk(&Counter, 4, 32));
         // No bound is declared, so selection skips both dense tiers.
         assert_eq!(
             crate::EngineSelection::prepare(&Counter, 4).engine(),
@@ -709,12 +695,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhausted_walk_falls_through_to_compile() {
-        // With a 1-evaluation budget even the 2-state protocol cannot
-        // expand its frontier: the walk certifies nothing, and the
-        // compile it falls through to succeeds.
-        assert!(!overflow_walk(&Absorb, 8, 16, 1));
-        assert!(!overflow_walk(&Absorb, 8, 16, PROBE_EVAL_BUDGET));
+    fn uncertified_walk_falls_through_to_compile() {
+        // The 2-state protocol's frontier closes under the cap: the
+        // walk certifies nothing, and the compile it falls through to
+        // succeeds.
+        assert!(!overflow_walk(&Absorb, 8, 16));
         assert_eq!(
             CompiledProtocol::compile(&Absorb, 8, 16)
                 .unwrap()

@@ -44,7 +44,6 @@
 use crate::dense::table::overflow_walk;
 use crate::dense::{
     CompiledProtocol, CountEngine, DenseExecutor, LazyDenseExecutor, DEFAULT_MAX_COMPILED_STATES,
-    PROBE_EVAL_BUDGET,
 };
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::faults::{
@@ -651,12 +650,12 @@ impl<P: Protocol> EngineSelection<P> {
     ///    and the generic engine caps memory at O(n) states.
     ///
     /// Selection is cheap on the rejection path: a bounded-frontier
-    /// walk with [`PROBE_EVAL_BUDGET`] detects cap-overflowing state
-    /// spaces in microseconds instead of running the full BFS closure
-    /// to overflow. Anything the walk does not certify — a state space
-    /// that fits, or a slow-closing one that might — pays for one
-    /// compile attempt, which keeps the AOT/non-AOT split bit-for-bit
-    /// identical to compiling unconditionally.
+    /// walk of at most three transition evaluations per state it sees
+    /// detects cap-overflowing state spaces in microseconds instead of
+    /// running the full BFS closure to overflow. Anything the walk does
+    /// not certify — a state space that fits, or a slow-closing one that
+    /// might — pays for one compile attempt, which keeps the AOT/non-AOT
+    /// split bit-for-bit identical to compiling unconditionally.
     ///
     /// # Examples
     ///
@@ -686,12 +685,7 @@ impl<P: Protocol> EngineSelection<P> {
     where
         P: Clone,
     {
-        let exceeds = overflow_walk(
-            protocol,
-            num_nodes,
-            DEFAULT_MAX_COMPILED_STATES,
-            PROBE_EVAL_BUDGET,
-        );
+        let exceeds = overflow_walk(protocol, num_nodes, DEFAULT_MAX_COMPILED_STATES);
         let aot = if exceeds {
             None
         } else {

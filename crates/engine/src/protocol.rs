@@ -1,6 +1,7 @@
 //! The protocol abstraction and stability oracles.
 
 use popele_graph::NodeId;
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -33,6 +34,45 @@ pub trait Protocol: Sync {
 
     /// Initialization function `init` (usually constant across nodes).
     fn initial_state(&self, node: NodeId) -> Self::State;
+
+    /// The initial configuration of nodes `0..n` as a **census**: one
+    /// `(state, multiplicity)` entry per distinct initial state, listed
+    /// in order of first occurrence by node id, with multiplicities
+    /// summing to `n`.
+    ///
+    /// The count engine ([`crate::CountEngine`]) starts from this census
+    /// and [`crate::compile_for_count`] seeds its closure with its
+    /// states, so neither touches individual agents. The default is a
+    /// run-length scan of [`Protocol::initial_state`] over every node —
+    /// `O(n)` calls, correct for any initialization. Protocols whose
+    /// initial configuration is uniform, or a few runs of one state,
+    /// override it in `O(1)`; an override must return exactly what the
+    /// default would.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if `n` exceeds `2³²` (node ids are 32-bit).
+    fn initial_census(&self, n: u64) -> Vec<(Self::State, u64)> {
+        assert!(n <= 1 << 32, "node ids are 32-bit; got {n} nodes");
+        let mut census: Vec<(Self::State, u64)> = Vec::new();
+        // Index of each state already listed; consulted only when the
+        // state changes from one node to the next.
+        let mut index: HashMap<Self::State, usize> = HashMap::new();
+        let mut current = 0;
+        for v in 0..n {
+            let s = self.initial_state(v as NodeId);
+            if census.get(current).is_some_and(|(c, _)| *c == s) {
+                census[current].1 += 1;
+                continue;
+            }
+            current = *index.entry(s.clone()).or_insert_with(|| {
+                census.push((s, 0));
+                census.len() - 1
+            });
+            census[current].1 += 1;
+        }
+        census
+    }
 
     /// Transition function `Ξ(initiator, responder)`.
     fn transition(
@@ -286,6 +326,38 @@ mod tests {
         // A no-op interaction keeps the count.
         o.apply(&Absorb, (&true, &false), (&true, &false));
         assert_eq!(o.leader_count(), 1);
+    }
+
+    /// Runs of two nodes cycling through three states: 0 0 1 1 2 2 0 0 …
+    struct Stripes;
+
+    impl Protocol for Stripes {
+        type State = u8;
+        type Oracle = LeaderCountOracle;
+
+        fn initial_state(&self, node: NodeId) -> u8 {
+            (node / 2 % 3) as u8
+        }
+
+        fn transition(&self, a: &u8, b: &u8) -> (u8, u8) {
+            (*a, *b)
+        }
+
+        fn output(&self, _s: &u8) -> Role {
+            Role::Follower
+        }
+
+        fn oracle(&self) -> LeaderCountOracle {
+            LeaderCountOracle::new()
+        }
+    }
+
+    #[test]
+    fn default_census_merges_runs_in_first_occurrence_order() {
+        assert_eq!(Stripes.initial_census(0), vec![]);
+        assert_eq!(Stripes.initial_census(1), vec![(0, 1)]);
+        assert_eq!(Stripes.initial_census(7), vec![(0, 3), (1, 2), (2, 2)]);
+        assert_eq!(Absorb.initial_census(5), vec![(true, 5)]);
     }
 
     #[test]

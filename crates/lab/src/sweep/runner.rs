@@ -54,6 +54,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Execution options orthogonal to the grid itself.
 #[derive(Debug, Clone)]
@@ -66,7 +67,8 @@ pub struct CampaignOptions {
     /// campaign across invocations — and how the resume tests simulate
     /// a kill.
     pub interrupt_after: Option<usize>,
-    /// Print per-shard progress (with the selected engine) to stderr.
+    /// Print per-shard progress (with the selected engine) to stderr,
+    /// and each shard's wall time once it has run.
     pub progress: bool,
     /// Concurrent shard workers; `1` (the default) runs shards
     /// serially, `0` uses one worker per available core. Workers steal
@@ -326,7 +328,8 @@ struct Sink {
 
 /// Runs one claimed shard end to end: fetch (or build) the cell's
 /// shared artifacts, print progress with the engine that will run, run
-/// the trials, and pack the results as a journal entry.
+/// the trials, print the shard's wall time (set-up included), and pack
+/// the results as a journal entry.
 fn run_one_shard(
     spec: &SweepSpec,
     options: &CampaignOptions,
@@ -335,6 +338,7 @@ fn run_one_shard(
     display: usize,
     total: usize,
 ) -> JournalEntry {
+    let started = Instant::now();
     let key = shard.key();
     let (family, size) = (shard.cell.family, shard.cell.size);
     // Count cells never materialize a graph: the clique is fully
@@ -374,6 +378,14 @@ fn run_one_shard(
         );
     }
     let results = runner.run(graph.as_deref(), spec.cell_seed(&shard.cell), trial_options);
+    if options.progress {
+        eprintln!(
+            "[sweep {}] shard {}/{total}: {key} done in {:.3} s",
+            spec.name,
+            display + 1,
+            started.elapsed().as_secs_f64(),
+        );
+    }
     JournalEntry {
         shard_key: key,
         cell_key: shard.cell.key(),

@@ -26,7 +26,7 @@
 mod harness;
 
 use harness::{assert_trace_identical, small_families};
-use popele::engine::dense::{PairSource, PerAgentExecutor, PROBE_EVAL_BUDGET};
+use popele::engine::dense::{PairSource, PerAgentExecutor};
 use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
 use popele::engine::monte_carlo::{
     lazy_handoff_step, run_trials_auto_prepared, run_trials_auto_with_faults_prepared, Engine,
@@ -34,7 +34,7 @@ use popele::engine::monte_carlo::{
 };
 use popele::engine::{
     CompiledProtocol, DenseExecutor, EngineSelection, Executor, LazyDenseExecutor,
-    LeaderCountOracle, Protocol, Role,
+    LeaderCountOracle, Protocol, Role, DEFAULT_MAX_COMPILED_STATES,
 };
 use popele::graph::{families, Graph};
 use popele::math::rng::SeedSeq;
@@ -430,8 +430,9 @@ impl<P: Protocol> Protocol for CountingTransitions<'_, P> {
 fn cap_overflow_verdict_is_reached_within_the_probe_budget() {
     // The regression the overflow walk exists for: selecting the lazy
     // tier for the identifier protocol must not re-run the BFS closure
-    // to overflow. Selection certifies the overflow within
-    // PROBE_EVAL_BUDGET transition evaluations, which bounds its cost at
+    // to overflow. The walk spends at most three transition evaluations
+    // per state and stops past the cap, so selection certifies the
+    // overflow within 3·cap evaluations, which bounds its cost at
     // microseconds; more evaluations here would mean it fell back to the
     // expensive full compile on every sweep cell.
     for n in [2000u32, 80_000] {
@@ -444,7 +445,7 @@ fn cap_overflow_verdict_is_reached_within_the_probe_budget() {
         let spent = calls.load(Ordering::Relaxed);
         assert_eq!(selected, Engine::LazyDense, "identifier at n = {n}");
         assert!(
-            spent <= PROBE_EVAL_BUDGET,
+            spent <= 3 * DEFAULT_MAX_COMPILED_STATES,
             "identifier at n = {n}: {spent} evaluations"
         );
     }

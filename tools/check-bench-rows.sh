@@ -32,6 +32,7 @@ expected=(
   "engine/count/fast_clique_1e7"
   "engine/count/fast_clique_1e8"
   "engine/count/token_clique_1e9"
+  "engine/count/new_token_clique_1e9"
   "engine/compile/fast_torus_4000"
   "sweep/campaign/grid_32shards"
   "sweep/campaign/checkpoint_1000"
