@@ -30,7 +30,6 @@
 use crate::token::{TokenProtocol, TokenState};
 use popele_engine::{Protocol, Role, StabilityOracle, EFFECT_OPAQUE};
 use popele_graph::NodeId;
-use std::collections::HashMap;
 
 /// Local state: the identifier being grown plus the inner token-protocol
 /// state of the instance the node currently belongs to.
@@ -152,7 +151,6 @@ impl Protocol for IdentifierProtocol {
             threshold: self.threshold(),
             generating: 0,
             total_candidates: 0,
-            candidate_ids: HashMap::new(),
             max_id: 0,
             max_id_candidates: 0,
         }
@@ -171,14 +169,15 @@ pub struct IdOracle {
     threshold: u64,
     generating: usize,
     total_candidates: usize,
-    candidate_ids: HashMap<u64, usize>,
     max_id: u64,
-    /// `candidate_ids[max_id]`, mirrored incrementally so
-    /// [`StabilityOracle::is_stable`] — called on the executors' hot
-    /// paths — is three integer compares instead of a hash lookup. The
-    /// mirror is exact because `max_id` is monotone along executions:
-    /// it only moves when a strictly larger id appears (one hash lookup
-    /// then), never on removals.
+    /// Number of candidates whose identifier is `max_id`, kept
+    /// incrementally so [`StabilityOracle::is_stable`] — called on the
+    /// executors' hot paths — is three integer compares. No per-id
+    /// table is needed: `max_id` is at least every identifier added
+    /// since the last [`StabilityOracle::recompute`] and never falls on
+    /// removals, so when a state raises it, no other current state
+    /// holds the new maximum and the count restarts from that state
+    /// alone.
     max_id_candidates: usize,
 }
 
@@ -189,13 +188,12 @@ impl IdOracle {
         }
         if s.inner.candidate {
             self.total_candidates += 1;
-            *self.candidate_ids.entry(s.id).or_insert(0) += 1;
         }
         // Identifiers are monotone along executions, so a running max is
         // exact even though `remove` never lowers it.
         if s.id > self.max_id {
             self.max_id = s.id;
-            self.max_id_candidates = self.candidate_ids.get(&s.id).copied().unwrap_or(0);
+            self.max_id_candidates = usize::from(s.inner.candidate);
         } else if s.id == self.max_id && s.inner.candidate {
             self.max_id_candidates += 1;
         }
@@ -207,14 +205,6 @@ impl IdOracle {
         }
         if s.inner.candidate {
             self.total_candidates -= 1;
-            let c = self
-                .candidate_ids
-                .get_mut(&s.id)
-                .expect("removing tracked candidate");
-            *c -= 1;
-            if *c == 0 {
-                self.candidate_ids.remove(&s.id);
-            }
             if s.id == self.max_id {
                 self.max_id_candidates -= 1;
             }
@@ -226,7 +216,6 @@ impl StabilityOracle<IdentifierProtocol> for IdOracle {
     fn recompute(&mut self, _protocol: &IdentifierProtocol, config: &[IdState]) {
         self.generating = 0;
         self.total_candidates = 0;
-        self.candidate_ids.clear();
         self.max_id = 0;
         self.max_id_candidates = 0;
         for s in config {
@@ -257,16 +246,15 @@ impl StabilityOracle<IdentifierProtocol> for IdOracle {
         new: (&IdState, &IdState),
     ) -> u64 {
         // A transition leaves every counter untouched iff no candidate
-        // is involved on either side (so `total_candidates`, the
-        // `candidate_ids` map, and the `max_id_candidates` mirror never
-        // move), the number of still-generating participants is
-        // unchanged (so `generating` nets to zero), and no new
-        // identifier exceeds the running maximum. The first two are
-        // pure functions of the four states and fold into the summary;
-        // the maximum check is deferred to `effect_inert` because it
-        // depends on the oracle's current `max_id`. Identifiers fit in
-        // 63 bits (`k ≤ 62`), so `max(new ids)` never collides with
-        // [`EFFECT_OPAQUE`].
+        // is involved on either side (so neither `total_candidates` nor
+        // `max_id_candidates` moves), the number of still-generating
+        // participants is unchanged (so `generating` nets to zero), and
+        // no new identifier exceeds the running maximum. The first two
+        // are pure functions of the four states and fold into the
+        // summary; the maximum check is deferred to `effect_inert`
+        // because it depends on the oracle's current `max_id`.
+        // Identifiers fit in 63 bits (`k ≤ 62`), so `max(new ids)` never
+        // collides with [`EFFECT_OPAQUE`].
         let gen = |s: &IdState| usize::from(s.id < self.threshold);
         let candidate = old.0.inner.candidate
             || old.1.inner.candidate

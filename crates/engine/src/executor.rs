@@ -1,6 +1,7 @@
 //! Protocol executor: applies a protocol under the uniform edge scheduler
 //! and detects stabilization via the protocol's oracle.
 
+use crate::dense::decoder::PAIR_BATCH;
 use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
 use popele_graph::{Graph, NodeId};
@@ -47,10 +48,24 @@ impl std::error::Error for NotStabilized {}
 /// The executor owns the configuration (`Vec<State>`), the scheduler, and
 /// the protocol's stability oracle. See the crate-level docs for an
 /// example.
+///
+/// Pairs are drawn ahead in batches of up to [`PAIR_BATCH`] through
+/// [`EdgeScheduler::fill_pairs`] — the same stream as one
+/// [`EdgeScheduler::next_pair`] per step, with the edge loads of a batch
+/// overlapped — and [`Executor::steps`] counts applied steps, not draws.
+/// A refill never draws past the step budget of the run call it serves,
+/// so a bounded run ([`Executor::run_steps`]) leaves the scheduler
+/// exactly where a draw per step would, as the per-agent dense engine
+/// does too.
 pub struct Executor<'a, P: Protocol> {
     graph: &'a Graph,
     protocol: &'a P,
     scheduler: EdgeScheduler<'a>,
+    /// `pairs[cursor..filled]` are drawn but not yet applied.
+    pairs: Box<[(NodeId, NodeId)]>,
+    cursor: usize,
+    filled: usize,
+    applied: u64,
     states: Vec<P::State>,
     oracle: P::Oracle,
     census: Option<HashSet<P::State>>,
@@ -93,7 +108,11 @@ impl<'a, P: Protocol> Executor<'a, P> {
         Self {
             graph,
             protocol,
+            applied: scheduler.steps(),
             scheduler,
+            pairs: vec![(0, 0); PAIR_BATCH].into_boxed_slice(),
+            cursor: 0,
+            filled: 0,
             states,
             oracle,
             census,
@@ -122,16 +141,35 @@ impl<'a, P: Protocol> Executor<'a, P> {
         &self.states
     }
 
-    /// Steps executed so far.
+    /// Steps applied so far — the model's time step `t`. The scheduler
+    /// may have drawn up to one batch further ahead; those pairs are
+    /// buffered and applied next.
     #[must_use]
     pub fn steps(&self) -> u64 {
-        self.scheduler.steps()
+        self.applied
     }
 
     /// Applies one interaction and returns the sampled `(initiator,
-    /// responder)` pair.
+    /// responder)` pair. An empty buffer is refilled with a whole batch,
+    /// so a graph change right after single steps panics (see
+    /// [`Executor::set_graph`]); bounded runs leave nothing buffered.
     pub fn step(&mut self) -> (NodeId, NodeId) {
-        let (u, v) = self.scheduler.next_pair();
+        self.step_within(PAIR_BATCH as u64)
+    }
+
+    /// Applies the next buffered pair, first refilling an empty buffer
+    /// with at most `budget` draws.
+    #[inline]
+    fn step_within(&mut self, budget: u64) -> (NodeId, NodeId) {
+        if self.cursor == self.filled {
+            let limit = budget.min(PAIR_BATCH as u64) as usize;
+            self.scheduler.fill_pairs(&mut self.pairs[..limit]);
+            self.cursor = 0;
+            self.filled = limit;
+        }
+        let (u, v) = self.pairs[self.cursor];
+        self.cursor += 1;
+        self.applied += 1;
         let (iu, iv) = (u as usize, v as usize);
         let (new_u, new_v) = self.protocol.transition(&self.states[iu], &self.states[iv]);
         self.oracle.apply(
@@ -148,10 +186,11 @@ impl<'a, P: Protocol> Executor<'a, P> {
         (u, v)
     }
 
-    /// Runs exactly `k` interactions.
+    /// Runs exactly `k` interactions, drawing at most `k` pairs past
+    /// the buffered ones.
     pub fn run_steps(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
+        for done in 0..k {
+            self.step_within(k - done);
         }
     }
 
@@ -164,10 +203,10 @@ impl<'a, P: Protocol> Executor<'a, P> {
     /// stabilization.
     pub fn run_until_stable(&mut self, max_steps: u64) -> Result<Outcome, NotStabilized> {
         while !self.oracle.is_stable() {
-            if self.steps() >= max_steps {
+            if self.applied >= max_steps {
                 return Err(NotStabilized { max_steps });
             }
-            self.step();
+            self.step_within(max_steps - self.applied);
         }
         Ok(self.outcome())
     }
@@ -181,12 +220,12 @@ impl<'a, P: Protocol> Executor<'a, P> {
     /// total interactions passed with stability intact.
     pub fn run_while_stable(&mut self, max_steps: u64) -> Option<u64> {
         while self.oracle.is_stable() {
-            if self.steps() >= max_steps {
+            if self.applied >= max_steps {
                 return None;
             }
-            self.step();
+            self.step_within(max_steps - self.applied);
         }
-        Some(self.steps())
+        Some(self.applied)
     }
 
     /// Whether the oracle currently reports stability.
@@ -242,6 +281,9 @@ impl<'a, P: Protocol> Executor<'a, P> {
             *s = self.protocol.initial_state(v as NodeId);
         }
         self.scheduler.reset(seed);
+        self.cursor = 0;
+        self.filled = 0;
+        self.applied = 0;
         self.oracle.recompute(self.protocol, &self.states);
         if self.census.is_some() {
             let mut set = HashSet::new();
@@ -283,6 +325,19 @@ impl<'a, P: Protocol> Executor<'a, P> {
     // scheduler's RNG stream continues uninterrupted, so a perturbed run
     // is still one deterministic interaction sequence, and the compiled
     // engine applies the identical perturbation at the identical step.
+    // Graph changes require the pair buffer to be drained — which it
+    // always is after a `run_steps` call, since bounded runs never draw
+    // past their budget.
+
+    /// Rebinds the scheduler to `graph` (states untouched).
+    fn rebind(&mut self, graph: &'a Graph) {
+        assert_eq!(
+            self.cursor, self.filled,
+            "pair buffer must be drained before a graph change"
+        );
+        self.graph = graph;
+        self.scheduler.set_graph(graph);
+    }
 
     /// Rebinds the execution to a graph with the **same node count**
     /// (edge additions/removals/rewirings). States are untouched; the
@@ -290,15 +345,15 @@ impl<'a, P: Protocol> Executor<'a, P> {
     ///
     /// # Panics
     ///
-    /// Panics if the node counts differ or the new graph has no edges.
+    /// Panics if the node counts differ, the new graph has no edges, or
+    /// the pair buffer still holds drawn-but-unapplied pairs.
     pub fn set_graph(&mut self, graph: &'a Graph) {
         assert_eq!(
             graph.num_nodes() as usize,
             self.states.len(),
             "set_graph requires an equal node count (use join_node/leave_node)"
         );
-        self.graph = graph;
-        self.scheduler.set_graph(graph);
+        self.rebind(graph);
     }
 
     /// Rebinds to a graph with **one more node**: the new node is
@@ -306,20 +361,20 @@ impl<'a, P: Protocol> Executor<'a, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` does not have exactly one extra node.
+    /// Panics if `graph` does not have exactly one extra node, or if the
+    /// pair buffer still holds drawn-but-unapplied pairs.
     pub fn join_node(&mut self, graph: &'a Graph) {
         assert_eq!(
             graph.num_nodes() as usize,
             self.states.len() + 1,
             "join_node requires exactly one extra node"
         );
+        self.rebind(graph);
         let s = self.protocol.initial_state(self.states.len() as NodeId);
         if let Some(census) = &mut self.census {
             census.insert(s.clone());
         }
         self.states.push(s);
-        self.graph = graph;
-        self.scheduler.set_graph(graph);
         self.oracle.recompute(self.protocol, &self.states);
     }
 
@@ -329,17 +384,17 @@ impl<'a, P: Protocol> Executor<'a, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `graph` does not have exactly one node less or
-    /// `removed` is out of range.
+    /// Panics if `graph` does not have exactly one node less, `removed`
+    /// is out of range, or the pair buffer still holds
+    /// drawn-but-unapplied pairs.
     pub fn leave_node(&mut self, graph: &'a Graph, removed: NodeId) {
         assert_eq!(
             graph.num_nodes() as usize,
             self.states.len() - 1,
             "leave_node requires exactly one node less"
         );
+        self.rebind(graph);
         self.states.swap_remove(removed as usize);
-        self.graph = graph;
-        self.scheduler.set_graph(graph);
         self.oracle.recompute(self.protocol, &self.states);
     }
 
@@ -483,6 +538,94 @@ mod tests {
         let g = popele_graph::Graph::from_edges(1, &[]).unwrap();
         let result = std::panic::catch_unwind(|| Executor::new(&g, &Absorb, 0));
         assert!(result.is_err());
+    }
+
+    /// A plain `step()` loop of `k` steps on a fresh executor.
+    fn stepped<'g>(
+        g: &'g Graph,
+        seed: u64,
+        start: Option<&[bool]>,
+        k: u64,
+    ) -> Executor<'g, Absorb> {
+        let mut exec = Executor::new(g, &Absorb, seed);
+        if let Some(states) = start {
+            exec.set_configuration(states);
+        }
+        for _ in 0..k {
+            exec.step();
+        }
+        exec
+    }
+
+    /// Asserts `exec` stands where `reference` does, then that its pair
+    /// buffer is drained (a graph change is allowed) and its next pair is
+    /// the reference's.
+    fn assert_drained_at(exec: &mut Executor<'_, Absorb>, mut reference: Executor<'_, Absorb>) {
+        assert_eq!(exec.steps(), reference.steps());
+        assert_eq!(exec.states(), reference.states());
+        let g = exec.graph;
+        exec.set_graph(g);
+        assert_eq!(exec.step(), reference.step());
+    }
+
+    #[test]
+    fn bounded_runs_match_single_steps_and_end_drained() {
+        // Budgets off the batch size; Absorb deadlocks with several
+        // leaders on a cycle, so `run_until_stable` spends its budget.
+        let (cycle, clique) = (families::cycle(40), families::clique(16));
+        let one_leader: Vec<bool> = (0..16).map(|v| v == 3).collect();
+        for k in [1, 255, 257, 700] {
+            let mut exec = Executor::new(&cycle, &Absorb, k);
+            exec.run_steps(k);
+            assert_drained_at(&mut exec, stepped(&cycle, k, None, k));
+
+            let mut exec = Executor::new(&cycle, &Absorb, k);
+            assert_eq!(
+                exec.run_until_stable(k),
+                Err(NotStabilized { max_steps: k })
+            );
+            assert_drained_at(&mut exec, stepped(&cycle, k, None, k));
+
+            let mut exec = Executor::new(&clique, &Absorb, k);
+            exec.set_configuration(&one_leader);
+            assert_eq!(exec.run_while_stable(k), None);
+            assert_drained_at(&mut exec, stepped(&clique, k, Some(&one_leader), k));
+        }
+        // A run that stabilizes mid-batch stops at the reference's step.
+        let mut exec = Executor::new(&clique, &Absorb, 8);
+        let out = exec.run_until_stable(1 << 20).unwrap();
+        let mut reference = Executor::new(&clique, &Absorb, 8);
+        while !reference.is_stable() {
+            reference.step();
+        }
+        assert_eq!(out, reference.outcome());
+        assert_eq!(exec.step(), reference.step());
+    }
+
+    #[test]
+    fn graph_changes_with_buffered_pairs_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let g = families::cycle(8);
+        let grown = families::cycle(9);
+        let shrunk = families::cycle(7);
+        let mut exec = Executor::new(&g, &Absorb, 4);
+        exec.step();
+        fn refused<'g>(
+            exec: &mut Executor<'g, Absorb>,
+            change: impl FnOnce(&mut Executor<'g, Absorb>),
+        ) {
+            let err = catch_unwind(AssertUnwindSafe(|| change(exec))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("assertion message");
+            assert!(msg.contains("pair buffer must be drained"), "{msg}");
+        }
+        refused(&mut exec, |e| e.set_graph(&g));
+        refused(&mut exec, |e| e.join_node(&grown));
+        refused(&mut exec, |e| e.leave_node(&shrunk, 2));
+        assert_eq!(
+            exec.states().len(),
+            8,
+            "a refused change leaves the nodes alone"
+        );
     }
 
     #[test]

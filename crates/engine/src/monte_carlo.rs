@@ -438,13 +438,17 @@ fn run_trial<'g, P: Protocol, T: Tier<P> + 'g>(
 }
 
 /// Steps per window of a lazy election trial; the hand-off rule is
-/// checked at each window edge.
-const HANDOFF_WINDOW: u64 = 1 << 16;
+/// checked at each window edge. Short, because a trial that will hand
+/// off pays the lazy engine's interning cost until the first edge it
+/// crosses.
+const HANDOFF_WINDOW: u64 = 1 << 12;
 
 /// A window with more than `HANDOFF_WINDOW / HANDOFF_MISS_DIVISOR`
 /// pair-cache misses hands its trial to the generic engine. Identifier
-/// generation windows miss on 800–1000 of every 1000 steps, fast-protocol
-/// windows on 0–4.
+/// generation misses on a growing share of its steps as identifiers
+/// lengthen — on `cycle(80000)` the first three 2¹⁶-step windows miss
+/// on 1.9 %, 9.8 % and 26.4 % of theirs — while fast-protocol windows
+/// miss on 0–4 of every 1000.
 const HANDOFF_MISS_DIVISOR: u64 = 4;
 
 /// Runs an election on `exec` from its current (clean) start, handing
@@ -714,7 +718,7 @@ impl<P: Protocol> EngineSelection<P> {
     ///
     /// A fault-free election that stops paying for its cache hands
     /// itself to the generic engine mid-run: the lazy executor steps in
-    /// windows of 2¹⁶ steps, and a window that misses the cache on more
+    /// windows of 2¹² steps, and a window that misses the cache on more
     /// than a quarter of its steps (the identifier protocol while nodes
     /// still generate identifiers, where almost every state is new)
     /// moves the rest of the trial to the generic engine, which carries

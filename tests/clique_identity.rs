@@ -159,8 +159,9 @@ fn fast_protocol_cells_agree_in_parameters_and_results() {
 #[test]
 fn lazy_trials_handed_to_the_generic_engine_agree() {
     // With the paper's identifier length, id generation on K_4096 misses
-    // the pair cache on most steps, so its trials leave the lazy engine
-    // at the end of their first window; the smaller cliques stay lazy.
+    // the pair cache on most steps once identifiers are a few bits long,
+    // so its trials leave the lazy engine at the end of their second
+    // 2¹²-step window; the smaller cliques stay lazy.
     for (implicit, csr) in forms() {
         let n = csr.num_nodes();
         let identifier = IdentifierProtocol::new(identifier_bits(n, true));
@@ -168,7 +169,7 @@ fn lazy_trials_handed_to_the_generic_engine_agree() {
         let handoff = lazy_handoff_step(implicit, &identifier, 11, max_steps);
         assert_eq!(handoff, lazy_handoff_step(csr, &identifier, 11, max_steps));
         if n == 4096 {
-            assert_eq!(handoff, Some(1 << 16), "{csr}: no hand-off");
+            assert_eq!(handoff, Some(2 << 12), "{csr}: no hand-off");
         }
         let (opts, lazy) = (options(2, max_steps), EngineSelection::lazy());
         assert_eq!(

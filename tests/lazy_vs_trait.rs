@@ -457,9 +457,9 @@ fn cap_overflow_verdict_is_reached_within_the_probe_budget() {
     );
 }
 
-/// Step budget of the CSR-scale hand-off tests: a few windows past the
-/// identifier protocol's first hand-off on `cycle(70000)` and
-/// `torus(270×270)` (at step 196 608 for the seeds below).
+/// Step budget of the CSR-scale hand-off tests: comfortably past the
+/// identifier protocol's hand-off on `cycle(70000)` and `torus(270×270)`
+/// (at step 147 456 on both for the seed below, 36 windows in).
 const HANDOFF_BUDGET: u64 = 400_000;
 
 /// The miss-bound cells: identifier generation at CSR scale, where
@@ -530,8 +530,8 @@ fn handoff_trials_equal_generic_on_csr_families() {
 #[test]
 fn handoff_census_equals_generic() {
     let (generic_tier, lazy_tier) = (EngineSelection::generic(), EngineSelection::lazy());
-    // torus(63×63) hands off in its first window and elects a few
-    // windows later, so the census the generic engine inherits is
+    // torus(63×63) hands off within its first three windows and elects
+    // many windows later, so the census the generic engine inherits is
     // checked through complete elections, leader and step included.
     let g = families::torus(63, 63);
     let p = realistic_identifier(g.num_nodes());
@@ -589,8 +589,9 @@ fn assert_reset_is_fresh<'g, P: Protocol, S: PairSource<P>>(
 #[test]
 fn reset_equals_fresh_construction_on_both_sources() {
     // Token's oracle is linear (the executor counts leaders itself);
-    // fast's and identifier's are not, and identifier's lazy runs skip
-    // `apply` on inert cached effects. Small budgets leave some runs
+    // fast's and identifier's are not, and both lazy runs skip `apply`
+    // on inert cached effects (fast's streak-only clock ticks among
+    // them). Small budgets leave some runs
     // unfinished, which the census then tells apart.
     let fast = FastProtocol::new(FastParams::new(2, 3, 2));
     let token = TokenProtocol::all_candidates();

@@ -10,9 +10,12 @@
 use popele::engine::exhaustive::{
     check_stable_and_correct, validate_oracle_on_execution, Verdict, DEFAULT_CONFIG_LIMIT,
 };
-use popele::engine::Executor;
-use popele::graph::families;
-use popele::protocols::params::FastParams;
+use popele::engine::{Executor, StabilityOracle};
+use popele::graph::{families, Graph};
+use popele::math::rng::SeedSeq;
+use popele::protocols::identifier::IdState;
+use popele::protocols::params::{identifier_bits, FastParams};
+use popele::protocols::token::{Token, TokenState};
 use popele::protocols::{FastProtocol, IdentifierProtocol, StarProtocol, TokenProtocol};
 
 #[test]
@@ -51,6 +54,101 @@ fn identifier_oracle_exact_on_tiny_graphs() {
     ] {
         let steps = validate_oracle_on_execution(&p, &g, seed, 400, DEFAULT_CONFIG_LIMIT);
         assert!(steps < 400, "identifier should stabilize quickly on {g}");
+    }
+}
+
+/// Asserts that `exec`'s identifier oracle, updated step by step, equals
+/// one rebuilt from its configuration.
+fn assert_id_oracle_rebuilds(p: &IdentifierProtocol, exec: &Executor<'_, IdentifierProtocol>) {
+    let mut rebuilt = p.oracle();
+    rebuilt.recompute(p, exec.states());
+    assert_eq!(exec.oracle(), &rebuilt, "k = {} on {}", p.k(), exec.graph());
+}
+
+/// Graphs of at most 64 nodes from four families.
+fn small_graphs() -> [Graph; 4] {
+    [
+        families::clique(12),
+        families::cycle(20),
+        families::torus(8, 8),
+        families::star(30),
+    ]
+}
+
+/// Identifier lengths from tie-heavy (`k = 1`) to the sweep's own.
+fn id_lengths(g: &Graph) -> [u32; 3] {
+    [1, 4, identifier_bits(g.num_nodes(), false)]
+}
+
+#[test]
+fn identifier_oracle_equals_rebuild_after_every_step() {
+    let seq = SeedSeq::new(0x1D);
+    for g in small_graphs() {
+        for k in id_lengths(&g) {
+            let p = IdentifierProtocol::new(k);
+            let mut exec = Executor::new(&g, &p, seq.child(u64::from(k)));
+            for step in 0..3000u32 {
+                // Mid-run crashes put generating states back among
+                // finished ones.
+                if step % 700 == 350 {
+                    exec.corrupt_to_initial(step % g.num_nodes());
+                    assert_id_oracle_rebuilds(&p, &exec);
+                }
+                exec.step();
+                assert_id_oracle_rebuilds(&p, &exec);
+            }
+        }
+    }
+}
+
+/// An arbitrary identifier configuration on `n` nodes whose maximum
+/// identifier is held by several candidates and several followers; the
+/// others hold smaller finished or still-generating identifiers, with
+/// arbitrary inner token states.
+fn tied_maximum_start(p: &IdentifierProtocol, n: u32, seed: u64) -> Vec<IdState> {
+    let threshold = p.threshold();
+    let top = 2 * threshold - 1;
+    let seq = SeedSeq::new(seed);
+    (0..n)
+        .map(|v| {
+            let r = seq.child(u64::from(v));
+            let id = match (v, r % 4) {
+                (0..=3, _) | (_, 0) => top,
+                (_, 1) => threshold + (r >> 8) % (top - threshold),
+                _ => 1 + (r >> 8) % (threshold - 1),
+            };
+            let candidate = match v {
+                0 | 1 => true,
+                2 | 3 => false,
+                _ => r & 16 != 0,
+            };
+            let token = [None, Some(Token::Black), Some(Token::White)][(r >> 5) as usize % 3];
+            IdState {
+                id,
+                inner: TokenState { candidate, token },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn identifier_oracle_equals_rebuild_from_tied_arbitrary_starts() {
+    for g in small_graphs() {
+        for k in id_lengths(&g) {
+            let p = IdentifierProtocol::new(k);
+            for seed in 0..3u64 {
+                let mut exec = Executor::new(&g, &p, seed);
+                exec.set_configuration(&tied_maximum_start(&p, g.num_nodes(), seed));
+                assert_id_oracle_rebuilds(&p, &exec);
+                for step in 0..1500u32 {
+                    if step == 600 {
+                        exec.corrupt_to_initial(seed as u32);
+                    }
+                    exec.step();
+                    assert_id_oracle_rebuilds(&p, &exec);
+                }
+            }
+        }
     }
 }
 

@@ -16,7 +16,8 @@
 # a backtick-quoted symbol, `` `Symbol` (`path:line`) ``, the symbol's
 # last `::` segment must also appear within 3 lines of the cited line:
 # that catches in-range drift, where a ref still names a live line that
-# is no longer the symbol's.
+# is no longer the symbol's. In PROTOCOLS.md every ref must be cited
+# that way, so none of its refs is checked against the file length only.
 #
 # External links (http/https/mailto) are intentionally skipped — CI and
 # the dev environment are offline. Usage:
@@ -116,6 +117,16 @@ for file in $FILES; do
             status=1
         fi
     done
+
+    # PROTOCOLS.md: no ref without a backtick-quoted symbol before it.
+    if [ "$file" = PROTOCOLS.md ]; then
+        bare=$(sed -E 's/`[^`]+` \(`[A-Za-z0-9_./-]+\.[A-Za-z0-9]+:[0-9]+`//g' "$file" |
+            grep -oE '`[A-Za-z0-9_./-]+\.[A-Za-z0-9]+:[0-9]+`' | tr -d '`' || true)
+        for ref in $bare; do
+            echo "$file: path:line anchor without a \`Symbol\` (...) before it: $ref" >&2
+            status=1
+        done
+    fi
 
     # `Symbol` (`path:line`) pairs: the symbol's last `::` segment
     # (argument lists and generics dropped; any name of a `{a,b}` group)
