@@ -54,15 +54,18 @@
 //!
 //! All racing engines consume identical seed sequences, so they execute
 //! the exact same interaction sequences; the measured ratio is pure
-//! engine overhead. Besides the usual criterion output, this bench
+//! engine overhead. Besides the usual criterion output, a full run
 //! writes a machine-readable `BENCH_engine.json` baseline at the
-//! workspace root (medians, throughputs and speedups) so the perf
-//! trajectory of the engine can be tracked across commits. Every
-//! workload in the manifest must produce its row — a rename that drops
-//! a measurement aborts the run instead of silently shrinking the
-//! baseline.
+//! workspace root (medians, throughputs and speedups), so the perf
+//! trajectory of the engine can be tracked across commits, and
+//! re-renders BENCH.md's recorded-baseline tables from it
+//! ([`popele_bench::render_tables`]). A `CRITERION_QUICK=1` run prints
+//! both and writes neither: its shortened windows catch breakage, and
+//! their medians are no baseline. Every workload in the manifest must
+//! produce its row — a rename that drops a measurement aborts the run
+//! instead of silently shrinking the baseline.
 
-use criterion::{black_box, take_measurements, BenchmarkId, Criterion, Measurement};
+use criterion::{black_box, quick_mode, take_measurements, BenchmarkId, Criterion, Measurement};
 use popele_core::params::{identifier_bits, FastParams};
 use popele_core::{FastProtocol, IdentifierProtocol, TokenProtocol};
 use popele_engine::monte_carlo::{run_trials_auto_prepared, TrialOptions};
@@ -873,11 +876,19 @@ fn main() {
         missing.is_empty(),
         "workload manifest rows without measurements (renamed bench?): {missing:?}"
     );
-    print!("{json}");
-    // Workspace root: crates/bench/../..
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    let tables = popele_bench::render_tables(&json).expect("the fresh baseline renders");
+    print!("{json}{tables}");
+    if quick_mode() {
+        println!("quick run: BENCH_engine.json and BENCH.md left as they are");
+        return;
+    }
+    let md_path = popele_bench::workspace_file("BENCH.md");
+    let md = std::fs::read_to_string(&md_path).expect("BENCH.md is readable");
+    let md = popele_bench::splice_tables(&md, &tables).expect("BENCH.md has the table markers");
+    let json_path = popele_bench::workspace_file("BENCH_engine.json");
+    for (path, text) in [(&json_path, &json), (&md_path, &md)] {
+        std::fs::write(path, text)
+            .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+        println!("written: {}", path.display());
     }
 }

@@ -232,9 +232,11 @@ fn comparison_table(cfg: &RunConfig) -> Table {
         trials,
     );
     // Fast on the clique with the analytic coupon-collector broadcast
-    // estimate `n·ln n` — the same parameterization the sweep's count
-    // cells use (the measured `broadcast_guess` would overestimate a
-    // clique's broadcast time by ~n/ln n).
+    // estimate `n·ln n` (the measured `broadcast_guess` would
+    // overestimate a clique's broadcast time by ~n/ln n). This is not
+    // the sweep's parameterization: its count cells run
+    // `FastParams::clique_tuned(n)`, and its per-agent clique cells
+    // `practical` over `broadcast_guess`.
     let nf = f64::from(n);
     let fast = FastProtocol::new(FastParams::practical(
         nf * nf.ln(),

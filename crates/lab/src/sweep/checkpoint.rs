@@ -810,6 +810,67 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Opens a journal at every prefix of a complete three-entry file,
+    /// then with every byte of its entry lines set to 0xFF.
+    #[test]
+    fn journal_open_survives_every_truncation_and_refuses_every_flip() {
+        let dir = std::env::temp_dir().join("popele-journal-every-byte");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.log");
+        let fp = sample().fingerprint;
+        let mut all = entries();
+        all.push(JournalEntry {
+            shard_key: "token/cycle/2000/s2".into(),
+            ..all[1].clone()
+        });
+        let (mut journal, _) = Journal::open(&path, &fp).unwrap();
+        for entry in &all {
+            journal.append(entry).unwrap();
+        }
+        drop(journal);
+        let full = std::fs::read(&path).unwrap();
+        // Byte offsets one past each line's newline: the header, then
+        // one per entry.
+        let ends: Vec<usize> = (0..full.len())
+            .filter(|&i| full[i] == b'\n')
+            .map(|i| i + 1)
+            .collect();
+        assert_eq!(ends.len(), all.len() + 1);
+
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (journal, replayed) = Journal::open(&path, &fp)
+                .unwrap_or_else(|e| panic!("prefix of {cut} bytes refused: {e}"));
+            let kept = ends[1..].iter().filter(|&&end| end <= cut).count();
+            assert_eq!(replayed, all[..kept], "prefix of {cut} bytes");
+            assert_eq!(journal.len(), kept);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                full[..ends[kept]],
+                "prefix of {cut} bytes leaves the header and its entries"
+            );
+        }
+
+        for i in ends[0]..full.len() {
+            let mut flipped = full.clone();
+            flipped[i] = 0xFF;
+            std::fs::write(&path, &flipped).unwrap();
+            if i == full.len() - 1 {
+                // The file's final newline: the last entry becomes an
+                // unterminated tail, which is dropped.
+                let (_, replayed) = Journal::open(&path, &fp).unwrap();
+                assert_eq!(replayed, all[..all.len() - 1]);
+                assert_eq!(std::fs::read(&path).unwrap(), full[..ends[all.len() - 1]]);
+                continue;
+            }
+            let err = Journal::open(&path, &fp).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {i}");
+            assert_eq!(std::fs::read(&path).unwrap(), flipped, "byte {i}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn journal_refuses_foreign_fingerprint_and_clears_to_header() {
         let dir = std::env::temp_dir().join("popele-journal-fp");

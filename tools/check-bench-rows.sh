@@ -8,11 +8,8 @@
 # CI-checkable. The expected list mirrors the bench manifests
 # (`json_workloads`, `HANDOFF_WORKLOAD`, `IMPLICIT_CLIQUE_WORKLOAD`,
 # `count_workloads`, `COMPILE_WORKLOAD` and the campaign rows); update
-# both together.
-#
-# BENCH.md's recorded-baseline tables are copied from the JSON by hand,
-# so the script also fails when a copied speedup no longer matches its
-# row.
+# both together. BENCH.md's tables are rendered from the JSON, and a
+# unit test of crates/bench fails when they differ from it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,17 +51,7 @@ if [ "$rows" -ne "${#expected[@]}" ]; then
   fail=1
 fi
 
-while IFS= read -r row; do
-  w=$(sed -n 's/.*"workload": "\([^"]*\)".*/\1/p' <<<"$row")
-  speedup=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' <<<"$row")
-  [ -n "$speedup" ] || continue
-  if ! grep -F "| \`$w\`" BENCH.md | grep -qF "**${speedup}×**"; then
-    echo "BENCH.md has no table row for $w with its recorded speedup ${speedup}×" >&2
-    fail=1
-  fi
-done < <(grep '"workload"' "$baseline")
-
 if [ "$fail" -eq 0 ]; then
-  echo "BENCH_engine.json: all ${#expected[@]} workload rows present, BENCH.md speedups match"
+  echo "BENCH_engine.json: all ${#expected[@]} workload rows present"
 fi
 exit "$fail"
