@@ -514,9 +514,7 @@ mod tests {
         let p = LooseProtocol::new(6);
         let mut exec = Executor::new(&g, &p, 8);
         exec.run_until_stable(1 << 22).unwrap();
-        for v in 0..12 {
-            exec.corrupt_to_initial(v);
-        }
+        exec.corrupt_to_initial(&(0..12).collect::<Vec<_>>());
         assert_eq!(exec.leader_count(), 0);
         let out = exec.run_until_stable(1 << 22).expect("re-elects");
         assert_eq!(out.leader_count, 1);

@@ -8,18 +8,17 @@
 //! (`&CompiledProtocol`, `u16` ids — [`DenseExecutor`]) or the owned,
 //! on-demand [`LazyTable`] cache (`u32` ids — [`LazyDenseExecutor`]).
 //! Every loop is monomorphized per source, so each hot loop stays
-//! specialized; only the ahead-of-time source runs clique cells through
-//! the fused draw–decode–apply kernel. Differential tests in the
-//! workspace pin both sources to identical traces with the generic
-//! engine.
+//! specialized, and every decoder on either source runs the same two
+//! steps: [`EdgeDecoder::fill_batch`] draws a batch of pairs, and
+//! `apply_batch` applies them. Differential tests in the workspace pin
+//! both sources to identical traces with the generic engine.
 
-use super::decoder::{orient, EdgeDecoder, PAIR_BATCH};
+use super::decoder::{EdgeDecoder, PAIR_BATCH};
 use super::lazy::{LazyId, LazyTable};
 use super::table::{CompiledProtocol, StateId};
 use crate::executor::{Executor, NotStabilized, Outcome};
 use crate::protocol::{Protocol, Role, StabilityOracle};
 use crate::scheduler::EdgeScheduler;
-use popele_graph::clique::clique_decode;
 use popele_graph::{Graph, NodeId};
 
 /// Where a [`PerAgentExecutor`] gets the successor of an ordered pair of
@@ -32,7 +31,7 @@ use popele_graph::{Graph, NodeId};
 /// [`PerAgentExecutor::reset`]s.
 pub trait PairSource<P: Protocol> {
     /// Dense state id: `u16` ahead of time, `u32` lazily.
-    type Id: Copy + Eq + Into<u32> + From<StateId>;
+    type Id: Copy + Eq + Into<u32>;
     /// What a [`Self::successor`] lookup leaves for the state-changing
     /// pairs: their leader delta and apply-skip verdict are read through
     /// it, so the (most common) no-op lookups touch nothing else.
@@ -86,13 +85,6 @@ pub trait PairSource<P: Protocol> {
     /// when the oracle vouches its memoized effect is inert.
     fn skips_apply(&self, _slot: Self::Slot, _oracle: &P::Oracle) -> bool {
         false
-    }
-
-    /// The compiled table clique cells run on through the fused
-    /// draw–decode–apply kernel (ahead of time), or `None` (the default)
-    /// to keep them on the batched pair buffer like every other decoder.
-    fn clique_kernel(&self) -> Option<&CompiledProtocol<P>> {
-        None
     }
 }
 
@@ -151,10 +143,6 @@ impl<P: Protocol> PairSource<P> for &CompiledProtocol<P> {
     #[inline]
     fn leader_delta(&self, idx: usize) -> i8 {
         self.leader_delta[idx]
-    }
-
-    fn clique_kernel(&self) -> Option<&CompiledProtocol<P>> {
-        Some(*self)
     }
 }
 
@@ -658,82 +646,12 @@ impl<'a, P: Protocol, S: PairSource<P>> PerAgentExecutor<'a, P, S> {
         self.cursor = start + done;
     }
 
-    /// Fused runner for the computed-edge (clique) decoder on the
-    /// ahead-of-time source: RNG draw, arithmetic decode and table apply
-    /// in one loop, with no pair buffer in between. The RNG state and
-    /// the configuration are independent dependency chains, so the
-    /// processor overlaps them; this is the engine's fastest path.
-    /// Requires the pair buffer to be drained and applies at most
-    /// `budget` interactions, returning early (right after the causing
-    /// change) once the oracle satisfies `stop`.
-    fn run_fused_clique(&mut self, budget: u64, stop: Stop) {
-        debug_assert_eq!(self.cursor, self.filled, "pair buffer must be drained");
-        let EdgeDecoder::Clique(index) = &self.decoder else {
-            unreachable!("fused path requires the clique decoder")
-        };
-        let (n, shift, row_hint) = index.parts();
-        let scheduler = &mut self.scheduler;
-        let agents = &mut self.agents;
-        let fused = agents
-            .source
-            .clique_kernel()
-            .and_then(|compiled| compiled.fused.as_deref());
-        let mut done = 0u64;
-        match fused {
-            Some(fused) if agents.linear && agents.census.is_none() => {
-                // Branchless variant: writing back unchanged ids and
-                // adding a zero leader delta are no-ops, so the
-                // data-dependent "did this pair change state?" branch —
-                // mispredicted constantly mid-election — disappears
-                // entirely, and one load of the fused table serves
-                // successors and delta alike.
-                let ids = &mut agents.ids;
-                let leaders = &mut agents.leaders;
-                while done < budget {
-                    let r = scheduler.next_raw();
-                    done += 1;
-                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                    let (iu, iv) = orient(u, v, r);
-                    let (iu, iv) = (iu as usize, iv as usize);
-                    let a: u32 = ids[iu].into();
-                    let b: u32 = ids[iv].into();
-                    let entry = fused[((a as usize) << 8) | b as usize];
-                    ids[iu] = S::Id::from(((entry >> 8) & 0xFF) as StateId);
-                    ids[iv] = S::Id::from((entry & 0xFF) as StateId);
-                    *leaders += i64::from(entry >> 16) - 2;
-                    match stop {
-                        Stop::Stable if *leaders == 1 => break,
-                        Stop::Unstable if *leaders != 1 => break,
-                        _ => {}
-                    }
-                }
-            }
-            _ => {
-                while done < budget {
-                    let r = scheduler.next_raw();
-                    done += 1;
-                    let (u, v) = clique_decode((r >> 1) as u32, n, shift, row_hint);
-                    let (iu, iv) = orient(u, v, r);
-                    if agents.interact(iu as usize, iv as usize) && agents.stop_now(stop) {
-                        break;
-                    }
-                }
-            }
-        }
-        self.applied += done;
-    }
-
-    /// Applies up to `budget` interactions through buffered pairs (for
-    /// already-drawn pairs, the gather decoders, and the lazy source's
-    /// clique cells) or the fused clique kernel.
+    /// Applies up to `budget` interactions: the already-drawn pairs
+    /// first, else one freshly drawn batch.
     fn run_budget(&mut self, budget: u64, stop: Stop) {
         if self.cursor < self.filled {
             let avail = (self.filled - self.cursor) as u64;
             self.apply_batch(avail.min(budget) as usize, stop);
-        } else if matches!(self.decoder, EdgeDecoder::Clique(_))
-            && self.agents.source.clique_kernel().is_some()
-        {
-            self.run_fused_clique(budget, stop);
         } else {
             let limit = budget.min(PAIR_BATCH as u64) as usize;
             self.refill(limit);
@@ -923,14 +841,17 @@ impl<'a, P: Protocol, S: PairSource<P>> PerAgentExecutor<'a, P, S> {
         self.agents.resync();
     }
 
-    /// State corruption: resets node `v` to its initial state (a crash
-    /// followed by a clean rejoin), leaving all other nodes untouched.
+    /// State corruption: resets every node of `nodes` to its initial
+    /// state (a crash followed by a clean rejoin), leaving all other
+    /// nodes untouched, then resyncs once for the whole burst.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range.
-    pub fn corrupt_to_initial(&mut self, v: NodeId) {
-        self.agents.ids[v as usize] = self.agents.source.initial_id(v);
+    /// Panics if a node is out of range.
+    pub fn corrupt_to_initial(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            self.agents.ids[v as usize] = self.agents.source.initial_id(v);
+        }
         self.agents.resync();
     }
 
@@ -1291,11 +1212,10 @@ mod tests {
         generic.run_steps(500);
         dense.run_steps(500);
         lazy.run_steps(500);
-        for v in [0u32, 3, 9] {
-            generic.corrupt_to_initial(v);
-            dense.corrupt_to_initial(v);
-            lazy.corrupt_to_initial(v);
-        }
+        let burst = [0u32, 3, 9];
+        generic.corrupt_to_initial(&burst);
+        dense.corrupt_to_initial(&burst);
+        lazy.corrupt_to_initial(&burst);
         assert_eq!(generic.leader_count(), dense.leader_count());
         assert_eq!(generic.leader_count(), lazy.leader_count());
         for _ in 0..2000 {

@@ -10,12 +10,12 @@
 //!   evaluates every ordered pair exactly once and records the
 //!   successor ids as it interns them, one exactly-sized block per
 //!   round, and once the set closes the blocks are laid out as the
-//!   row-major `|Λ|²` table. The leader-delta and fused tables then
-//!   follow from the table and the role table without another
-//!   transition call. States are interned with the fold hasher
-//!   ([`super::FoldHasher`]), which is sound for plain state data and
-//!   much cheaper than SipHash; ids are assigned in discovery order, so
-//!   the hasher never shows in ids or tables.
+//!   row-major `|Λ|²` table. The leader-delta table then follows from
+//!   the table and the role table without another transition call.
+//!   States are interned with the fold hasher ([`super::FoldHasher`]),
+//!   which is sound for plain state data and much cheaper than SipHash;
+//!   ids are assigned in discovery order, so the hasher never shows in
+//!   ids or tables.
 //! * Before compiling, [`crate::EngineSelection::prepare`] runs an
 //!   overflow walk that certifies "compilation would exceed the cap"
 //!   within at most three transition evaluations per state it sees —
@@ -329,12 +329,6 @@ pub struct CompiledProtocol<P: Protocol> {
     /// leader). Lets executors with a unique-leader oracle maintain the
     /// leader count with one add instead of a typed oracle call.
     pub(crate) leader_delta: Vec<i8>,
-    /// For `|Λ| ≤ 256` only: the successor pair *and* leader delta of
-    /// entry `(a << 8) | b` packed into one word —
-    /// `(delta + 2) << 16 | a' << 8 | b'` — padded to 256 columns so the
-    /// index is a shift-or instead of a multiply. One load serves the
-    /// whole hot-loop update for constant-state protocols.
-    pub(crate) fused: Option<Vec<u32>>,
     /// Id → output role.
     pub(crate) roles: Vec<Role>,
     num_nodes: u32,
@@ -406,19 +400,6 @@ impl<P: Protocol + Clone> CompiledProtocol<P> {
             }
         }
 
-        let fused = (k <= 256).then(|| {
-            let mut fused = vec![0u32; k << 8];
-            for a in 0..k {
-                for b in 0..k {
-                    let packed = table[a * k + b];
-                    let (na, nb) = (packed >> 16, packed & 0xFFFF);
-                    let delta = (i32::from(leader_delta[a * k + b]) + 2) as u32;
-                    fused[(a << 8) | b] = (delta << 16) | (na << 8) | nb;
-                }
-            }
-            fused
-        });
-
         Ok(Self {
             protocol: protocol.clone(),
             states,
@@ -426,7 +407,6 @@ impl<P: Protocol + Clone> CompiledProtocol<P> {
             initial,
             table,
             leader_delta,
-            fused,
             roles,
             num_nodes,
         })
@@ -507,28 +487,6 @@ impl<P: Protocol> CompiledProtocol<P> {
         let k = self.states.len();
         assert!(usize::from(a.max(b)) < k, "state id out of range");
         self.leader_delta[usize::from(a) * k + usize::from(b)]
-    }
-
-    /// The fused-table entry of `(a, b)` unpacked into successor pair
-    /// and leader delta, or `None` above 256 states, where no fused
-    /// table is built.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    #[must_use]
-    pub fn fused_entry(&self, a: StateId, b: StateId) -> Option<(StateId, StateId, i8)> {
-        assert!(
-            usize::from(a.max(b)) < self.states.len(),
-            "state id out of range"
-        );
-        let word = self.fused.as_ref()?[(usize::from(a) << 8) | usize::from(b)];
-        let delta = ((word >> 16) as i32 - 2) as i8;
-        Some((
-            ((word >> 8) & 0xFF) as StateId,
-            (word & 0xFF) as StateId,
-            delta,
-        ))
     }
 
     /// Precomputed output role of state id `s`.

@@ -398,18 +398,22 @@ impl<'a, P: Protocol> Executor<'a, P> {
         self.oracle.recompute(self.protocol, &self.states);
     }
 
-    /// State corruption: resets node `v` to its initial state (a crash
-    /// followed by a clean rejoin), leaving all other nodes untouched.
+    /// State corruption: resets every node of `nodes` to its initial
+    /// state (a crash followed by a clean rejoin), leaving all other
+    /// nodes untouched, then rebuilds the oracle once for the whole
+    /// burst.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is out of range.
-    pub fn corrupt_to_initial(&mut self, v: NodeId) {
-        let s = self.protocol.initial_state(v);
-        if let Some(census) = &mut self.census {
-            census.insert(s.clone());
+    /// Panics if a node is out of range.
+    pub fn corrupt_to_initial(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            let s = self.protocol.initial_state(v);
+            if let Some(census) = &mut self.census {
+                census.insert(s.clone());
+            }
+            self.states[v as usize] = s;
         }
-        self.states[v as usize] = s;
         self.oracle.recompute(self.protocol, &self.states);
     }
 }

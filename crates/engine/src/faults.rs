@@ -540,8 +540,9 @@ pub trait FaultTarget<'g> {
     fn outcome(&self) -> Outcome;
     /// Current number of leader-output nodes.
     fn leader_count(&self) -> usize;
-    /// Resets node `v` to its initial state.
-    fn corrupt_to_initial(&mut self, v: NodeId);
+    /// Resets every node of `nodes` to its initial state, resyncing
+    /// once for the whole burst.
+    fn corrupt_to_initial(&mut self, nodes: &[NodeId]);
     /// Rebinds to an equal-node-count graph.
     fn set_graph(&mut self, graph: &'g Graph);
     /// Rebinds to a graph with one extra node.
@@ -580,8 +581,8 @@ impl<'g, P: Protocol> FaultTarget<'g> for Executor<'g, P> {
     fn leader_count(&self) -> usize {
         Executor::leader_count(self)
     }
-    fn corrupt_to_initial(&mut self, v: NodeId) {
-        Executor::corrupt_to_initial(self, v);
+    fn corrupt_to_initial(&mut self, nodes: &[NodeId]) {
+        Executor::corrupt_to_initial(self, nodes);
     }
     fn set_graph(&mut self, graph: &'g Graph) {
         Executor::set_graph(self, graph);
@@ -623,8 +624,8 @@ impl<'g, P: Protocol, S: PairSource<P>> FaultTarget<'g> for PerAgentExecutor<'g,
     fn leader_count(&self) -> usize {
         PerAgentExecutor::leader_count(self)
     }
-    fn corrupt_to_initial(&mut self, v: NodeId) {
-        PerAgentExecutor::corrupt_to_initial(self, v);
+    fn corrupt_to_initial(&mut self, nodes: &[NodeId]) {
+        PerAgentExecutor::corrupt_to_initial(self, nodes);
     }
     fn set_graph(&mut self, graph: &'g Graph) {
         PerAgentExecutor::set_graph(self, graph);
@@ -781,11 +782,7 @@ pub(crate) fn drive_ops<'g, T: FaultTarget<'g>>(
         }
         exec.run_steps(op.step - exec.steps());
         match &op.action {
-            FaultAction::Corrupt(nodes) => {
-                for &v in nodes {
-                    exec.corrupt_to_initial(v);
-                }
-            }
+            FaultAction::Corrupt(nodes) => exec.corrupt_to_initial(nodes),
             FaultAction::Reshape { epoch } => exec.set_graph(&resolved.epochs[*epoch]),
             FaultAction::Join { epoch } => exec.join_node(&resolved.epochs[*epoch]),
             FaultAction::Leave { epoch, removed } => {

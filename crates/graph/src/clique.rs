@@ -4,9 +4,10 @@
 //! edges `(u, u+1) … (u, n−1)`, so edge index `e` inverts to its
 //! endpoints with triangular-number arithmetic. [`CliqueIndex`] is that
 //! inverse. An implicit clique [`Graph`](crate::Graph) owns one, the
-//! scheduler decodes its draws through it, and the dense engines fuse
-//! [`clique_decode`] into their hot loops, so every per-agent tier reads
-//! the same edge for the same index without an `n(n−1)/2`-entry array.
+//! scheduler decodes its draws through it, and the dense engines' clique
+//! decoder calls [`clique_decode`] inside its batch-draw loop, so every
+//! per-agent tier reads the same edge for the same index without an
+//! `n(n−1)/2`-entry array.
 
 use crate::graph::NodeId;
 

@@ -150,8 +150,9 @@ fn differential_token_on_large_cliques_exercises_hint_buckets() {
         for _ in 0..3000 {
             assert_eq!(generic.step(), dense.step(), "clique({n})");
         }
-        // Push the dense side through its fused runner too (run_steps
-        // bypasses step()'s pair buffer), then compare configurations.
+        // Push both sides through their batched runs too (run_steps
+        // refills the pair buffer in budget-capped batches), then
+        // compare configurations.
         generic.run_steps(20_000);
         dense.run_steps(20_000);
         for v in 0..n {

@@ -12,14 +12,22 @@
 //!    and the dense engine's edge decoders are rebuilt correctly.
 //! 3. **Thread/shard invariance**: fault-injected Monte-Carlo results
 //!    are bit-identical across thread counts and `first_trial` shards.
+//! 4. **One resync per corruption burst** on every tier.
 
-use popele::engine::faults::{fault_seed, run_with_faults, FaultKind, FaultPlan};
+use popele::engine::faults::{
+    fault_seed, run_with_faults, FaultKind, FaultPlan, FaultReport, FaultTarget,
+};
 use popele::engine::monte_carlo::{
     run_trials_auto_prepared, run_trials_auto_with_faults_prepared as faulted_trials, TrialOptions,
 };
-use popele::engine::{CompiledProtocol, DenseExecutor, EngineSelection, Executor};
-use popele::graph::families;
+use popele::engine::{
+    CompiledProtocol, DenseExecutor, EngineSelection, Executor, LazyDenseExecutor,
+    LeaderCountOracle, Protocol, ResolvedFaultPlan, Role, StabilityOracle,
+};
+use popele::graph::{families, NodeId};
 use popele::protocols::{MajorityProtocol, TokenProtocol};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn opts(threads: usize) -> TrialOptions {
     TrialOptions {
@@ -195,4 +203,101 @@ fn faulted_shards_equal_one_big_run() {
     assert!(whole
         .iter()
         .all(|r| r.recovery.expect("faulted").faults_applied >= 1));
+}
+
+/// The token protocol behind an oracle that counts its rebuilds and does
+/// not declare itself a plain leader count, so every tier resyncs it
+/// typed.
+#[derive(Clone)]
+struct CountedToken {
+    inner: TokenProtocol,
+    recomputes: Arc<AtomicUsize>,
+}
+
+struct CountingOracle(LeaderCountOracle);
+
+type TokenState = <TokenProtocol as Protocol>::State;
+
+impl StabilityOracle<CountedToken> for CountingOracle {
+    fn recompute(&mut self, p: &CountedToken, config: &[TokenState]) {
+        p.recomputes.fetch_add(1, Ordering::Relaxed);
+        self.0.recompute(&p.inner, config);
+    }
+
+    fn apply(
+        &mut self,
+        p: &CountedToken,
+        old: (&TokenState, &TokenState),
+        new: (&TokenState, &TokenState),
+    ) {
+        self.0.apply(&p.inner, old, new);
+    }
+
+    fn is_stable(&self) -> bool {
+        StabilityOracle::<TokenProtocol>::is_stable(&self.0)
+    }
+}
+
+impl Protocol for CountedToken {
+    type State = TokenState;
+    type Oracle = CountingOracle;
+
+    fn initial_state(&self, node: NodeId) -> Self::State {
+        self.inner.initial_state(node)
+    }
+
+    fn transition(&self, a: &Self::State, b: &Self::State) -> (Self::State, Self::State) {
+        self.inner.transition(a, b)
+    }
+
+    fn output(&self, s: &Self::State) -> Role {
+        self.inner.output(s)
+    }
+
+    fn oracle(&self) -> CountingOracle {
+        CountingOracle(LeaderCountOracle::new())
+    }
+}
+
+/// Oracle rebuilds `exec` makes while it runs through `resolved`, and
+/// the report of that run.
+fn recomputes_during<'g, T: FaultTarget<'g>>(
+    exec: &mut T,
+    resolved: &'g ResolvedFaultPlan,
+    counter: &AtomicUsize,
+) -> (usize, FaultReport) {
+    let before = counter.load(Ordering::Relaxed);
+    let report = run_with_faults(exec, resolved, 1 << 20);
+    (counter.load(Ordering::Relaxed) - before, report)
+}
+
+#[test]
+fn corrupt_bursts_resync_once_on_every_tier() {
+    // Three bursts of five nodes: one oracle rebuild per burst, not one
+    // per node, on the generic, AOT and lazy tiers alike.
+    let g = families::clique(16);
+    let plan = FaultPlan::periodic(FaultKind::CorruptNodes { count: 5 }, 1_000, 1_000, 3);
+    let resolved = plan.resolve(&g, fault_seed(5));
+    let p = CountedToken {
+        inner: TokenProtocol::all_candidates(),
+        recomputes: Arc::default(),
+    };
+    let counter = &p.recomputes;
+    let compiled = CompiledProtocol::compile_default(&p, 16).unwrap();
+
+    let (generic, expected) = recomputes_during(&mut Executor::new(&g, &p, 5), &resolved, counter);
+    let (dense, dense_report) = recomputes_during(
+        &mut DenseExecutor::new(&g, &compiled, 5),
+        &resolved,
+        counter,
+    );
+    let (lazy, lazy_report) =
+        recomputes_during(&mut LazyDenseExecutor::new(&g, &p, 5), &resolved, counter);
+
+    assert_eq!(expected.recovery.faults_applied, 3);
+    assert_eq!((generic, dense, lazy), (3, 3, 3));
+    for report in [dense_report, lazy_report] {
+        assert_eq!(report.result, expected.result);
+        assert_eq!(report.trajectory, expected.trajectory);
+    }
 }

@@ -18,7 +18,7 @@
 //!   one shared *arbitrary* start configuration pushed through all
 //!   three engines (the AOT table seeded with the sampler's support).
 //! * [`assert_table_agrees`] — exhaustive `|Λ|²` agreement between a
-//!   compiled transition/role/leader-delta/fused table and the trait
+//!   compiled transition/role/leader-delta table and the trait
 //!   implementation.
 //! * [`diff_outcomes`] — full seeded elections compared across the
 //!   generic and AOT engines, census included.
@@ -94,8 +94,8 @@ pub fn matrix_families(n: u32) -> Vec<Graph> {
 /// Exhaustively checks every enumerated state pair of `compiled`
 /// against the trait implementation: the successor table against
 /// `Protocol::transition`, the role table against `Protocol::output`,
-/// and the leader-delta and fused tables (the latter built only up to
-/// 256 states) against the roles of each pair and its successors.
+/// and the leader-delta table against the roles of each pair and its
+/// successors.
 pub fn assert_table_agrees<P: Protocol + Clone>(protocol: &P, compiled: &CompiledProtocol<P>) {
     let states = compiled.states();
     assert!(!states.is_empty());
@@ -121,17 +121,10 @@ pub fn assert_table_agrees<P: Protocol + Clone>(protocol: &P, compiled: &Compile
                 (na, nb),
                 "transition table disagrees on ({sa:?}, {sb:?})"
             );
-            let delta = leader(na) + leader(nb) - leader(a) - leader(b);
             assert_eq!(
                 compiled.leader_delta(a, b),
-                delta,
+                leader(na) + leader(nb) - leader(a) - leader(b),
                 "leader delta disagrees on ({sa:?}, {sb:?})"
-            );
-            let fused = (states.len() <= 256).then_some((na, nb, delta));
-            assert_eq!(
-                compiled.fused_entry(a, b),
-                fused,
-                "fused table disagrees on ({sa:?}, {sb:?})"
             );
         }
     }

@@ -91,7 +91,7 @@ fn identifier_oracle_equals_rebuild_after_every_step() {
                 // Mid-run crashes put generating states back among
                 // finished ones.
                 if step % 700 == 350 {
-                    exec.corrupt_to_initial(step % g.num_nodes());
+                    exec.corrupt_to_initial(&[step % g.num_nodes()]);
                     assert_id_oracle_rebuilds(&p, &exec);
                 }
                 exec.step();
@@ -142,7 +142,7 @@ fn identifier_oracle_equals_rebuild_from_tied_arbitrary_starts() {
                 assert_id_oracle_rebuilds(&p, &exec);
                 for step in 0..1500u32 {
                     if step == 600 {
-                        exec.corrupt_to_initial(seed as u32);
+                        exec.corrupt_to_initial(&[seed as u32]);
                     }
                     exec.step();
                     assert_id_oracle_rebuilds(&p, &exec);

@@ -9,10 +9,9 @@
 //!    code, never in the constant.
 //! 2. **Table equals transition.** For every id pair of token,
 //!    majority, star, space-opt and two fast instances (one under and
-//!    one over the fused table's 256 states), the precomputed successor
-//!    is the id of what `Protocol::transition` returns, and the
-//!    leader-delta and fused tables agree with the role table
-//!    (`harness::assert_table_agrees`).
+//!    one over 256 states), the precomputed successor is the id of what
+//!    `Protocol::transition` returns, and the leader-delta table agrees
+//!    with the role table (`harness::assert_table_agrees`).
 
 mod harness;
 
@@ -176,9 +175,9 @@ fn table_equals_transition_on_space_opt_and_fast() {
 }
 
 #[test]
-fn table_equals_transition_past_the_fused_width() {
-    // More than 256 states: no fused table, so the plain leader-delta
-    // table is the only one the executors read.
+fn table_equals_transition_on_fast_torus_4000() {
+    // Agent-grid's fast table: more than 256 states, so its ids do not
+    // fit in a byte.
     let (fast, c) = fast_torus_4000();
     assert!(c.num_states() > 256, "{} states", c.num_states());
     assert_table_agrees(&fast, &c);
