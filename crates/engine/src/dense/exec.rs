@@ -412,8 +412,8 @@ pub type DenseExecutor<'a, P> = PerAgentExecutor<'a, P, &'a CompiledProtocol<P>>
 ///
 /// Unlike [`DenseExecutor`] the table is owned (the cache mutates during
 /// the run), so executors are per-thread; [`PerAgentExecutor::reset`]
-/// keeps the warm cache, which is how Monte-Carlo workers amortize it
-/// across trials.
+/// keeps the warm cache. Monte-Carlo workers amortize it across trials
+/// by handing each trial's table on to the next trial's executor.
 ///
 /// # Examples
 ///
@@ -485,6 +485,12 @@ impl<'a, P: Protocol + Clone> LazyDenseExecutor<'a, P> {
 }
 
 impl<P: Protocol> LazyDenseExecutor<'_, P> {
+    /// Ends the execution, handing back its table — warm for the next
+    /// execution, whose trace it never changes.
+    pub(crate) fn into_table(self) -> LazyTable<P> {
+        self.agents.source
+    }
+
     /// The lazily-built table (interner + pair cache) driving this
     /// execution — exposed for capacity reporting and tests.
     #[must_use]
@@ -530,7 +536,8 @@ impl<P: Protocol> LazyDenseExecutor<'_, P> {
 }
 
 impl<'a, P: Protocol, S: PairSource<P>> PerAgentExecutor<'a, P, S> {
-    fn with_source(graph: &'a Graph, source: S, seed: u64) -> Self {
+    /// An executor with every node in its initial state over `source`.
+    pub(crate) fn with_source(graph: &'a Graph, source: S, seed: u64) -> Self {
         let oracle = source.protocol().oracle();
         let linear = oracle.stable_iff_unique_leader();
         let mut agents = Agents {
@@ -745,15 +752,14 @@ impl<'a, P: Protocol, S: PairSource<P>> PerAgentExecutor<'a, P, S> {
     }
 
     /// Resets to the initial configuration with a new seed —
-    /// behaviourally equivalent to fresh construction. The lazy source
-    /// **keeps** its interner and pair cache warm (the cache only
-    /// changes speed, never the trace), which is where the lazy
-    /// engine's Monte-Carlo throughput comes from.
+    /// behaviourally equivalent to fresh construction on the graph the
+    /// executor currently borrows. The lazy source **keeps** its
+    /// interner and pair cache warm (the cache only changes speed,
+    /// never the trace).
     ///
-    /// Resets states, scheduler and counters only — the executor stays
-    /// bound to whichever graph it currently borrows, so executors that
-    /// ran a fault plan with topology changes should be rebuilt rather
-    /// than reset (the Monte-Carlo harness does exactly that).
+    /// Resets states, scheduler and counters only: after a topology
+    /// fault the executor stays bound to the last epoch graph, not the
+    /// one it started on.
     pub fn reset(&mut self, seed: u64) {
         self.agents.load_initial(self.graph.num_nodes());
         self.scheduler.reset(seed);

@@ -512,9 +512,6 @@ pub struct ResolvedFaultPlan {
 pub trait FaultTarget<'g> {
     /// The protocol's state type.
     type State;
-    /// Resets to the initial configuration with scheduler seed `seed`;
-    /// behaviourally identical to fresh construction with that seed.
-    fn reset(&mut self, seed: u64);
     /// Enables the distinct-state census.
     fn enable_state_census(&mut self);
     /// Overwrites the whole configuration (an arbitrary start; see
@@ -554,9 +551,6 @@ pub trait FaultTarget<'g> {
 
 impl<'g, P: Protocol> FaultTarget<'g> for Executor<'g, P> {
     type State = P::State;
-    fn reset(&mut self, seed: u64) {
-        Executor::reset(self, seed);
-    }
     fn enable_state_census(&mut self) {
         Executor::enable_state_census(self);
     }
@@ -597,9 +591,6 @@ impl<'g, P: Protocol> FaultTarget<'g> for Executor<'g, P> {
 
 impl<'g, P: Protocol, S: PairSource<P>> FaultTarget<'g> for PerAgentExecutor<'g, P, S> {
     type State = P::State;
-    fn reset(&mut self, seed: u64) {
-        PerAgentExecutor::reset(self, seed);
-    }
     fn enable_state_census(&mut self) {
         PerAgentExecutor::enable_state_census(self);
     }
@@ -726,8 +717,8 @@ pub fn run_with_faults<'g, T: FaultTarget<'g>>(
 }
 
 /// What driving an execution through a resolved plan's ops observed —
-/// the shared first phase of [`run_with_faults`] and the holding-time
-/// driver ([`crate::stabilize::run_to_hold_with_faults`]).
+/// the shared first phase of [`run_with_faults`] and of every trial of
+/// the Monte-Carlo driver ([`crate::monte_carlo`]).
 pub(crate) struct OpsTrace {
     /// Leader counts right after each applied fault, in step order.
     pub trajectory: Vec<TrajectoryPoint>,

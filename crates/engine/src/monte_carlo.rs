@@ -35,23 +35,28 @@
 //! to pay selection and compilation once per *cell* instead of once per
 //! shard.
 //!
-//! Under a nonempty [`FaultPlan`] (see [`crate::faults`]) per-trial
-//! fault realizations derive from the trial seed via [`fault_seed`], so
-//! the determinism contract — identical results across engines, thread
-//! counts and shardings — extends to fault-injected campaigns, and
-//! recovery metrics are attached to each [`TrialResult`].
+//! Every trial of the driver follows one lifecycle, whatever its plan
+//! and goal: a new executor on the base graph with the trial's seed,
+//! the goal's start configuration, every in-budget fault of the trial's
+//! resolved [`FaultPlan`] (none for the empty plan), then the goal's
+//! phase. A worker carries only graph-free state from one trial to the
+//! next — the lazy tier's warm table. Per-trial fault realizations
+//! derive from the trial seed via [`fault_seed`] (see
+//! [`crate::faults`]), so the determinism contract — identical results
+//! across engines, thread counts and shardings — extends to
+//! fault-injected campaigns, and a nonempty plan attaches recovery
+//! metrics to each [`TrialResult`].
 
 use crate::dense::table::overflow_walk;
 use crate::dense::{
-    CompiledProtocol, CountEngine, DenseExecutor, LazyDenseExecutor, DEFAULT_MAX_COMPILED_STATES,
+    CompiledProtocol, CountEngine, DenseExecutor, LazyDenseExecutor, LazyTable,
+    DEFAULT_MAX_COMPILED_STATES,
 };
 use crate::executor::{Executor, NotStabilized, Outcome};
-use crate::faults::{
-    fault_seed, run_with_faults, FaultPlan, FaultTarget, Recovery, ResolvedFaultPlan,
-};
+use crate::faults::{drive_ops, fault_seed, FaultPlan, FaultTarget, Recovery};
 use crate::protocol::Protocol;
 use crate::stabilize::HoldingTime;
-use crate::stabilize::{arbitrary_seed, run_to_hold, run_to_hold_with_faults, sample_support};
+use crate::stabilize::{arbitrary_seed, run_to_hold, sample_support};
 use popele_graph::{Graph, NodeId};
 use popele_math::rng::SeedSeq;
 use popele_math::stats::Summary;
@@ -197,31 +202,43 @@ pub(crate) enum Goal<S> {
     Hold(Vec<S>),
 }
 
-/// One sequential tier as the driver sees it: how to build its
-/// executor, and how that executor runs a fault-free election.
+/// One sequential tier as the driver sees it: what a worker carries
+/// from trial to trial, how a trial builds its executor, and how that
+/// executor runs an election.
 trait Tier<P: Protocol>: Sync {
     /// The provenance tag of the tier's trials.
     const ENGINE: Engine;
+    /// Graph-free state a worker hands from one trial's executor to the
+    /// next one's.
+    type Carry: Default;
     /// The tier's executor, bound to graphs living for `'g`.
     type Exec<'g>: FaultTarget<'g, State = P::State>
     where
         Self: 'g;
 
-    /// A fresh executor on `graph` with scheduler seed `seed`.
-    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> Self::Exec<'g>;
+    /// A fresh executor on `graph` with scheduler seed `seed`, taking
+    /// over what `carry` holds.
+    fn build<'g>(&'g self, carry: &mut Self::Carry, graph: &'g Graph, seed: u64) -> Self::Exec<'g>;
 
-    /// Runs a fault-free election on `exec`, which holds its start
-    /// configuration; returns the result and the census at its end.
+    /// Ends a trial, keeping in `carry` what the next one reuses.
+    fn keep<'g>(_carry: &mut Self::Carry, _exec: Self::Exec<'g>)
+    where
+        Self: 'g,
+    {
+    }
+
+    /// Runs an election on `exec` from wherever it stands; returns the
+    /// result and the outcome at the end of the run.
     fn elect<'g>(
         exec: &mut Self::Exec<'g>,
         max_steps: u64,
-    ) -> (Result<Outcome, NotStabilized>, Option<usize>)
+    ) -> (Result<Outcome, NotStabilized>, Outcome)
     where
         Self: 'g,
     {
         let result = exec.run_until_stable(max_steps);
-        let distinct_states = election_census(&result, || exec.outcome());
-        (result, distinct_states)
+        let end = run_end(&result, || exec.outcome());
+        (result, end)
     }
 }
 
@@ -230,12 +247,13 @@ struct GenericTier<'p, P>(&'p P);
 
 impl<P: Protocol> Tier<P> for GenericTier<'_, P> {
     const ENGINE: Engine = Engine::Generic;
+    type Carry = ();
     type Exec<'g>
         = Executor<'g, P>
     where
         Self: 'g;
 
-    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> Executor<'g, P> {
+    fn build<'g>(&'g self, (): &mut (), graph: &'g Graph, seed: u64) -> Executor<'g, P> {
         Executor::new(graph, self.0, seed)
     }
 }
@@ -243,52 +261,68 @@ impl<P: Protocol> Tier<P> for GenericTier<'_, P> {
 /// The ahead-of-time compiled tier: every executor shares the table.
 impl<P: Protocol> Tier<P> for CompiledProtocol<P> {
     const ENGINE: Engine = Engine::Dense;
+    type Carry = ();
     type Exec<'g>
         = DenseExecutor<'g, P>
     where
         Self: 'g;
 
-    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> DenseExecutor<'g, P> {
+    fn build<'g>(&'g self, (): &mut (), graph: &'g Graph, seed: u64) -> DenseExecutor<'g, P> {
         DenseExecutor::new(graph, self, seed)
     }
 }
 
-/// The lazily-compiling tier, whose fault-free elections take the
-/// windowed hand-off to the generic engine.
+/// The lazily-compiling tier. A worker hands its warm table from trial
+/// to trial, and elections take the windowed hand-off to the generic
+/// engine.
 struct LazyTier<'p, P>(&'p P);
 
 impl<P: Protocol + Clone> Tier<P> for LazyTier<'_, P> {
     const ENGINE: Engine = Engine::LazyDense;
+    type Carry = Option<LazyTable<P>>;
     type Exec<'g>
         = LazyDenseExecutor<'g, P>
     where
         Self: 'g;
 
-    fn build<'g>(&'g self, graph: &'g Graph, seed: u64) -> LazyDenseExecutor<'g, P> {
-        LazyDenseExecutor::new(graph, self.0, seed)
+    fn build<'g>(
+        &'g self,
+        carry: &mut Option<LazyTable<P>>,
+        graph: &'g Graph,
+        seed: u64,
+    ) -> LazyDenseExecutor<'g, P> {
+        let table = carry
+            .take()
+            .unwrap_or_else(|| LazyTable::new(self.0, graph.num_nodes()));
+        LazyDenseExecutor::with_source(graph, table, seed)
+    }
+
+    fn keep<'g>(carry: &mut Option<LazyTable<P>>, exec: LazyDenseExecutor<'g, P>)
+    where
+        Self: 'g,
+    {
+        *carry = Some(exec.into_table());
     }
 
     fn elect<'g>(
         exec: &mut LazyDenseExecutor<'g, P>,
         max_steps: u64,
-    ) -> (Result<Outcome, NotStabilized>, Option<usize>)
+    ) -> (Result<Outcome, NotStabilized>, Outcome)
     where
         Self: 'g,
     {
-        let (result, distinct_states, _) = lazy_election(exec, max_steps);
-        (result, distinct_states)
+        let (result, end, _) = lazy_election(exec, max_steps);
+        (result, end)
     }
 }
 
-/// The census an election reports: the stable outcome's own, or — for a
-/// trial that ran out of budget — the executor's `snapshot`.
-fn election_census(
-    result: &Result<Outcome, NotStabilized>,
-    snapshot: impl FnOnce() -> Outcome,
-) -> Option<usize> {
+/// The outcome at the end of a run to `result`: the stable outcome
+/// itself, or — for a run that ran out of budget — the executor's
+/// `snapshot`.
+fn run_end(result: &Result<Outcome, NotStabilized>, snapshot: impl FnOnce() -> Outcome) -> Outcome {
     match result {
-        Ok(outcome) => outcome.distinct_states,
-        Err(_) => snapshot().distinct_states,
+        Ok(outcome) => outcome.clone(),
+        Err(_) => snapshot(),
     }
 }
 
@@ -319,9 +353,20 @@ pub(crate) fn drive<P: Protocol + Clone>(
     }
 }
 
-/// [`drive`] on one tier. Each trial uses child seed `first_trial + i`
-/// of `master_seed`, so results are independent of the thread count
-/// and of how a trial range is split into calls.
+/// [`drive`] on one tier: one per-worker loop for every plan and goal.
+/// Trial `i` uses child seed `first_trial + i` of `master_seed`, so
+/// results are independent of the thread count and of how a trial
+/// range is split into calls.
+///
+/// Every trial builds its executor on the base graph with its own
+/// seed, loads the goal's start configuration, runs every in-budget
+/// fault of its resolved plan (none for the empty plan), then the
+/// goal's phase. `stabilization_step` and `leader` come from the first
+/// election after the last fault, the census and the final leader count
+/// from the end of the run, and `recovery` is attached exactly when
+/// `plan` is nonempty. Between trials a worker keeps only the tier's
+/// graph-free [`Tier::Carry`] — the lazy tier's warm table, which
+/// changes speed only, never the trace.
 fn drive_on<P: Protocol, T: Tier<P>>(
     tier: &T,
     graph: &Graph,
@@ -332,109 +377,41 @@ fn drive_on<P: Protocol, T: Tier<P>>(
 ) -> Vec<TrialResult> {
     let seq = SeedSeq::new(master_seed);
     let threads = resolve_threads(options.threads, options.trials);
-    let trial_seed = |job: usize| {
+    let max_steps = options.max_steps;
+    fan_out(options.trials, threads, T::Carry::default, |carry, job| {
         let trial = options.first_trial + job;
-        (trial, seq.child(trial as u64))
-    };
-    let num_nodes = graph.num_nodes();
-
-    if plan.is_empty() {
-        // Fault-free: each worker builds one executor and resets it per
-        // trial (a reset is exactly equivalent to fresh construction).
-        // The lazy tier's reset keeps its pair cache warm across trials;
-        // the cache changes speed only, never the trace.
-        let fresh = || executor(tier, graph, 0, options.census);
-        return fan_out(options.trials, threads, fresh, |exec, job| {
-            let (trial, seed) = trial_seed(job);
-            exec.reset(seed);
-            run_trial::<P, T>(exec, None, goal, trial, seed, num_nodes, options.max_steps)
-        });
-    }
-    // Topology faults rebind an executor to per-trial epoch graphs, so
-    // each faulted trial builds a fresh one.
-    fan_out(
-        options.trials,
-        threads,
-        || (),
-        |(), job| {
-            let (trial, seed) = trial_seed(job);
-            let resolved = plan.resolve(graph, fault_seed(seed));
-            let mut exec = executor(tier, graph, seed, options.census);
-            let resolved = Some(&resolved);
-            run_trial::<P, T>(
-                &mut exec,
-                resolved,
-                goal,
-                trial,
-                seed,
-                num_nodes,
-                options.max_steps,
-            )
-        },
-    )
-}
-
-/// A fresh executor of `tier`, with the census on when asked for.
-fn executor<'g, P: Protocol, T: Tier<P>>(
-    tier: &'g T,
-    graph: &'g Graph,
-    seed: u64,
-    census: bool,
-) -> T::Exec<'g> {
-    let mut exec = tier.build(graph, seed);
-    if census {
-        exec.enable_state_census();
-    }
-    exec
-}
-
-/// Runs trial `trial` on `exec`, which holds the clean start with
-/// scheduler seed `seed`, and packs what it did into a [`TrialResult`]:
-/// `stabilization_step` and `leader` come from the (first) election,
-/// the census from the end of the run.
-fn run_trial<'g, P: Protocol, T: Tier<P> + 'g>(
-    exec: &mut T::Exec<'g>,
-    resolved: Option<&'g ResolvedFaultPlan>,
-    goal: &Goal<P::State>,
-    trial: usize,
-    seed: u64,
-    num_nodes: u32,
-    max_steps: u64,
-) -> TrialResult {
-    let (result, distinct_states, recovery, holding) = match (goal, resolved) {
-        (Goal::Elect, None) => {
-            let (result, distinct_states) = T::elect(exec, max_steps);
-            (result, distinct_states, None, None)
+        let seed = seq.child(trial as u64);
+        let resolved = plan.resolve(graph, fault_seed(seed));
+        let mut exec = tier.build(carry, graph, seed);
+        if options.census {
+            exec.enable_state_census();
         }
-        (Goal::Elect, Some(resolved)) => {
-            let report = run_with_faults(exec, resolved, max_steps);
-            let distinct_states = exec.outcome().distinct_states;
-            (report.result, distinct_states, Some(report.recovery), None)
+        if let Goal::Hold(support) = goal {
+            let start = sample_support(support, graph.num_nodes(), arbitrary_seed(seed));
+            exec.set_configuration(&start);
         }
-        (Goal::Hold(support), resolved) => {
-            exec.set_configuration(&sample_support(support, num_nodes, arbitrary_seed(seed)));
-            let report = match resolved {
-                Some(resolved) => run_to_hold_with_faults(exec, resolved, max_steps),
-                None => run_to_hold(exec, max_steps),
-            };
-            let distinct_states = exec.outcome().distinct_states;
-            (
-                report.result,
-                distinct_states,
-                report.recovery,
-                Some(report.holding),
-            )
+        let trace = drive_ops(&mut exec, &resolved, max_steps);
+        let (result, end, holding) = match goal {
+            Goal::Elect => {
+                let (result, end) = T::elect(&mut exec, max_steps);
+                (result, end, None)
+            }
+            Goal::Hold(_) => {
+                let report = run_to_hold(&mut exec, max_steps);
+                (report.result, exec.outcome(), Some(report.holding))
+            }
+        };
+        T::keep(carry, exec);
+        TrialResult {
+            trial,
+            stabilization_step: result.as_ref().ok().map(|o| o.stabilization_step),
+            leader: result.as_ref().ok().and_then(|o| o.leader),
+            distinct_states: end.distinct_states,
+            recovery: (!plan.is_empty()).then(|| trace.recovery(&result, end.leader_count)),
+            holding,
+            engine: T::ENGINE,
         }
-    };
-    TrialResult {
-        trial,
-        stabilization_step: result.as_ref().ok().map(|o| o.stabilization_step),
-        leader: result.as_ref().ok().and_then(|o| o.leader),
-        distinct_states,
-        recovery,
-        holding,
-        engine: T::ENGINE,
-    }
+    })
 }
 
 /// Steps per window of a lazy election trial; the hand-off rule is
@@ -451,32 +428,32 @@ const HANDOFF_WINDOW: u64 = 1 << 12;
 /// miss on 0–4 of every 1000.
 const HANDOFF_MISS_DIVISOR: u64 = 4;
 
-/// Runs an election on `exec` from its current (clean) start, handing
-/// it to the generic engine when a window misses the pair cache too
-/// often (see [`EngineSelection::lazy`]). Returns the result, the
-/// census at the trial's end, and the step of the hand-off if there was
-/// one.
+/// Runs an election on `exec` from wherever it stands, handing it to
+/// the generic engine when a window misses the pair cache too often
+/// (see [`EngineSelection::lazy`]). Returns the result, the outcome at
+/// the end of the run — read from whichever executor finished it — and
+/// the step of the hand-off if there was one.
 fn lazy_election<P: Protocol>(
     exec: &mut LazyDenseExecutor<'_, P>,
     max_steps: u64,
-) -> (Result<Outcome, NotStabilized>, Option<usize>, Option<u64>) {
+) -> (Result<Outcome, NotStabilized>, Outcome, Option<u64>) {
     loop {
         let cached = exec.table().num_cached_pairs();
-        let end = max_steps.min(exec.steps().saturating_add(HANDOFF_WINDOW));
-        // A bounded run never draws past `end`, so the pair buffer is
+        let edge = max_steps.min(exec.steps().saturating_add(HANDOFF_WINDOW));
+        // A bounded run never draws past `edge`, so the pair buffer is
         // drained whenever this returns without stabilizing.
-        let result = exec.run_until_stable(end);
-        if result.is_ok() || end == max_steps {
-            let distinct_states = election_census(&result, || exec.outcome());
-            return (result, distinct_states, None);
+        let result = exec.run_until_stable(edge);
+        if result.is_ok() || edge == max_steps {
+            let end = run_end(&result, || exec.outcome());
+            return (result, end, None);
         }
         let misses = (exec.table().num_cached_pairs() - cached) as u64;
         if misses > HANDOFF_WINDOW / HANDOFF_MISS_DIVISOR {
             let handoff = exec.steps();
             let mut generic = exec.to_generic();
             let result = generic.run_until_stable(max_steps);
-            let distinct_states = election_census(&result, || generic.outcome());
-            return (result, distinct_states, Some(handoff));
+            let end = run_end(&result, || generic.outcome());
+            return (result, end, Some(handoff));
         }
     }
 }
@@ -713,19 +690,19 @@ impl<P: Protocol> EngineSelection<P> {
     }
 
     /// Forces the lazily-compiling tier ([`LazyDenseExecutor`]), which
-    /// runs any protocol. Each worker keeps one warm interner and pair
-    /// cache across its fault-free trials.
+    /// runs any protocol. Each worker hands one warm interner and pair
+    /// cache from trial to trial, under any fault plan.
     ///
-    /// A fault-free election that stops paying for its cache hands
-    /// itself to the generic engine mid-run: the lazy executor steps in
-    /// windows of 2¹² steps, and a window that misses the cache on more
-    /// than a quarter of its steps (the identifier protocol while nodes
-    /// still generate identifiers, where almost every state is new)
-    /// moves the rest of the trial to the generic engine, which carries
-    /// the same configuration, scheduler stream and census on. The
-    /// trace is unchanged, and the next trial starts lazy again on the
-    /// warm cache. [`lazy_handoff_step`] reports where a trial hands
-    /// off.
+    /// An election that stops paying for its cache hands itself to the
+    /// generic engine mid-run: after the trial's last fault, the lazy
+    /// executor steps in windows of 2¹² steps, and a window that misses
+    /// the cache on more than a quarter of its steps (the identifier
+    /// protocol while nodes still generate identifiers, where almost
+    /// every state is new) moves the rest of the trial to the generic
+    /// engine, which carries the same configuration, scheduler stream
+    /// and census on. The trace is unchanged, and the next trial starts
+    /// lazy again on the warm cache. [`lazy_handoff_step`] reports where
+    /// a fault-free trial hands off.
     ///
     /// # Examples
     ///
@@ -882,7 +859,7 @@ pub fn run_trials_auto_prepared<P: Protocol + Clone>(
 /// trial `i` resolves `plan` with [`fault_seed`] of its own trial seed
 /// and reports recovery metrics; give such runs a finite budget, since
 /// a run whose unique leader is lost never restabilizes. An empty plan
-/// runs the fault-free path.
+/// applies no fault and attaches no recovery metrics.
 ///
 /// # Examples
 ///
@@ -950,8 +927,8 @@ pub(crate) fn resolve_threads(requested: usize, trials: usize) -> usize {
 /// (callers guarantee `threads >= 1`); results are returned in job
 /// order, so the output is independent of the thread count. Each worker
 /// owns one `init()`-produced state, so callers can reuse expensive
-/// per-worker resources (e.g. an executor reset per trial) — pass
-/// `|| ()` when no state is needed.
+/// per-worker resources across jobs (the lazy tier's warm table, a
+/// count engine reset per trial).
 pub(crate) fn fan_out<S, T, I, F>(count: usize, threads: usize, init: I, job: F) -> Vec<T>
 where
     T: Send,
@@ -1257,7 +1234,7 @@ mod tests {
             run_trials_auto_with_faults_prepared(&g, &Absorb, &selection, 77, opts(0), &plan),
             run_trials_auto_with_faults_prepared(&g, &Absorb, &fresh(), 77, opts(0), &plan),
         );
-        // An empty plan must flow through the fault-free path.
+        // An empty plan must equal the plain election driver.
         assert_eq!(
             run_trials_auto_with_faults_prepared(
                 &g,

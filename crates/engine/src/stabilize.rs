@@ -22,14 +22,16 @@
 //!   — and intern-on-first-sight for the lazy engine) and
 //!   `run_while_stable`, the loop that keeps running *past* first
 //!   stabilization and reports the step of the first violation;
-//! * [`run_to_hold`] / [`run_to_hold_with_faults`] — the per-execution
-//!   drivers, producing a [`HoldingTime`] (and, under a fault plan,
-//!   [`Recovery`] metrics: a corrupt burst mid-hold measures the
-//!   *re-election* time, the headline property of this protocol class);
+//! * [`run_to_hold`] — the per-execution driver, producing a
+//!   [`HoldingTime`];
 //! * [`prepare_stabilize_engine`] / [`run_trials_stabilize_auto_prepared`]
 //!   — the Monte-Carlo entry point, running on the same trial driver as
 //!   [`crate::monte_carlo`]'s elections and attaching the metrics to
-//!   [`TrialResult::holding`].
+//!   [`TrialResult::holding`]. Under a fault plan the driver runs every
+//!   fault first, so the election it reports is the *re*-election after
+//!   the last fault, with [`crate::faults::Recovery`] metrics attached:
+//!   a corrupt burst mid-hold measures the headline property of this
+//!   protocol class, bounded re-election time from any perturbation.
 //!
 //! # What "stable" means here
 //!
@@ -104,7 +106,7 @@
 
 use crate::dense::{CompiledProtocol, DEFAULT_MAX_COMPILED_STATES};
 use crate::executor::{NotStabilized, Outcome};
-use crate::faults::{drive_ops, FaultPlan, FaultTarget, Recovery, ResolvedFaultPlan};
+use crate::faults::{FaultPlan, FaultTarget};
 use crate::monte_carlo::{drive, EngineSelection, Goal, Selected, TrialOptions, TrialResult};
 use crate::protocol::Protocol;
 use popele_graph::Graph;
@@ -295,17 +297,17 @@ pub struct StabilizeReport {
     pub result: Result<Outcome, NotStabilized>,
     /// The election/holding metrics.
     pub holding: HoldingTime,
-    /// Recovery metrics — `Some` exactly for
-    /// [`run_to_hold_with_faults`] runs.
-    pub recovery: Option<Recovery>,
 }
 
-/// Runs the elect-then-hold phases against whatever configuration the
-/// executor currently holds and `max_steps` as the *total* budget.
-fn elect_and_hold<'g, T: FaultTarget<'g>>(
-    exec: &mut T,
-    max_steps: u64,
-) -> (Result<Outcome, NotStabilized>, HoldingTime) {
+/// Drives one (already arbitrarily-initialized) execution to its
+/// election and then **past** it: runs to the first unique-leader
+/// configuration, keeps running while it holds, and stops right after
+/// the first violation (or at `max_steps` total interactions, counted
+/// from step 0 — holds alive at the budget are reported as
+/// right-censored, never as violations).
+///
+/// See the [module docs](crate::stabilize) for a complete example.
+pub fn run_to_hold<'g, T: FaultTarget<'g>>(exec: &mut T, max_steps: u64) -> StabilizeReport {
     let result = exec.run_until_stable(max_steps);
     let holding = match &result {
         Ok(out) => {
@@ -329,46 +331,7 @@ fn elect_and_hold<'g, T: FaultTarget<'g>>(
             held_to_budget: false,
         },
     };
-    (result, holding)
-}
-
-/// Drives one (already arbitrarily-initialized) execution to its
-/// election and then **past** it: runs to the first unique-leader
-/// configuration, keeps running while it holds, and stops right after
-/// the first violation (or at `max_steps` total interactions, counted
-/// from step 0 — holds alive at the budget are reported as
-/// right-censored, never as violations).
-///
-/// See the [module docs](crate::stabilize) for a complete example.
-pub fn run_to_hold<'g, T: FaultTarget<'g>>(exec: &mut T, max_steps: u64) -> StabilizeReport {
-    let (result, holding) = elect_and_hold(exec, max_steps);
-    StabilizeReport {
-        result,
-        holding,
-        recovery: None,
-    }
-}
-
-/// Fault-injected counterpart of [`run_to_hold`]: drives the execution
-/// through every in-budget fault of `resolved` first (exactly as
-/// [`crate::faults::run_with_faults`] does), then measures election —
-/// which is now the *re*-election after the last fault; its distance to
-/// the last fault step is reported as
-/// [`Recovery::reconvergence_steps`] — and holding. A corrupt burst
-/// against a loosely-stabilizing protocol thereby measures the class's
-/// headline property: bounded re-election time from any perturbation.
-pub fn run_to_hold_with_faults<'g, T: FaultTarget<'g>>(
-    exec: &mut T,
-    resolved: &'g ResolvedFaultPlan,
-    max_steps: u64,
-) -> StabilizeReport {
-    let trace = drive_ops(exec, resolved, max_steps);
-    let (result, holding) = elect_and_hold(exec, max_steps);
-    StabilizeReport {
-        recovery: Some(trace.recovery(&result, exec.leader_count())),
-        result,
-        holding,
-    }
+    StabilizeReport { result, holding }
 }
 
 /// Seeded engine selection for arbitrary-start workloads, in reusable
@@ -520,7 +483,7 @@ pub fn run_trials_stabilize_auto_prepared<P: ArbitraryInit + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{fault_seed, FaultKind};
+    use crate::faults::{drive_ops, fault_seed, FaultKind};
     use crate::protocol::{LeaderCountOracle, Role};
     use crate::Executor;
     use popele_graph::families;
@@ -598,7 +561,6 @@ mod tests {
         assert_eq!(exec.steps(), elect + hold);
         assert!(!exec.is_stable());
         assert_eq!(report.result.unwrap().leader_count, 1);
-        assert!(report.recovery.is_none());
     }
 
     #[test]
@@ -623,8 +585,10 @@ mod tests {
         let resolved = plan.resolve(&g, fault_seed(3));
         let mut exec = Executor::new(&g, &Flimsy, 3);
         exec.set_configuration(&arbitrary_config(&Flimsy, 12, arbitrary_seed(3)));
-        let report = run_to_hold_with_faults(&mut exec, &resolved, 1 << 20);
-        let recovery = report.recovery.expect("faulted runs attach recovery");
+        // The trial driver's sequence: every fault first, then the hold.
+        let trace = drive_ops(&mut exec, &resolved, 1 << 20);
+        let report = run_to_hold(&mut exec, 1 << 20);
+        let recovery = trace.recovery(&report.result, exec.leader_count());
         assert_eq!(recovery.last_fault_step, 500);
         // Corrupting every node resets all to follower: the election
         // reported is the re-election after the burst.

@@ -5,7 +5,6 @@ pub mod broadcast;
 pub mod clocks;
 pub mod conductance;
 pub mod dense;
-pub mod engine;
 pub mod faults;
 pub mod lowerbound;
 pub mod majority;

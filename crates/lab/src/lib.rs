@@ -19,7 +19,6 @@
 //! | `conductance` | Corollary 25 on regular graphs | [`experiments::conductance`] |
 //! | `ablation` | design-choice sweeps (h, L, α, k) | [`experiments::ablation`] |
 //! | `majority` | Section 8 extension: exact majority | [`experiments::majority`] |
-//! | `engine` | generic vs compiled engine equivalence/throughput | [`experiments::engine`] |
 //! | `faults` | recovery under corruption/churn/rewiring (beyond the paper's model) | [`experiments::faults`] |
 //! | `stabilize` | loose stabilization: elect-vs-hold tradeoff, re-election under bursts | [`experiments::stabilize`] |
 //! | `pareto` | states-vs-time frontier across all protocol families (ROADMAP item 4) | [`experiments::pareto`] |
@@ -109,8 +108,6 @@ pub enum ExperimentId {
     Ablation,
     /// Exact-majority extension (Section 8).
     Majority,
-    /// Generic-vs-compiled engine equivalence and throughput.
-    Engine,
     /// Recovery under fault injection (corruption, churn, rewiring).
     Faults,
     /// Loose stabilization: the elect-vs-hold tradeoff from arbitrary
@@ -126,8 +123,7 @@ impl ExperimentId {
     /// the experiment registry: CLI parsing and the `--help` listing
     /// derive from it, so a new experiment registered here shows up in
     /// both automatically.
-    pub const ALL: [ExperimentId; 15] = [
-        ExperimentId::Engine,
+    pub const ALL: [ExperimentId; 14] = [
         ExperimentId::Clocks,
         ExperimentId::Broadcast,
         ExperimentId::Propagation,
@@ -166,7 +162,6 @@ impl ExperimentId {
             Self::Conductance => "conductance",
             Self::Ablation => "ablation",
             Self::Majority => "majority",
-            Self::Engine => "engine",
             Self::Faults => "faults",
             Self::Stabilize => "stabilize",
             Self::Pareto => "pareto",
@@ -188,7 +183,6 @@ impl ExperimentId {
             Self::Conductance => experiments::conductance::run(cfg),
             Self::Ablation => experiments::ablation::run(cfg),
             Self::Majority => experiments::majority::run(cfg),
-            Self::Engine => experiments::engine::run(cfg),
             Self::Faults => experiments::faults::run(cfg),
             Self::Stabilize => experiments::stabilize::run(cfg),
             Self::Pareto => experiments::pareto::run(cfg),

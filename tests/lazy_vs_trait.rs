@@ -555,6 +555,44 @@ fn handoff_census_equals_generic() {
     assert!(lazy.iter().all(|r| r.engine == Engine::LazyDense));
 }
 
+#[test]
+fn faulted_handoff_trials_equal_generic() {
+    // A corrupt burst before the first window edge, then identifier
+    // generation with the paper's identifier length on K_2000: the lazy
+    // election after the last fault hands off to the generic engine, so
+    // the census and the recovery metrics (final leader count included)
+    // must come from the executor that finished the trial.
+    let (generic_tier, lazy_tier) = (EngineSelection::generic(), EngineSelection::lazy());
+    let g = families::clique(2000);
+    let p = IdentifierProtocol::new(identifier_bits(2000, true));
+    let plan = FaultPlan::at(1000, FaultKind::CorruptNodes { count: 500 });
+    for census in [false, true] {
+        let opts = |threads| TrialOptions {
+            trials: 3,
+            max_steps: 150_000,
+            census,
+            threads,
+            ..TrialOptions::default()
+        };
+        let generic =
+            run_trials_auto_with_faults_prepared(&g, &p, &generic_tier, 0xFA, opts(1), &plan);
+        assert!(generic
+            .iter()
+            .all(|r| r.recovery.is_some_and(|rec| rec.faults_applied == 1)));
+        for threads in [1, 2] {
+            let lazy = run_trials_auto_with_faults_prepared(
+                &g,
+                &p,
+                &lazy_tier,
+                0xFA,
+                opts(threads),
+                &plan,
+            );
+            assert_eq!(generic, lazy, "census={census} threads={threads}");
+        }
+    }
+}
+
 /// Runs `exec` (fresh, seed 1) for `max_steps`, then resets it to each
 /// of three seeds and requires every restart to equal a fresh executor
 /// from `fresh` with that seed: the start outcome, the run's result and

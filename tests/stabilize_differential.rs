@@ -290,23 +290,29 @@ fn driver_run(
 }
 
 /// Every forced tier equals the prepared auto selection — for both
-/// goals, with an empty and a corrupt-burst plan, census on (with a
-/// budget some elections miss, so the timed-out census snapshot is
-/// compared) and off, on 1 and 3 threads over 7 trials (so workers
-/// reuse their executors), and across `first_trial` shards that
-/// concatenate to the whole run. The inert `TrialOptions::lanes` flag
-/// changes nothing: on the forced AOT tier, eight trials (enough to
-/// have engaged the removed lane engine) with it set equal the same
-/// trials without it, all run on the dense tier.
+/// goals, with an empty, a corrupt-burst, a churn (join and leave) and
+/// a rewire plan, census on (with a budget some elections miss, so the
+/// timed-out census snapshot is compared) and off, on 1 and 3 threads
+/// over 7 trials (so workers carry their state across trials, the
+/// churn plan's across trials whose node count changed), and across
+/// `first_trial` shards that concatenate to the whole run. The inert
+/// `TrialOptions::lanes` flag changes nothing: on the forced AOT tier,
+/// eight trials (enough to have engaged the removed lane engine) with
+/// it set equal the same trials without it, all run on the dense tier.
 #[test]
 fn trial_driver_forced_tiers_equal_auto() {
     let n = 16;
     let g = families::cycle(n);
     let p = LooseProtocol::new(6);
-    let corrupt = FaultPlan::at(20, FaultKind::CorruptNodes { count: 5 });
+    let plans = [
+        FaultPlan::empty(),
+        FaultPlan::at(20, FaultKind::CorruptNodes { count: 5 }),
+        FaultPlan::at(10, FaultKind::JoinNode { degree: 2 }).and(25, FaultKind::LeaveNode),
+        FaultPlan::at(15, FaultKind::RewireEdge),
+    ];
     for goal in [Goal::Elect, Goal::Hold] {
-        let selections = driver_selections(goal, &p, n);
-        for plan in [FaultPlan::empty(), corrupt.clone()] {
+        for plan in plans.clone() {
+            let selections = driver_selections(goal, &p, n + plan.max_joins());
             for census in [false, true] {
                 let max_steps = if census { TIMEOUT_BUDGET } else { 1 << 14 };
                 for threads in [1, 3] {
@@ -319,8 +325,8 @@ fn trial_driver_forced_tiers_equal_auto() {
                         ..TrialOptions::default()
                     };
                     let case = format!(
-                        "{goal:?} faults={} census={census} threads={threads}",
-                        !plan.is_empty()
+                        "{goal:?} plan={:?} census={census} threads={threads}",
+                        plan.events
                     );
                     let whole = driver_run(goal, &g, &p, &selections[0].1, opts(0, 7), &plan);
                     assert_eq!(whole.len(), 7);
